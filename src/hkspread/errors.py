@@ -21,10 +21,6 @@ class HomogeneityError(AlgebraError):
     """A polynomial that must be homogeneous is not."""
 
 
-class ZeroDivisorError(AlgebraError):
-    """Colon by a zero generator."""
-
-
 class ContainmentError(AlgebraError):
     """Expected ideal containment does not hold."""
 

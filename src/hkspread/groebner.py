@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import product
 
@@ -28,27 +29,22 @@ class GuardConfig:
     max_exponent: int = 100_000
 
 
-_DEFAULT_GUARD = GuardConfig()
+# Per thread and per asyncio task: a guard set in one context is not seen
+# by code running in another.
+_GUARD = ContextVar("hkspread_guard", default=GuardConfig())
 
 
 def active_guard() -> GuardConfig:
-    return _DEFAULT_GUARD
-
-
-def set_default_guard(guard: GuardConfig) -> None:
-    global _DEFAULT_GUARD
-    _DEFAULT_GUARD = guard
+    return _GUARD.get()
 
 
 @contextmanager
 def use_guard(guard: GuardConfig):
-    global _DEFAULT_GUARD
-    saved = _DEFAULT_GUARD
-    _DEFAULT_GUARD = guard
+    token = _GUARD.set(guard)
     try:
         yield guard
     finally:
-        _DEFAULT_GUARD = saved
+        _GUARD.reset(token)
 
 
 class _Budget:

@@ -10,7 +10,7 @@ from .errors import (
     ResourceLimitError,
     RingMismatchError,
 )
-from .groebner import active_guard, buchberger_raw, krull_dimension
+from .groebner import active_guard, buchberger, buchberger_raw, krull_dimension
 from .orders import DEGREVLEX, AuxBlockOrder
 from .poly import Monomial, Polynomial, RingSpec, as_q
 
@@ -44,8 +44,7 @@ class Ideal:
         order = order or DEGREVLEX
         gb = self._gb.get(order)
         if gb is None:
-            gb = buchberger_raw(list(self.gens) + list(self.ring.relations),
-                                order, ring=self.ring)
+            gb = buchberger(self.gens, order, ring=self.ring)
             self._gb[order] = gb
         return gb
 
@@ -64,9 +63,6 @@ class Ideal:
         if self.ring != other.ring:
             return False
         return self.groebner_basis() == other.groebner_basis()
-
-    def __hash__(self):
-        return hash(self.groebner_basis())
 
     def is_zero(self) -> bool:
         return self.groebner_basis().is_zero()
@@ -129,18 +125,6 @@ class Ideal:
 def maximal_ideal(ring: RingSpec) -> Ideal:
     """The ideal of all variables."""
     return Ideal(ring, ring.gens())
-
-
-def ideal_sum(I: Ideal, J: Ideal) -> Ideal:
-    return I + J
-
-
-def ideal_product(I: Ideal, J: Ideal) -> Ideal:
-    return I * J
-
-
-def bracket_power(I: Ideal, q) -> Ideal:
-    return I.bracket_power(q)
 
 
 # -- intersection and colon via one-variable elimination ----------------------

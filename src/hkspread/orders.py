@@ -9,51 +9,35 @@ from .errors import AlgebraError
 class MonomialOrder:
     """Total multiplicative well-order on exponent vectors.
 
-    Comparison goes through sort keys: bigger key = bigger monomial.  An
-    optional variable permutation reorders exponents before the key is
-    formed, so permutation[0] is the most significant variable.
+    Comparison goes through sort keys: bigger key = bigger monomial.
     """
 
-    __slots__ = ("kind", "permutation")
+    __slots__ = ("kind",)
 
     KINDS = ("degrevlex", "lex", "deglex")
 
-    def __init__(self, kind: str, permutation=None):
+    def __init__(self, kind: str):
         if kind not in self.KINDS:
             raise AlgebraError(f"unknown monomial order {kind!r}")
         self.kind = kind
-        self.permutation = tuple(permutation) if permutation is not None else None
-
-    def _arrange(self, exps):
-        if self.permutation is None:
-            return exps
-        return tuple(exps[i] for i in self.permutation)
 
     def key(self, exps):
-        a = self._arrange(exps)
         if self.kind == "lex":
-            return tuple(a)
-        total = sum(a)
+            return tuple(exps)
+        total = sum(exps)
         if self.kind == "deglex":
-            return (total, tuple(a))
+            return (total, tuple(exps))
         # degrevlex: higher = smaller reversed-negated tail
-        return (total, tuple(-a[i] for i in range(len(a) - 1, -1, -1)))
-
-    def greater(self, m1, m2) -> bool:
-        return self.key(m1) > self.key(m2)
+        return (total, tuple(-exps[i] for i in range(len(exps) - 1, -1, -1)))
 
     def __eq__(self, other):
-        return (isinstance(other, MonomialOrder)
-                and other.kind == self.kind
-                and other.permutation == self.permutation)
+        return isinstance(other, MonomialOrder) and other.kind == self.kind
 
     def __hash__(self):
-        return hash((self.kind, self.permutation))
+        return hash(self.kind)
 
     def __repr__(self):
-        if self.permutation is None:
-            return f"MonomialOrder({self.kind!r})"
-        return f"MonomialOrder({self.kind!r}, {self.permutation})"
+        return f"MonomialOrder({self.kind!r})"
 
     @property
     def name(self) -> str:
@@ -71,9 +55,6 @@ class AuxBlockOrder:
 
     def key(self, exps):
         return (exps[0], self.inner.key(exps[1:]))
-
-    def greater(self, m1, m2) -> bool:
-        return self.key(m1) > self.key(m2)
 
     def __eq__(self, other):
         return isinstance(other, AuxBlockOrder) and other.inner == self.inner

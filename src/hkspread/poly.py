@@ -2,8 +2,8 @@
 
 Polynomials are immutable term maps {exponent tuple: coefficient} with
 coefficients reduced into [0, p).  A RingSpec carries the characteristic,
-the variable names, optional homogeneous quotient relations, and grading
-weights; a RingSpec with no relations models a polynomial ring.
+the variable names and optional homogeneous quotient relations; a RingSpec
+with no relations models a polynomial ring.
 """
 
 from __future__ import annotations
@@ -44,9 +44,6 @@ class PrimeField:
             raise NotPrimeError(f"characteristic must be prime, got {p}")
         self.p = p
 
-    def element(self, v: int) -> int:
-        return v % self.p
-
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.p
 
@@ -64,12 +61,6 @@ class PrimeField:
             raise ZeroDivisionError("inverse of zero in prime field")
         return pow(a, -1, self.p)
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
-    def pow(self, a: int, n: int) -> int:
-        return pow(a % self.p, n, self.p)
-
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
 
@@ -83,10 +74,8 @@ class PrimeField:
 class Monomial(tuple):
     """Exponent vector; one entry per ring variable."""
 
-    def degree(self, weights=None) -> int:
-        if weights is None:
-            return sum(self)
-        return sum(w * a for w, a in zip(weights, self))
+    def degree(self) -> int:
+        return sum(self)
 
     def mul(self, other: "Monomial") -> "Monomial":
         return Monomial(a + b for a, b in zip(self, other))
@@ -121,9 +110,9 @@ class RingSpec:
     quotient) and polynomial-extension base change possible.
     """
 
-    __slots__ = ("field", "variables", "weights", "relations", "_dimension", "_hash")
+    __slots__ = ("field", "variables", "relations", "_dimension", "_hash")
 
-    def __init__(self, characteristic, variables, relations=(), weights=None):
+    def __init__(self, characteristic, variables, relations=()):
         self.field = PrimeField(characteristic)
         variables = tuple(variables)
         if not variables:
@@ -134,13 +123,6 @@ class RingSpec:
         if len(set(variables)) != len(variables):
             raise AlgebraError("duplicate variable names")
         self.variables = variables
-        if weights is None:
-            weights = (1,) * len(variables)
-        else:
-            weights = tuple(weights)
-            if len(weights) != len(variables) or any(w < 1 for w in weights):
-                raise AlgebraError("weights must be positive, one per variable")
-        self.weights = weights
         self._dimension = None
         self._hash = None
         adopted = []
@@ -183,13 +165,12 @@ class RingSpec:
             return NotImplemented
         return (self.field == other.field
                 and self.variables == other.variables
-                and self.weights == other.weights
                 and tuple(r.terms_key() for r in self.relations)
                 == tuple(r.terms_key() for r in other.relations))
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.field.p, self.variables, self.weights,
+            self._hash = hash((self.field.p, self.variables,
                                tuple(r.terms_key() for r in self.relations)))
         return self._hash
 
@@ -246,16 +227,15 @@ class RingSpec:
         rels = list(self.relations)
         for r in relations:
             rels.append(self.poly(r) if isinstance(r, str) else r)
-        return RingSpec(self.field.p, self.variables, rels, self.weights)
+        return RingSpec(self.field.p, self.variables, rels)
 
     def adjoin_variables(self, names) -> "RingSpec":
-        """Polynomial extension by new weight-1 variables."""
+        """Polynomial extension by new variables."""
         names = tuple(names)
         for n in names:
             if n in self.variables:
                 raise AlgebraError(f"variable {n!r} already in the ring")
-        return RingSpec(self.field.p, self.variables + names,
-                        self.relations, self.weights + (1,) * len(names))
+        return RingSpec(self.field.p, self.variables + names, self.relations)
 
     def adopt(self, poly: "Polynomial") -> "Polynomial":
         """Re-bind a polynomial of a compatible ring by variable name."""
@@ -341,22 +321,18 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        return all(m.degree() == 0 for m in self.terms)
-
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
     def is_homogeneous(self) -> bool:
-        degs = {m.degree(self.ring.weights) for m in self.terms}
+        degs = {m.degree() for m in self.terms}
         return len(degs) <= 1
 
     def degree(self) -> int:
-        """Weighted total degree; -1 for the zero polynomial."""
+        """Total degree; -1 for the zero polynomial."""
         if not self.terms:
             return -1
-        w = self.ring.weights
-        return max(m.degree(w) for m in self.terms)
+        return max(m.degree() for m in self.terms)
 
     def max_exponent(self) -> int:
         return max((e for m in self.terms for e in m), default=0)
@@ -512,15 +488,3 @@ class Polynomial:
 
     def __repr__(self):
         return f"<{self} over {self.ring}>"
-
-
-def poly_add(f: Polynomial, g: Polynomial) -> Polynomial:
-    return f + g
-
-
-def poly_mul(f: Polynomial, g: Polynomial) -> Polynomial:
-    return f * g
-
-
-def poly_qth_power(f: Polynomial, q) -> Polynomial:
-    return f.qth_power(q)

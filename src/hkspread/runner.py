@@ -17,11 +17,12 @@ from fractions import Fraction
 from . import __version__
 from .errors import AlgebraError
 from .groebner import GuardConfig, use_guard
-from .ideals import Ideal, ideal_colon
+from .ideals import ideal_colon
 from .lengths import ehk_estimate, length_quotient
 from .orders import order_by_name
 from .poly import FrobeniusExponent
 from .script import (
+    VERBS,
     ColonCommand,
     EhkCommand,
     GbCommand,
@@ -163,19 +164,19 @@ def _independence_dict(rep, name):
     }
 
 
+def _basis(gb):
+    return [str(f) for f in gb.polys]
+
+
 class _Session:
     def __init__(self, script: SessionScript, config: RunConfig):
         self.ring = script.ring
-        self.config = config
         self.order = order_by_name(config.order)
         self.ideals = script.ideals()
         self.p = self.ring.characteristic
 
-    def lookup(self, name: str) -> Ideal:
-        return self.ideals[name]
-
     def a_or_none(self, name):
-        return None if name is None else self.lookup(name)
+        return None if name is None else self.ideals[name]
 
     def q0_exponent(self, q0_value):
         q0 = 1 if q0_value is None else q0_value
@@ -184,64 +185,56 @@ class _Session:
     def e_list(self, q_values):
         return [FrobeniusExponent.from_q(self.p, q).e for q in q_values]
 
-    def execute(self, cmd):
-        e_max = getattr(cmd, "e_max", None) or DEFAULT_E_MAX
-        if isinstance(cmd, GbCommand):
-            gb = self.lookup(cmd.name).groebner_basis(self.order)
-            return "gb", {"ideal": cmd.name, "order": self.order.name,
-                          "basis": [str(f) for f in gb.polys]}
-        if isinstance(cmd, LengthCommand):
-            lam = length_quotient(self.lookup(cmd.name))
-            return "length", {"ideal": cmd.name, **_length_dict(lam)}
-        if isinstance(cmd, ColonCommand):
-            col = ideal_colon(self.lookup(cmd.left), self.lookup(cmd.right))
-            gb = col.groebner_basis(self.order)
-            return "colon", {"left": cmd.left, "right": cmd.right,
-                             "basis": [str(f) for f in gb.polys]}
-        if isinstance(cmd, EhkCommand):
-            ideal = self.lookup(cmd.name)
-            est = ehk_estimate(ideal, e_max, cmd.method or "auto")
-            return "ehk", _estimate_dict(cmd.name, est, ideal.ring.dimension)
-        if isinstance(cmd, SpreadCommand):
-            rep = star_spread_estimate(self.lookup(cmd.name),
-                                       self.a_or_none(cmd.a),
-                                       self.q0_exponent(cmd.q0), e_max)
-            return "spread", _spread_dict(rep, cmd.name, cmd.a or "m")
-        if isinstance(cmd, SpreadHkCommand):
-            rep = star_spread_hk_difference(self.lookup(cmd.name),
-                                            self.a_or_none(cmd.a),
-                                            self.q0_exponent(cmd.q0), e_max)
-            return "spread_hk", _spread_dict(rep, cmd.name, cmd.a or "m")
-        if isinstance(cmd, IdentityProductCommand):
-            rep = check_product_identity(self.lookup(cmd.left),
-                                         self.lookup(cmd.right), cmd.ell,
-                                         self.e_list(cmd.q), e_max)
-            return "identity", _identity_dict(rep)
-        if isinstance(cmd, IdentitySelfCommand):
-            rep = check_self_product(self.lookup(cmd.name),
-                                     self.e_list(cmd.q),
-                                     self.q0_exponent(cmd.q0), e_max)
-            return "identity", _identity_dict(rep)
-        if isinstance(cmd, IdentityLemma33Command):
-            rep = check_lemma33_additivity(self.lookup(cmd.name), cmd.z,
-                                           self.a_or_none(cmd.a),
-                                           self.q0_exponent(cmd.q0), e_max)
-            return "identity", _identity_dict(rep)
-        if isinstance(cmd, IdentityBasechangeCommand):
-            rep = check_base_change(self.ring, self.lookup(cmd.name), cmd.s,
-                                    self.e_list(cmd.q), e_max)
-            return "identity", _identity_dict(rep)
-        if isinstance(cmd, IdentityCorollaryCommand):
-            rep = check_corollary_vanishing(self.ring, self.lookup(cmd.name),
-                                            self.q0_exponent(cmd.q0), e_max)
-            return "identity", _identity_dict(rep)
-        if isinstance(cmd, IndependentCommand):
-            ideal = self.lookup(cmd.name)
-            rep = star_independence_diagnostic(
-                ideal.gens, 2 if cmd.q0 is None else self.q0_exponent(cmd.q0),
-                e_max)
-            return "independent", _independence_dict(rep, cmd.name)
-        raise AlgebraError(f"unhandled command {cmd!r}")  # pragma: no cover
+
+def _e_max(cmd) -> int:
+    return DEFAULT_E_MAX if cmd.e_max is None else cmd.e_max
+
+
+# command class -> f(session, command) giving the report data.  The entries
+# look the layer functions up as module globals when they run, so a layer
+# rebound on this module after import is the one that gets called.
+_DATA = {
+    GbCommand: lambda s, c: {
+        "ideal": c.name, "order": s.order.name,
+        "basis": _basis(s.ideals[c.name].groebner_basis(s.order))},
+    LengthCommand: lambda s, c: {
+        "ideal": c.name, **_length_dict(length_quotient(s.ideals[c.name]))},
+    ColonCommand: lambda s, c: {
+        "left": c.left, "right": c.right,
+        "basis": _basis(ideal_colon(s.ideals[c.left], s.ideals[c.right])
+                        .groebner_basis(s.order))},
+    EhkCommand: lambda s, c: _estimate_dict(
+        c.name, ehk_estimate(s.ideals[c.name], _e_max(c), c.method or "auto"),
+        s.ring.dimension),
+    SpreadCommand: lambda s, c: _spread_dict(
+        star_spread_estimate(s.ideals[c.name], s.a_or_none(c.a),
+                             s.q0_exponent(c.q0), _e_max(c)),
+        c.name, c.a or "m"),
+    SpreadHkCommand: lambda s, c: _spread_dict(
+        star_spread_hk_difference(s.ideals[c.name], s.a_or_none(c.a),
+                                  s.q0_exponent(c.q0), _e_max(c)),
+        c.name, c.a or "m"),
+    IdentityProductCommand: lambda s, c: _identity_dict(
+        check_product_identity(s.ideals[c.left], s.ideals[c.right], c.ell,
+                               s.e_list(c.q), _e_max(c))),
+    IdentitySelfCommand: lambda s, c: _identity_dict(
+        check_self_product(s.ideals[c.name], s.e_list(c.q),
+                           s.q0_exponent(c.q0), _e_max(c))),
+    IdentityLemma33Command: lambda s, c: _identity_dict(
+        check_lemma33_additivity(s.ideals[c.name], c.z, s.a_or_none(c.a),
+                                 s.q0_exponent(c.q0), _e_max(c))),
+    IdentityBasechangeCommand: lambda s, c: _identity_dict(
+        check_base_change(s.ring, s.ideals[c.name], c.s, s.e_list(c.q),
+                          _e_max(c))),
+    IdentityCorollaryCommand: lambda s, c: _identity_dict(
+        check_corollary_vanishing(s.ring, s.ideals[c.name],
+                                  s.q0_exponent(c.q0), _e_max(c))),
+    IndependentCommand: lambda s, c: _independence_dict(
+        star_independence_diagnostic(
+            s.ideals[c.name].gens,
+            2 if c.q0 is None else s.q0_exponent(c.q0), _e_max(c)),
+        c.name),
+}
 
 
 def run_script(script: SessionScript, config: RunConfig | None = None) -> Report:
@@ -257,7 +250,8 @@ def run_script(script: SessionScript, config: RunConfig | None = None) -> Report
             echo = format_command(cmd)
             t0 = time.perf_counter()
             try:
-                kind, data = session.execute(cmd)
+                kind = VERBS[type(cmd)].split()[0]  # first word of the verb
+                data = _DATA[type(cmd)](session, cmd)
                 result = CommandResult(echo, kind, "ok", data=data)
                 if kind == "identity" and not data["pass"]:
                     report.ok = False
@@ -321,6 +315,65 @@ def report_json(report: Report, include_timing: bool = True) -> str:
     return json.dumps(report_document(report, include_timing), indent=2)
 
 
+def _csv_basis(data):
+    for i, g in enumerate(data["basis"]):
+        yield ["basis", i, "", "", "", g, "", "", ""]
+
+
+def _csv_length(data):
+    yield ["length", "", "", "", "",
+           "inf" if not data["finite"] else data["value"], "", "", ""]
+
+
+def _csv_ehk(data):
+    v = data["value"]
+    yield ["estimate", data["method"], "", "", "", data["value_float"],
+           v["num"], v["den"], ""]
+    for s in data["samples"]:
+        nm = s["normalized"]
+        yield ["sample", "", "", s["e"], s["q"], s["colength"],
+               nm["num"], nm["den"], ""]
+
+
+def _csv_spread(data):
+    yield ["estimate", "", "", "", "",
+           "" if data["estimate"] is None else data["estimate"],
+           "", "", data["stabilized"]]
+    for c in data["cells"]:
+        r = c["ratio"]
+        yield ["cell", "", c["q0"], c["e"], c["q"], c["length"],
+               r["num"], r["den"], ""]
+
+
+def _csv_identity(data):
+    for row in data["rows"]:
+        res = row["residual"]
+        yield ["row", row["label"], "", "", "", "",
+               res["num"], res["den"], row["pass"]]
+
+
+def _csv_independent(data):
+    for gen in data["generators"]:
+        for row in gen["rows"]:
+            yield [gen["generator"], gen["verdict"], row["least_q0"] or "",
+                   row["e"], row["q"], row["unit_colon"], "", "",
+                   row["contained"]]
+
+
+# report kind -> f(data) yielding its CSV rows, each without the leading
+# command column
+_CSV_ROWS = {
+    "gb": _csv_basis,
+    "length": _csv_length,
+    "colon": _csv_basis,
+    "ehk": _csv_ehk,
+    "spread": _csv_spread,
+    "spread_hk": _csv_spread,
+    "identity": _csv_identity,
+    "independent": _csv_independent,
+}
+
+
 def report_csv(report: Report) -> str:
     """Flatten table-bearing results; scalar results get a single row."""
     out = io.StringIO()
@@ -333,41 +386,6 @@ def report_csv(report: Report) -> str:
             writer.writerow([echo, "error", result.error["type"], "", "", "",
                              result.error["message"], "", "", ""])
             continue
-        data = result.data
-        kind = result.kind
-        if kind == "length":
-            writer.writerow([echo, "length", "", "", "", "",
-                             "inf" if not data["finite"] else data["value"],
-                             "", "", ""])
-        elif kind in ("gb", "colon"):
-            for i, g in enumerate(data["basis"]):
-                writer.writerow([echo, "basis", i, "", "", "", g, "", "", ""])
-        elif kind == "ehk":
-            v = data["value"]
-            writer.writerow([echo, "estimate", data["method"], "", "", "",
-                             data["value_float"], v["num"], v["den"], ""])
-            for s in data["samples"]:
-                nm = s["normalized"]
-                writer.writerow([echo, "sample", "", "", s["e"], s["q"],
-                                 s["colength"], nm["num"], nm["den"], ""])
-        elif kind in ("spread", "spread_hk"):
-            writer.writerow([echo, "estimate", "", "", "", "",
-                             "" if data["estimate"] is None else data["estimate"],
-                             "", "", data["stabilized"]])
-            for c in data["cells"]:
-                r = c["ratio"]
-                writer.writerow([echo, "cell", "", c["q0"], c["e"], c["q"],
-                                 c["length"], r["num"], r["den"], ""])
-        elif kind == "identity":
-            for row in data["rows"]:
-                res = row["residual"]
-                writer.writerow([echo, "row", row["label"], "", "", "", "",
-                                 res["num"], res["den"], row["pass"]])
-        elif kind == "independent":
-            for gen in data["generators"]:
-                for row in gen["rows"]:
-                    writer.writerow([echo, gen["generator"], gen["verdict"],
-                                     row["least_q0"] or "", row["e"], row["q"],
-                                     row["unit_colon"], "", "",
-                                     row["contained"]])
+        for row in _CSV_ROWS[result.kind](result.data):
+            writer.writerow([echo] + row)
     return out.getvalue()

@@ -25,7 +25,7 @@ allowed.  q and q0 take power-of-p values (not exponents).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import NamedTuple
 
 from .errors import HomogeneityError, NotPrimeError, ScriptError
@@ -176,6 +176,38 @@ class IndependentCommand:
     e_max: int | None = None
 
 
+# verb -> (command class, number of leading ideal names).  The class's
+# fields after the ideal names are the command's options, in the order the
+# printer writes them; a field without a default is a required option.
+COMMANDS = {
+    "gb": (GbCommand, 1),
+    "length": (LengthCommand, 1),
+    "colon": (ColonCommand, 2),
+    "ehk": (EhkCommand, 1),
+    "spread": (SpreadCommand, 1),
+    "spread_hk": (SpreadHkCommand, 1),
+    "identity product": (IdentityProductCommand, 2),
+    "identity self": (IdentitySelfCommand, 1),
+    "identity lemma33": (IdentityLemma33Command, 1),
+    "identity basechange": (IdentityBasechangeCommand, 1),
+    "identity corollary": (IdentityCorollaryCommand, 1),
+    "independent": (IndependentCommand, 1),
+}
+
+# option name -> type; each name has one type in every command.  ideal is a
+# bound ideal name, qvalue a power of p, qlist comma-separated qvalues.
+_OPTION_TYPES = {"a": "ideal", "e_max": "int", "ell": "int",
+                 "method": "method", "q": "qlist", "q0": "qvalue",
+                 "s": "int", "z": "poly"}
+
+VERBS = {cls: verb for verb, (cls, _) in COMMANDS.items()}
+
+# first words that only start two-word verbs, such as "identity"
+_GROUPS = {verb.split()[0] for verb in COMMANDS if " " in verb}
+
+_METHODS = ("fit", "last", "exact")
+
+
 @dataclass(frozen=True)
 class SessionScript:
     ring: RingSpec
@@ -305,21 +337,21 @@ class _Parser:
                 and self.tokens[self.pos + 1].kind == "SYM"
                 and self.tokens[self.pos + 1].value == "=")
 
-    def parse_options(self, ring, option_types: dict) -> dict:
-        """option_types maps option name -> one of int|ident|qvalue|qlist|poly."""
+    def parse_options(self, ring, allowed) -> dict:
+        """Options named in `allowed`, read by their _OPTION_TYPES entry."""
         seen = {}
         while self.looks_like_option():
             key_tok = self.advance()
             key = key_tok.value
-            if key not in option_types:
+            if key not in allowed:
                 self.fail(f"unknown option {key!r}", key_tok)
             if key in seen:
                 self.fail(f"duplicate option {key!r}", key_tok)
             self.expect_sym("=")
-            kind = option_types[key]
+            kind = _OPTION_TYPES[key]
             if kind == "int":
                 seen[key] = int(self.expect_int().value)
-            elif kind == "ident":
+            elif kind in ("ideal", "method"):
                 seen[key] = self.expect_ident().value
             elif kind == "qvalue":
                 seen[key] = self.parse_q_value(ring)
@@ -426,101 +458,32 @@ def parse_script(text: str) -> SessionScript:
             p.end_statement()
             bindings.append((name_tok.value, tuple(gens)))
             bound.add(name_tok.value)
-        elif word == "gb":
-            p.advance()
-            commands.append(GbCommand(require_bound(p.expect_ident("ideal name"))))
-            p.end_statement()
-        elif word == "length":
-            p.advance()
-            commands.append(
-                LengthCommand(require_bound(p.expect_ident("ideal name"))))
-            p.end_statement()
-        elif word == "colon":
-            p.advance()
-            left = require_bound(p.expect_ident("ideal name"))
-            right = require_bound(p.expect_ident("ideal name"))
-            commands.append(ColonCommand(left, right))
-            p.end_statement()
-        elif word == "ehk":
-            p.advance()
-            name = require_bound(p.expect_ident("ideal name"))
-            opts = p.parse_options(ring, {"e_max": "int", "method": "ident"})
-            method = opts.get("method")
-            if method is not None and method not in ("fit", "last", "exact"):
-                p.fail(f"method must be fit, last, or exact, got {method!r}")
-            commands.append(EhkCommand(name, opts.get("e_max"), method))
-            p.end_statement()
-        elif word in ("spread", "spread_hk"):
-            p.advance()
-            name = require_bound(p.expect_ident("ideal name"))
-            opts = p.parse_options(
-                ring, {"a": "ident", "q0": "qvalue", "e_max": "int"})
-            if "a" in opts and opts["a"] not in bound:
-                p.fail(f"unknown ideal {opts['a']!r}")
-            cls = SpreadCommand if word == "spread" else SpreadHkCommand
-            commands.append(cls(name, opts.get("a"), opts.get("q0"),
-                                opts.get("e_max")))
-            p.end_statement()
-        elif word == "identity":
-            p.advance()
-            sub_tok = p.expect_ident("identity kind")
-            sub = sub_tok.value
-            if sub == "product":
-                left = require_bound(p.expect_ident("ideal name"))
-                right = require_bound(p.expect_ident("ideal name"))
-                opts = p.parse_options(
-                    ring, {"ell": "int", "q": "qlist", "e_max": "int"})
-                for req in ("ell", "q"):
-                    if req not in opts:
-                        p.fail(f"missing required option {req!r}", sub_tok)
-                commands.append(IdentityProductCommand(
-                    left, right, opts["ell"], opts["q"], opts.get("e_max")))
-            elif sub == "self":
-                name = require_bound(p.expect_ident("ideal name"))
-                opts = p.parse_options(
-                    ring, {"q": "qlist", "q0": "qvalue", "e_max": "int"})
-                if "q" not in opts:
-                    p.fail("missing required option 'q'", sub_tok)
-                commands.append(IdentitySelfCommand(
-                    name, opts["q"], opts.get("q0"), opts.get("e_max")))
-            elif sub == "lemma33":
-                name = require_bound(p.expect_ident("ideal name"))
-                opts = p.parse_options(
-                    ring, {"z": "poly", "a": "ident", "q0": "qvalue",
-                           "e_max": "int"})
-                if "z" not in opts:
-                    p.fail("missing required option 'z'", sub_tok)
-                if "a" in opts and opts["a"] not in bound:
-                    p.fail(f"unknown ideal {opts['a']!r}")
-                commands.append(IdentityLemma33Command(
-                    name, opts["z"], opts.get("a"), opts.get("q0"),
-                    opts.get("e_max")))
-            elif sub == "basechange":
-                name = require_bound(p.expect_ident("ideal name"))
-                opts = p.parse_options(
-                    ring, {"s": "int", "q": "qlist", "e_max": "int"})
-                for req in ("s", "q"):
-                    if req not in opts:
-                        p.fail(f"missing required option {req!r}", sub_tok)
-                commands.append(IdentityBasechangeCommand(
-                    name, opts["s"], opts["q"], opts.get("e_max")))
-            elif sub == "corollary":
-                name = require_bound(p.expect_ident("ideal name"))
-                opts = p.parse_options(ring, {"q0": "qvalue", "e_max": "int"})
-                commands.append(IdentityCorollaryCommand(
-                    name, opts.get("q0"), opts.get("e_max")))
-            else:
-                p.fail(f"unknown identity kind {sub!r}", sub_tok)
-            p.end_statement()
-        elif word == "independent":
-            p.advance()
-            name = require_bound(p.expect_ident("ideal name"))
-            opts = p.parse_options(ring, {"q0": "qvalue", "e_max": "int"})
-            commands.append(IndependentCommand(name, opts.get("q0"),
-                                               opts.get("e_max")))
-            p.end_statement()
         else:
-            p.fail(f"unknown command {word!r}")
+            # a command: a verb of one or two words, read by COMMANDS
+            verb_tok = p.advance()
+            verb = word
+            if verb not in COMMANDS:
+                if verb not in _GROUPS:
+                    p.fail(f"unknown command {verb!r}", verb_tok)
+                verb_tok = p.expect_ident(f"{word} kind")
+                verb = f"{word} {verb_tok.value}"
+                if verb not in COMMANDS:
+                    p.fail(f"unknown {word} kind {verb_tok.value!r}", verb_tok)
+            cls, n_names = COMMANDS[verb]
+            options = fields(cls)[n_names:]
+            names = [require_bound(p.expect_ident("ideal name"))
+                     for _ in range(n_names)]
+            opts = p.parse_options(ring, [f.name for f in options])
+            for f in options:
+                if f.default is MISSING and f.name not in opts:
+                    p.fail(f"missing required option {f.name!r}", verb_tok)
+            for key, value in opts.items():
+                if _OPTION_TYPES[key] == "ideal" and value not in bound:
+                    p.fail(f"unknown ideal {value!r}")
+                if _OPTION_TYPES[key] == "method" and value not in _METHODS:
+                    p.fail(f"method must be fit, last, or exact, got {value!r}")
+            p.end_statement()
+            commands.append(cls(*names, **opts))
         p.skip_separators()
 
     return SessionScript(ring=ring, bindings=tuple(bindings),
@@ -541,57 +504,16 @@ def parse_polynomial(text: str, ring: RingSpec) -> Polynomial:
 # -- canonical printer --------------------------------------------------------
 
 
-def _opt(parts, key, value):
-    if value is not None:
-        parts.append(f"{key}={value}")
-
-
 def format_command(cmd) -> str:
-    parts = []
-    if isinstance(cmd, GbCommand):
-        parts = ["gb", cmd.name]
-    elif isinstance(cmd, LengthCommand):
-        parts = ["length", cmd.name]
-    elif isinstance(cmd, ColonCommand):
-        parts = ["colon", cmd.left, cmd.right]
-    elif isinstance(cmd, EhkCommand):
-        parts = ["ehk", cmd.name]
-        _opt(parts, "e_max", cmd.e_max)
-        _opt(parts, "method", cmd.method)
-    elif isinstance(cmd, (SpreadCommand, SpreadHkCommand)):
-        parts = ["spread" if isinstance(cmd, SpreadCommand) else "spread_hk",
-                 cmd.name]
-        _opt(parts, "a", cmd.a)
-        _opt(parts, "q0", cmd.q0)
-        _opt(parts, "e_max", cmd.e_max)
-    elif isinstance(cmd, IdentityProductCommand):
-        parts = ["identity", "product", cmd.left, cmd.right,
-                 f"ell={cmd.ell}", "q=" + ",".join(str(q) for q in cmd.q)]
-        _opt(parts, "e_max", cmd.e_max)
-    elif isinstance(cmd, IdentitySelfCommand):
-        parts = ["identity", "self", cmd.name,
-                 "q=" + ",".join(str(q) for q in cmd.q)]
-        _opt(parts, "q0", cmd.q0)
-        _opt(parts, "e_max", cmd.e_max)
-    elif isinstance(cmd, IdentityLemma33Command):
-        parts = ["identity", "lemma33", cmd.name, f"z={cmd.z}"]
-        _opt(parts, "a", cmd.a)
-        _opt(parts, "q0", cmd.q0)
-        _opt(parts, "e_max", cmd.e_max)
-    elif isinstance(cmd, IdentityBasechangeCommand):
-        parts = ["identity", "basechange", cmd.name, f"s={cmd.s}",
-                 "q=" + ",".join(str(q) for q in cmd.q)]
-        _opt(parts, "e_max", cmd.e_max)
-    elif isinstance(cmd, IdentityCorollaryCommand):
-        parts = ["identity", "corollary", cmd.name]
-        _opt(parts, "q0", cmd.q0)
-        _opt(parts, "e_max", cmd.e_max)
-    elif isinstance(cmd, IndependentCommand):
-        parts = ["independent", cmd.name]
-        _opt(parts, "q0", cmd.q0)
-        _opt(parts, "e_max", cmd.e_max)
-    else:  # pragma: no cover
-        raise AssertionError(f"unprintable command {cmd!r}")
+    verb = VERBS[type(cmd)]
+    n_names = COMMANDS[verb][1]
+    values = [(f.name, getattr(cmd, f.name)) for f in fields(cmd)]
+    parts = [verb] + [value for _, value in values[:n_names]]
+    for key, value in values[n_names:]:
+        if value is not None:
+            if _OPTION_TYPES[key] == "qlist":
+                value = ",".join(str(q) for q in value)
+            parts.append(f"{key}={value}")
     return " ".join(parts)
 
 

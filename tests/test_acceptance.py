@@ -22,8 +22,6 @@ from hkspread import (
     ehk_estimate,
     hk_function,
     ideal_colon,
-    ideal_product,
-    ideal_sum,
     length_quotient,
     maximal_ideal,
     normal_form,
@@ -121,7 +119,7 @@ def _c3():
         q = 2 ** e
         oracle = _self_product_colength_oracle(q)
         assert oracle == (q + 1) ** 2 - (2 * q - 1) == q * q + 2
-        est = ehk_estimate(ideal_product(m, m.bracket_power(q)))
+        est = ehk_estimate(m * m.bracket_power(q))
         assert est.value == oracle
     rep = check_self_product(m, [1, 2, 3])
     assert rep.exact and rep.passed
@@ -319,7 +317,7 @@ def _c10():
             g = x + y
         G = Ideal(R, (g,))
         total = int(length_quotient(I))
-        plus = int(length_quotient(ideal_sum(I, G)))
+        plus = int(length_quotient(I + G))
         link = int(length_quotient(ideal_colon(I, G)))
         assert total == plus + link, (I, g)
 

@@ -1,6 +1,7 @@
 """Buchberger, reduced bases, normal forms, dimension, standard monomials."""
 
 import random
+import threading
 
 import pytest
 
@@ -21,6 +22,7 @@ from hkspread import (
     standard_monomials,
     use_guard,
 )
+from hkspread.groebner import active_guard
 
 ORDERS = [DEGREVLEX, LEX, DEGLEX]
 
@@ -178,6 +180,29 @@ def test_resource_guard_trips():
     # same inputs succeed once the guard is back to default
     assert len(buchberger(gens, ring=R)) == 6
     R.ideal("x^2").bracket_power(49)
+
+
+def test_guard_set_in_one_thread_is_not_seen_in_another():
+    inside = threading.Event()
+    release = threading.Event()
+    seen = []
+
+    def hold_small_guard():
+        with use_guard(GuardConfig(max_steps=2)):
+            seen.append(active_guard().max_steps)
+            inside.set()
+            release.wait(10)
+
+    worker = threading.Thread(target=hold_small_guard)
+    worker.start()
+    try:
+        assert inside.wait(10)
+        assert active_guard() == GuardConfig()
+    finally:
+        release.set()
+        worker.join(10)
+    assert not worker.is_alive()
+    assert seen == [2]
 
 
 def test_gb_reduce_matches_normal_form():

@@ -11,11 +11,8 @@ from hkspread import (
     PreconditionError,
     RingMismatchError,
     RingSpec,
-    bracket_power,
     ideal_colon,
     ideal_intersection,
-    ideal_product,
-    ideal_sum,
     maximal_ideal,
     min_gens,
 )
@@ -29,8 +26,8 @@ def test_sum_and_product():
     R = _r2()
     x, y = R.gens()
     m = maximal_ideal(R)
-    assert ideal_sum(R.ideal(x**2), R.ideal(y)) == R.ideal(x**2, y)
-    assert ideal_product(m, R.ideal(x**2, y**2)) == m * m * m
+    assert R.ideal(x**2) + R.ideal(y) == R.ideal(x**2, y)
+    assert m * R.ideal(x**2, y**2) == m * m * m
     assert m + R.ideal() == m
     assert R.ideal() * m == R.ideal()
 
@@ -49,7 +46,7 @@ def test_bracket_power_examples():
     I = R.ideal(x + y, y)
     assert I.bracket_power(2) == R.ideal(x**2, y**2)
     assert I.bracket_power(1) == I
-    assert bracket_power(R.ideal(x**2, y**3), 4) == R.ideal(x**8, y**12)
+    assert R.ideal(x**2, y**3).bracket_power(4) == R.ideal(x**8, y**12)
 
 
 def test_bracket_power_generating_set_independent():
@@ -201,7 +198,7 @@ def test_ring_mismatch_checks():
     R = _r2()
     S = RingSpec(3, ("x", "y"))
     with pytest.raises(RingMismatchError):
-        ideal_sum(maximal_ideal(R), maximal_ideal(S))
+        maximal_ideal(R) + maximal_ideal(S)
     with pytest.raises(RingMismatchError):
         ideal_colon(maximal_ideal(R), maximal_ideal(S))
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import hkspread
 from hkspread import (
     Report,
     RunConfig,
@@ -114,6 +115,20 @@ def test_failed_identity_marks_report_not_ok():
     data = report_document(rep, include_timing=False)["results"][0]["data"]
     assert data["pass"] is False
     assert data["rows"][0]["pass"] is False
+
+
+def test_explicit_e_max_zero_is_kept():
+    rep = run_script(parse_script(
+        "char 3; vars x y z; quotient x^2 + y*z; ideal m = x, y, z; "
+        "ehk m e_max=0 method=last"))
+    result = report_document(rep, include_timing=False)["results"][0]
+    assert result["command"] == "ehk m e_max=0 method=last"
+    assert [s["e"] for s in result["data"]["samples"]] == [0]
+
+
+def test_every_exported_name_resolves():
+    for name in hkspread.__all__:
+        assert hasattr(hkspread, name), name
 
 
 def test_report_json_round_trips():

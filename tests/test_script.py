@@ -139,11 +139,18 @@ ideal J = x^2, y^3
 gb J
 ehk J e_max=2 method=fit
 spread J a=m q0=2
+length J
+colon m J
+spread_hk J a=m q0=1 e_max=2
 identity product m J ell=2 q=2,4
+identity self m q=2,4 q0=2 e_max=2
 identity lemma33 J z=x*y + y a=m
+identity basechange m s=2 q=2,4 e_max=1
+identity corollary J q0=2
 independent m
 """
     script = parse_script(text)
+    assert len({type(c) for c in script.commands}) == 12
     printed = print_script(script)
     assert parse_script(printed) == script
     # printing is idempotent
@@ -156,3 +163,29 @@ def test_round_trip_with_quotient():
     printed = print_script(script)
     assert parse_script(printed) == script
     assert "quotient x^2 + y*z" in printed
+
+
+_HEAD = "char 2; vars x y; ideal J = x; ideal m = x, y; "  # 47 columns
+
+
+@pytest.mark.parametrize("command, message, column", [
+    ("identity product J J q=2", "missing required option 'ell'", 57),
+    ("identity basechange J s=1", "missing required option 'q'", 57),
+    ("identity lemma33 J a=m", "missing required option 'z'", 57),
+    ("spread J foo=2", "unknown option 'foo'", 57),
+    ("identity corollary J ell=2", "unknown option 'ell'", 69),
+    ("spread J q0=2 q0=2", "duplicate option 'q0'", 62),
+    ("colon J K", "unknown ideal 'K'", 56),
+    ("spread J a=K", "unknown ideal 'K'", 60),
+    ("identity lemma33 J z=y a=K", "unknown ideal 'K'", 74),
+    ("ehk J method=magic",
+     "method must be fit, last, or exact, got 'magic'", 66),
+    ("identity triple J", "unknown identity kind 'triple'", 57),
+    ("identity", "expected identity kind", 56),
+    ("frobnicate J", "unknown command 'frobnicate'", 48),
+    ("identity product J q=2", "unknown ideal 'q'", 67),
+    ("length J extra", "unexpected token 'extra'", 57),
+])
+def test_command_error_positions(command, message, column):
+    err = _error(_HEAD + command)
+    assert (err.message, err.line, err.column) == (message, 1, column)

@@ -1,6 +1,7 @@
 """Buchberger's algorithm, reduced Groebner bases, normal forms, and the
 combinatorial consequences used everywhere else: membership, Krull
-dimension, and standard-monomial enumeration.
+dimension, and standard-monomial counting (enumeration is kept as an
+oracle for tests).
 
 Quotient rings are handled by appending the ring's relations to every
 generator list (see `buchberger`), so all computation happens in the
@@ -48,17 +49,18 @@ def use_guard(guard: GuardConfig):
 
 
 class _Budget:
-    __slots__ = ("guard", "steps")
+    __slots__ = ("guard", "steps", "layer")
 
-    def __init__(self, guard: GuardConfig):
+    def __init__(self, guard: GuardConfig, layer: str = "reduction"):
         self.guard = guard
         self.steps = 0
+        self.layer = layer
 
     def spend(self, n: int = 1):
         self.steps += n
         if self.steps > self.guard.max_steps:
             raise ResourceLimitError(
-                f"reduction step budget exceeded ({self.guard.max_steps})")
+                f"{self.layer} step budget exceeded ({self.guard.max_steps})")
 
     def check_poly(self, f: Polynomial):
         if f.max_exponent() > self.guard.max_exponent:
@@ -299,27 +301,67 @@ def krull_dimension(I, order=None) -> int:
     return best
 
 
-def standard_monomials(I, order=None):
-    """Iterator over monomials outside the leading-term ideal; their count
-    is the colength.  Raises InfiniteLengthError when that count is infinite."""
+def _staircase_bounds(I, order):
+    """Leading terms of I's GB and, per variable, the smallest pure power
+    among them; None for the unit ideal.  Raises InfiniteLengthError when a
+    variable has no pure power, i.e. the colength is infinite."""
     G = _as_gb(I, order)
-    n = G.ring.nvars
     lts = G.leading
     if any(m.degree() == 0 for m in lts):
-        return iter(())
+        return None
     bounds = []
-    for i in range(n):
+    for i in range(G.ring.nvars):
         pure = [m[i] for m in lts
                 if all(e == 0 for k, e in enumerate(m) if k != i)]
         if not pure:
             raise InfiniteLengthError(
                 f"no pure power of {G.ring.variables[i]} in the leading-term ideal")
         bounds.append(min(pure))
-    return _staircase(bounds, lts)
+    return lts, bounds
 
 
-def _staircase(bounds, lts):
+def standard_monomials(I, order=None):
+    """Iterator over monomials outside the leading-term ideal, one guard step
+    per point of the exponent box.  Raises InfiniteLengthError when their
+    count is infinite.  Lengths use `count_standard_monomials`; this walk is
+    the oracle it is tested against."""
+    staircase = _staircase_bounds(I, order)
+    if staircase is None:
+        return iter(())
+    lts, bounds = staircase
+    budget = _Budget(active_guard(), "standard-monomial enumeration")
+    return _staircase(bounds, lts, budget)
+
+
+def _staircase(bounds, lts, budget):
     for exps in product(*[range(b) for b in bounds]):
+        budget.spend()
         mono = Monomial(exps)
         if not any(lt.divides(mono) for lt in lts):
             yield mono
+
+
+def count_standard_monomials(I, order=None) -> int:
+    """The colength: the number of monomials outside the leading-term ideal,
+    counted without visiting them.  Raises InfiniteLengthError when it is
+    infinite."""
+    staircase = _staircase_bounds(I, order)
+    if staircase is None:
+        return 0
+    return _count_staircase(staircase[0])
+
+
+def _count_staircase(lts) -> int:
+    """Monomials outside the finite-colength monomial ideal spanned by the
+    exponent vectors `lts`.  Between consecutive last exponents lo < hi of
+    the generators, the slice at each height is the staircase of the
+    generators with last exponent <= lo, one variable fewer; the slice at
+    the largest last exponent is empty.  (Bayer-Stillman, JSC 14, 1992.)"""
+    if len(lts[0]) == 1:
+        return min(m[0] for m in lts)
+    cuts = sorted({m[-1] for m in lts})
+    total = 0
+    for lo, hi in zip(cuts, cuts[1:]):
+        total += (hi - lo) * _count_staircase(
+            list({m[:-1] for m in lts if m[-1] <= lo}))
+    return total

@@ -131,6 +131,9 @@ def star_spread_estimate(J: Ideal, a: Ideal | None = None,
     ring = J.ring
     if J.is_unit():
         raise PreconditionError("spread needs a proper ideal")
+    if ring.relations and e_max < 1:
+        raise PreconditionError(
+            "the normalizing e_HK(a) on a quotient ring needs e_max >= 1")
     if a is None:
         a = maximal_ideal(ring)
     _require_finite_colength(a, "the normalizing ideal a")

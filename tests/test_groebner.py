@@ -10,19 +10,23 @@ from hkspread import (
     DEGREVLEX,
     LEX,
     GuardConfig,
+    Ideal,
     InfiniteLengthError,
     Monomial,
     ResourceLimitError,
     RingSpec,
     buchberger,
+    count_standard_monomials,
     is_member,
     krull_dimension,
+    length_quotient,
     normal_form,
     order_by_name,
     standard_monomials,
     use_guard,
 )
 from hkspread.groebner import active_guard
+from tests.test_poly import _random_poly
 
 ORDERS = [DEGREVLEX, LEX, DEGLEX]
 
@@ -68,8 +72,6 @@ def test_normal_form_examples():
 def test_normal_form_idempotent(order):
     rng = random.Random(7)
     R = RingSpec(3, ("x", "y", "z"))
-    from tests.test_poly import _random_poly
-
     G = buchberger([R.poly("x^2 + y*z"), R.poly("y^3")], order, ring=R)
     for _ in range(20):
         f = _random_poly(rng, R, nterms=5, max_exp=4)
@@ -141,6 +143,7 @@ def test_standard_monomials_exact_set():
     assert sm == {Monomial((a, b)) for a in range(2) for b in range(3)}
     assert set(standard_monomials(R.ideal("x", "y"))) == {Monomial((0, 0))}
     assert list(standard_monomials(R.ideal(1))) == []
+    assert count_standard_monomials(R.ideal(1)) == 0
 
 
 def test_standard_monomials_binomial_count():
@@ -152,6 +155,8 @@ def test_standard_monomials_infinite():
     R = RingSpec(2, ("x", "y"))
     with pytest.raises(InfiniteLengthError):
         standard_monomials(R.ideal("x"))
+    with pytest.raises(InfiniteLengthError):
+        count_standard_monomials(R.ideal("x"))
 
 
 @pytest.mark.parametrize("order", ORDERS)
@@ -160,6 +165,48 @@ def test_standard_monomial_count_order_invariant(order):
     I = R.ideal("x^2 + y^2", "x*y^2", "y^4")
     assert len(list(standard_monomials(I, order))) == len(
         list(standard_monomials(I)))
+
+
+def _enumerated(I, order=None):
+    return len(list(standard_monomials(I, order)))
+
+
+def test_count_matches_enumeration_on_random_staircases():
+    rng = random.Random(2024)
+    names = ("x", "y", "z", "w")
+    for trial in range(600):
+        R = RingSpec(2, names[:trial % 4 + 1])
+        n = R.nvars
+        exps = [tuple(rng.randrange(1, 6) if k == i else 0 for k in range(n))
+                for i in range(n)]
+        exps += [tuple(rng.randrange(4) for _ in range(n))
+                 for _ in range(rng.randrange(5))]
+        I = Ideal(R, tuple(R.monomial(e) for e in exps))
+        assert count_standard_monomials(I) == _enumerated(I)
+
+
+@pytest.mark.parametrize("p, relation", [(3, "x^2 + y*z"),
+                                         (2, "x^3 + y^3 + z^3")])
+def test_count_matches_enumeration_in_quotient_rings(p, relation):
+    rng = random.Random(p * 31)
+    Q = RingSpec(p, ("x", "y", "z")).quotient(relation)
+    for trial in range(25):
+        gens = [Q.poly(f"{v}^{rng.randrange(1, 6)}") for v in Q.variables]
+        gens += [_random_poly(rng, Q, nterms=3, max_exp=3)
+                 for _ in range(rng.randrange(3))]
+        I = Ideal(Q, tuple(gens))
+        order = ORDERS[trial % len(ORDERS)]
+        assert count_standard_monomials(I, order) == _enumerated(I, order)
+
+
+def test_enumeration_is_guarded_and_counting_is_not():
+    R = RingSpec(2, ("x", "y"))
+    I = R.ideal("x^5", "y^5")
+    with use_guard(GuardConfig(max_steps=10)):
+        with pytest.raises(ResourceLimitError,
+                           match="standard-monomial enumeration"):
+            list(standard_monomials(I))
+        assert length_quotient(I) == 25
 
 
 def test_quotient_ring_relations_join_every_basis():

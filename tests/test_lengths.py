@@ -18,6 +18,8 @@ from hkspread import (
     length_subquotient,
     maximal_ideal,
 )
+from hkspread.lengths import _filtration_length
+from tests.test_poly import _random_poly
 
 
 def _r2():
@@ -95,6 +97,39 @@ def test_length_subquotient_matches_quotient_difference():
         assert lam == int(length_quotient(N)) - int(length_quotient(M))
 
 
+@pytest.mark.parametrize("ring", [_a1(), RingSpec(2, ("x", "y", "z"))],
+                         ids=["quadric", "relation-free"])
+def test_difference_path_matches_filtration(ring):
+    """Random N ⊆ M with λ(R/M) finite: λ(R/N) − λ(R/M) is the filtration."""
+    rng = random.Random(ring.characteristic * 7 + len(ring.relations))
+    finite = 0
+    for trial in range(8):
+        gens = [ring.poly(f"{v}^{rng.randrange(1, 4)}") for v in ring.variables]
+        gens += [_random_poly(rng, ring, nterms=2, max_exp=2)
+                 for _ in range(rng.randrange(2))]
+        M = Ideal(ring, tuple(gens))
+        assert length_quotient(M).is_finite
+        ngens = [rng.choice(M.gens) * _random_poly(rng, ring, nterms=2, max_exp=2)
+                 for _ in range(rng.randrange(1, 4))]
+        if trial % 2 == 0:
+            K = ring.ideal(*(f"{v}^{rng.randrange(1, 3)}" for v in ring.variables))
+            ngens += (M * K).gens
+        N = Ideal(ring, tuple(ngens))
+        lam = length_subquotient(M, N)
+        assert lam == _filtration_length(M, N)
+        finite += lam.is_finite
+    assert 0 < finite < 8  # both branches of the difference path ran
+
+
+def test_difference_path_with_infinite_colength_submodule():
+    R = RingSpec(2, ("x", "y"))
+    M = maximal_ideal(R)
+    N = R.ideal("x^2", "x*y")
+    assert not length_quotient(N).is_finite
+    assert length_subquotient(M, N) == INFINITE
+    assert _filtration_length(M, N) == INFINITE
+
+
 def test_hk_function_monomial():
     R = _r2()
     samples = hk_function(R.ideal("x^2", "y^3"), 3)
@@ -110,6 +145,21 @@ def test_hk_function_quadric_counts():
     ratios = [s.normalized for s in samples]
     assert ratios == sorted(ratios)
     assert all(r < Fraction(3, 2) for r in ratios)
+
+
+def test_quadric_hk_table():
+    """λ(R/m^[q]) = (3q² − 1)/2 on F_3[x,y,z]/(x^2 + yz), q = 1..3^7."""
+    samples = hk_function(maximal_ideal(_a1()), 7)
+    assert [s.colength for s in samples] == [
+        (3 * 3 ** (2 * e) - 1) // 2 for e in range(8)]
+
+
+def test_fermat_cubic_hk_table():
+    """λ(R/m^[q]) = 9q²/4 on F_2[x,y,z]/(x^3 + y^3 + z^3) from q = 4 on."""
+    cubic = RingSpec(2, ("x", "y", "z")).quotient("x^3 + y^3 + z^3")
+    samples = hk_function(maximal_ideal(cubic), 8)
+    assert [s.colength for s in samples] == [1, 8] + [
+        9 * 4 ** e // 4 for e in range(2, 9)]
 
 
 def test_hk_function_rejects_infinite():

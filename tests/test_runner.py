@@ -126,6 +126,16 @@ def test_explicit_e_max_zero_is_kept():
     assert [s["e"] for s in result["data"]["samples"]] == [0]
 
 
+def test_spread_e_max_zero_on_quotient_ring_names_the_normalizer():
+    rep = run_script(parse_script(
+        "char 3; vars x y z; quotient x^2 + y*z; ideal m = x, y, z; "
+        "spread m e_max=0"))
+    error = report_document(rep, include_timing=False)["results"][0]["error"]
+    assert error["type"] == "PreconditionError"
+    assert error["message"] == (
+        "the normalizing e_HK(a) on a quotient ring needs e_max >= 1")
+
+
 def test_every_exported_name_resolves():
     for name in hkspread.__all__:
         assert hasattr(hkspread, name), name

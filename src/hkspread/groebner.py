@@ -1,7 +1,10 @@
 """Buchberger's algorithm, reduced Groebner bases, normal forms, and the
 combinatorial consequences used everywhere else: membership, Krull
-dimension, and standard-monomial counting (enumeration is kept as an
-oracle for tests).
+dimension, standard-monomial counting (enumeration is kept as an oracle
+for tests) and Hilbert-series numerators of leading-term ideals.  The
+numerators count standard monomials by degree; they measure I itself,
+not only its leading-term ideal, when the GB's order is
+degree-compatible, as DEGREVLEX is.
 
 Quotient rings are handled by appending the ring's relations to every
 generator list (see `buchberger`), so all computation happens in the
@@ -170,10 +173,11 @@ def _interreduce(basis, order, ring, budget) -> tuple:
         lm = f.leading_monomial(order)
         if not any(g.leading_monomial(order).divides(lm) for g in minimal):
             minimal.append(f)
+    prepped = _prep(minimal, order)
     reduced = []
     for idx, f in enumerate(minimal):
-        others = minimal[:idx] + minimal[idx + 1:]
-        nf = _reduce_full(f, _prep(others, order), order, budget) if others else f
+        others = prepped[:idx] + prepped[idx + 1:]
+        nf = _reduce_full(f, others, order, budget) if others else f
         reduced.append(nf.monic(order))
     reduced.sort(key=lambda f: order.key(f.leading_monomial(order)))
     return tuple(reduced)
@@ -364,4 +368,38 @@ def _count_staircase(lts) -> int:
     for lo, hi in zip(cuts, cuts[1:]):
         total += (hi - lo) * _count_staircase(
             list({m[:-1] for m in lts if m[-1] <= lo}))
+    return total
+
+
+def hilbert_numerator(I) -> list:
+    """Coefficients of K(t), where K(t)/(1−t)^n is the generating function
+    by degree of the standard monomials of I's DEGREVLEX GB (n variables).
+    The unit ideal gives [0] and no leading terms give [1]."""
+    return _numerator(_as_gb(I).leading)
+
+
+def _numerator(lts) -> list:
+    """K for the monomial ideal spanned by the exponent vectors `lts`,
+    sliced on the last variable as in `_count_staircase`:
+    K(L) = 1 + Σ_c t^c·(K(L_c) − K(L_prev)), with c over the distinct last
+    exponents, L_c the generators with last exponent <= c (that variable
+    dropped) and L_prev the slice before (none at the first cut)."""
+    if not lts:
+        return [1]
+    if any(not any(m) for m in lts):
+        return [0]
+    if len(lts[0]) == 1:
+        return [1] + [0] * (min(m[0] for m in lts) - 1) + [-1]
+    total = [1]
+    prev = [1]
+    for c in sorted({m[-1] for m in lts}):
+        cur = _numerator(list({m[:-1] for m in lts if m[-1] <= c}))
+        total += [0] * (c + max(len(cur), len(prev)) - len(total))
+        for k, v in enumerate(cur):
+            total[c + k] += v
+        for k, v in enumerate(prev):
+            total[c + k] -= v
+        prev = cur
+    while len(total) > 1 and total[-1] == 0:
+        total.pop()
     return total

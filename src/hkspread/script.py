@@ -337,8 +337,9 @@ class _Parser:
                 and self.tokens[self.pos + 1].kind == "SYM"
                 and self.tokens[self.pos + 1].value == "=")
 
-    def parse_options(self, ring, allowed) -> dict:
-        """Options named in `allowed`, read by their _OPTION_TYPES entry."""
+    def parse_options(self, ring, allowed, bound) -> dict:
+        """Options named in `allowed`, read by their _OPTION_TYPES entry;
+        an ideal value must be one of the `bound` names."""
         seen = {}
         while self.looks_like_option():
             key_tok = self.advance()
@@ -351,8 +352,17 @@ class _Parser:
             kind = _OPTION_TYPES[key]
             if kind == "int":
                 seen[key] = int(self.expect_int().value)
-            elif kind in ("ideal", "method"):
-                seen[key] = self.expect_ident().value
+            elif kind == "ideal":
+                tok = self.expect_ident()
+                if tok.value not in bound:
+                    self.fail(f"unknown ideal {tok.value!r}", tok)
+                seen[key] = tok.value
+            elif kind == "method":
+                tok = self.expect_ident()
+                if tok.value not in _METHODS:
+                    self.fail("method must be fit, last, or exact, "
+                              f"got {tok.value!r}", tok)
+                seen[key] = tok.value
             elif kind == "qvalue":
                 seen[key] = self.parse_q_value(ring)
             elif kind == "qlist":
@@ -471,17 +481,15 @@ def parse_script(text: str) -> SessionScript:
                     p.fail(f"unknown {word} kind {verb_tok.value!r}", verb_tok)
             cls, n_names = COMMANDS[verb]
             options = fields(cls)[n_names:]
-            names = [require_bound(p.expect_ident("ideal name"))
-                     for _ in range(n_names)]
-            opts = p.parse_options(ring, [f.name for f in options])
+            names = []
+            for _ in range(n_names):
+                if p.looks_like_option():
+                    p.fail("expected ideal name")
+                names.append(require_bound(p.expect_ident("ideal name")))
+            opts = p.parse_options(ring, [f.name for f in options], bound)
             for f in options:
                 if f.default is MISSING and f.name not in opts:
                     p.fail(f"missing required option {f.name!r}", verb_tok)
-            for key, value in opts.items():
-                if _OPTION_TYPES[key] == "ideal" and value not in bound:
-                    p.fail(f"unknown ideal {value!r}")
-                if _OPTION_TYPES[key] == "method" and value not in _METHODS:
-                    p.fail(f"method must be fit, last, or exact, got {value!r}")
             p.end_statement()
             commands.append(cls(*names, **opts))
         p.skip_separators()

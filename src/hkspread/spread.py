@@ -175,6 +175,10 @@ def star_spread_hk_difference(J: Ideal, a: Ideal | None = None,
                               e_max: int = 3) -> SpreadReport:
     """(e_HK(a·J^[q0]) − e_HK(J^[q0])) / e_HK(a), for finite-colength J."""
     ring = J.ring
+    if ring.relations and e_max < 1:
+        raise PreconditionError(
+            "the e_HK estimates of a, J^[q0] and a·J^[q0] on a quotient ring "
+            "need e_max >= 1")
     _require_finite_colength(J, "J")
     if a is None:
         a = maximal_ideal(ring)

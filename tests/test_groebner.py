@@ -17,6 +17,7 @@ from hkspread import (
     RingSpec,
     buchberger,
     count_standard_monomials,
+    hilbert_numerator,
     is_member,
     krull_dimension,
     length_quotient,
@@ -258,3 +259,48 @@ def test_gb_reduce_matches_normal_form():
     f = R.poly("x^7 + x^2*y + 3")
     assert G.reduce(f) == normal_form(f, G)
     assert G.contains(f - G.reduce(f))
+
+
+def _degree_counts(I):
+    counts = {}
+    for m in standard_monomials(I):
+        counts[m.degree()] = counts.get(m.degree(), 0) + 1
+    return [counts.get(k, 0) for k in range(max(counts) + 1)]
+
+
+def _series(numerator, n, length):
+    """The first `length` coefficients of numerator/(1 − t)^n."""
+    coeffs = numerator + [0] * (length - len(numerator))
+    for _ in range(n):
+        for k in range(1, length):
+            coeffs[k] += coeffs[k - 1]
+    return coeffs[:length]
+
+
+@pytest.mark.parametrize("p, relation", [(2, None), (3, "x^2 + y*z"),
+                                         (2, "x^3 + y^3 + z^3")])
+def test_hilbert_numerator_matches_enumeration(p, relation):
+    """For finite colength, K/(1−t)^n counts the standard monomials by degree."""
+    rng = random.Random(p * 53 + (relation is None))
+    R = RingSpec(p, ("x", "y", "z"))
+    if relation:
+        R = R.quotient(relation)
+    for _ in range(20):
+        gens = [R.poly(f"{v}^{rng.randrange(1, 6)}") for v in R.variables]
+        gens += [_random_poly(rng, R, nterms=3, max_exp=3)
+                 for _ in range(rng.randrange(3))]
+        I = Ideal(R, tuple(gens))
+        if I.is_unit():
+            continue
+        counts = _degree_counts(I)
+        length = len(counts) + 3  # past the top degree the series is 0
+        assert _series(hilbert_numerator(I), R.nvars, length) == (
+            counts + [0] * 3)
+
+
+def test_hilbert_numerator_unit_and_zero_ideals():
+    R = RingSpec(2, ("x", "y"))
+    assert hilbert_numerator(R.ideal(1)) == [0]
+    assert hilbert_numerator(Ideal(R, ())) == [1]
+    assert hilbert_numerator(R.ideal("x^2", "y^3")) == [1, 0, -1, -1, 0, 1]
+    assert hilbert_numerator(R.ideal("x")) == [1, -1]

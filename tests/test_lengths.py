@@ -10,15 +10,18 @@ from hkspread import (
     ContainmentError,
     Ideal,
     InfiniteLengthError,
+    LengthValue,
+    Monomial,
+    Polynomial,
     PreconditionError,
     RingSpec,
     ehk_estimate,
     hk_function,
+    ideal_colon,
     length_quotient,
     length_subquotient,
     maximal_ideal,
 )
-from hkspread.lengths import _filtration_length
 from tests.test_poly import _random_poly
 
 
@@ -97,10 +100,29 @@ def test_length_subquotient_matches_quotient_difference():
         assert lam == int(length_quotient(N)) - int(length_quotient(M))
 
 
+def _filtration_length(M: Ideal, N: Ideal) -> LengthValue:
+    """Oracle: λ(M/N) by the colon filtration over M's generators.
+
+    With M = N + (g_1, ..., g_s), the value is
+    Σ_j λ(R / ((N + (g_1..g_{j-1})) : g_j)); generator-order independent.
+    """
+    ring = M.ring
+    total = 0
+    prefix = list(N.gens)
+    for g in M.gens:
+        col = ideal_colon(Ideal(ring, tuple(prefix)), Ideal(ring, (g,)))
+        lam = length_quotient(col)
+        if not lam.is_finite:
+            return INFINITE
+        total += lam.value
+        prefix.append(g)
+    return LengthValue(total)
+
+
 @pytest.mark.parametrize("ring", [_a1(), RingSpec(2, ("x", "y", "z"))],
                          ids=["quadric", "relation-free"])
 def test_difference_path_matches_filtration(ring):
-    """Random N ⊆ M with λ(R/M) finite: λ(R/N) − λ(R/M) is the filtration."""
+    """Random N ⊆ M with λ(R/M) finite: the numerators give the filtration."""
     rng = random.Random(ring.characteristic * 7 + len(ring.relations))
     finite = 0
     for trial in range(8):
@@ -118,7 +140,7 @@ def test_difference_path_matches_filtration(ring):
         lam = length_subquotient(M, N)
         assert lam == _filtration_length(M, N)
         finite += lam.is_finite
-    assert 0 < finite < 8  # both branches of the difference path ran
+    assert 0 < finite < 8  # both finite and infinite λ(R/N) occurred
 
 
 def test_difference_path_with_infinite_colength_submodule():
@@ -128,6 +150,74 @@ def test_difference_path_with_infinite_colength_submodule():
     assert not length_quotient(N).is_finite
     assert length_subquotient(M, N) == INFINITE
     assert _filtration_length(M, N) == INFINITE
+
+
+def _random_form(rng, ring, degree, nterms=2):
+    """A homogeneous polynomial of the given degree (possibly zero)."""
+    terms = {}
+    for _ in range(nterms):
+        cuts = sorted(rng.randrange(degree + 1) for _ in range(ring.nvars - 1))
+        exps = [b - a for a, b in zip([0] + cuts, cuts + [degree])]
+        terms[Monomial(exps)] = rng.randrange(1, ring.characteristic)
+    return Polynomial(ring, terms)
+
+
+_SUBQUOTIENT_RINGS = [
+    _a1(),
+    RingSpec(2, ("x", "y", "z")).quotient("x^3 + y^3 + z^3"),
+    RingSpec(2, ("x", "y", "z")),
+    RingSpec(5, ("x", "y")),
+]
+
+
+@pytest.mark.parametrize("ring", _SUBQUOTIENT_RINGS,
+                         ids=["quadric", "cubic", "F2xyz", "F5xy"])
+def test_numerator_path_matches_filtration_on_random_pairs(ring):
+    """40 random N ⊆ M per ring, most M of infinite colength, generators
+    homogeneous on even trials and inhomogeneous on odd ones."""
+    rng = random.Random(ring.characteristic * 11 + ring.nvars
+                        + 3 * len(ring.relations))
+    finite = infinite = infinite_m = 0
+    for trial in range(40):
+        if trial % 2 == 0:
+            def poly():
+                return _random_form(rng, ring, rng.randrange(1, 3))
+        else:
+            def poly():
+                return _random_poly(rng, ring, nterms=2, max_exp=2)
+        gens = [poly() for _ in range(rng.randrange(1, 3))]
+        if trial % 5 == 0:
+            gens += [ring.poly(f"{v}^{rng.randrange(1, 4)}")
+                     for v in ring.variables]
+        M = Ideal(ring, tuple(gens))
+        if not M.gens or M.is_unit():
+            M = Ideal(ring, ring.gens()[:1])
+        infinite_m += not length_quotient(M).is_finite
+        ngens = [rng.choice(M.gens) * poly() for _ in range(rng.randrange(1, 3))]
+        if trial % 4 < 2:
+            K = ring.ideal(*(f"{v}^{rng.randrange(1, 3)}" for v in ring.variables))
+            ngens += (M * K).gens
+        N = Ideal(ring, tuple(ngens))
+        lam = length_subquotient(M, N)
+        assert lam == _filtration_length(M, N), (M, N)
+        finite += lam.is_finite
+        infinite += not lam.is_finite
+    assert finite and infinite
+    assert infinite_m > 20
+
+
+@pytest.mark.parametrize("q", [1, 2, 4])
+def test_corollary_pairs_have_length_zero(q):
+    """(m^[q]I^[q]S + (z^q) ∩ I^[q]S) / (m,z)^[q]I^[q]S = 0 over the cubic,
+    S = R[w] with the new variable in the role of z, I = (x+y, z)."""
+    R = RingSpec(2, ("x", "y", "z")).quotient("x^3 + y^3 + z^3")
+    S = R.adjoin_variables(("w",))
+    w = S.gen(R.nvars)
+    IqS = R.ideal("x + y", "z").bracket_power(q).extended_to(S)
+    mS = maximal_ideal(R).extended_to(S)
+    M = mS.bracket_power(q) * IqS + Ideal(S, (w.qth_power(q),)).intersection(IqS)
+    N = Ideal(S, mS.gens + (w,)).bracket_power(q) * IqS
+    assert length_subquotient(M, N) == 0
 
 
 def test_hk_function_monomial():

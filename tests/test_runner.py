@@ -136,6 +136,17 @@ def test_spread_e_max_zero_on_quotient_ring_names_the_normalizer():
         "the normalizing e_HK(a) on a quotient ring needs e_max >= 1")
 
 
+def test_spread_hk_e_max_zero_on_quotient_ring_names_the_estimates():
+    rep = run_script(parse_script(
+        "char 3; vars x y z; quotient x^2 + y*z; ideal J = x + y, z; "
+        "spread_hk J e_max=0"))
+    error = report_document(rep, include_timing=False)["results"][0]["error"]
+    assert error["type"] == "PreconditionError"
+    assert error["message"] == (
+        "the e_HK estimates of a, J^[q0] and a·J^[q0] on a quotient ring "
+        "need e_max >= 1")
+
+
 def test_every_exported_name_resolves():
     for name in hkspread.__all__:
         assert hasattr(hkspread, name), name

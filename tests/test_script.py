@@ -176,14 +176,14 @@ _HEAD = "char 2; vars x y; ideal J = x; ideal m = x, y; "  # 47 columns
     ("identity corollary J ell=2", "unknown option 'ell'", 69),
     ("spread J q0=2 q0=2", "duplicate option 'q0'", 62),
     ("colon J K", "unknown ideal 'K'", 56),
-    ("spread J a=K", "unknown ideal 'K'", 60),
-    ("identity lemma33 J z=y a=K", "unknown ideal 'K'", 74),
+    ("spread J a=K", "unknown ideal 'K'", 59),
+    ("identity lemma33 J z=y a=K", "unknown ideal 'K'", 73),
     ("ehk J method=magic",
-     "method must be fit, last, or exact, got 'magic'", 66),
+     "method must be fit, last, or exact, got 'magic'", 61),
     ("identity triple J", "unknown identity kind 'triple'", 57),
     ("identity", "expected identity kind", 56),
     ("frobnicate J", "unknown command 'frobnicate'", 48),
-    ("identity product J q=2", "unknown ideal 'q'", 67),
+    ("identity product J q=2", "expected ideal name", 67),
     ("length J extra", "unexpected token 'extra'", 57),
 ])
 def test_command_error_positions(command, message, column):

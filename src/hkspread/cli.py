@@ -1,7 +1,8 @@
 """Command-line entry point: parse a session script, run it, print a report.
 
 Exit codes: 0 all commands succeeded and every identity check passed,
-1 a command failed or an identity check did not pass, 2 parse error.
+1 a command failed or an identity check did not pass, 2 parse error or a
+bad option (a budget flag or environment variable below 1, say).
 """
 
 from __future__ import annotations
@@ -19,14 +20,26 @@ from .runner import RunConfig, error_document, report_csv, report_json, run_scri
 from .script import parse_script
 
 
-def _env_int(name: str, fallback: int) -> int:
+def _budget(text: str) -> int:
+    """A guard budget: a positive integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {value}")
+    return value
+
+
+def _env_budget(parser, name: str, fallback: int) -> int:
     raw = os.environ.get(name)
     if raw is None:
         return fallback
     try:
-        return int(raw)
-    except ValueError:
-        raise SystemExit(f"hkspread: {name} must be an integer, got {raw!r}")
+        return _budget(raw)
+    except argparse.ArgumentTypeError as exc:
+        parser.error(f"{name} {exc}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -42,25 +55,27 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--order", choices=MonomialOrder.KINDS,
                      default="degrevlex",
                      help="monomial order for printed bases (default degrevlex)")
-    run.add_argument("--max-gb-steps", type=int, default=None, metavar="N",
+    run.add_argument("--max-gb-steps", type=_budget, default=None, metavar="N",
                      help="reduction-step budget per basis computation "
                           "(env HKSPREAD_MAX_GB_STEPS)")
-    run.add_argument("--max-exponent", type=int, default=None, metavar="N",
+    run.add_argument("--max-exponent", type=_budget, default=None, metavar="N",
                      help="largest exponent allowed in any Frobenius power "
                           "(env HKSPREAD_MAX_EXPONENT)")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
 
     max_steps = args.max_gb_steps
     if max_steps is None:
-        max_steps = _env_int("HKSPREAD_MAX_GB_STEPS", GuardConfig.max_steps)
+        max_steps = _env_budget(parser, "HKSPREAD_MAX_GB_STEPS",
+                                GuardConfig.max_steps)
     max_exponent = args.max_exponent
     if max_exponent is None:
-        max_exponent = _env_int("HKSPREAD_MAX_EXPONENT",
-                                GuardConfig.max_exponent)
+        max_exponent = _env_budget(parser, "HKSPREAD_MAX_EXPONENT",
+                                   GuardConfig.max_exponent)
 
     if args.script == "-":
         text = sys.stdin.read()

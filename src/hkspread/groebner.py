@@ -9,6 +9,15 @@ degree-compatible, as DEGREVLEX is.
 Quotient rings are handled by appending the ring's relations to every
 generator list (see `buchberger`), so all computation happens in the
 ambient polynomial ring.
+
+The normal form (`_reduce_full`) pops terms largest first from a heap
+keyed by the order's `reverse_key`, so each term is keyed once and each
+step costs O(log T) rather than a scan of all T terms.  Buchberger keeps
+every basis element monic beside its leading monomial and its reducer
+entry (lead, tail), builds S-polynomials from the two tails and reads a
+new element's lead off the first term of its remainder, so no lead is
+recomputed.  The guard is spent once per reduction step, so a step
+budget counts reductions, not terms or heap operations.
 """
 
 from __future__ import annotations
@@ -71,49 +80,46 @@ class _Budget:
                 f"monomial exponent exceeds cap ({self.guard.max_exponent})")
 
 
-def _reduce_full(f: Polynomial, reducers, order, budget: _Budget) -> Polynomial:
-    """Full normal form of f against reducers [(poly, lm, 1/lc), ...]."""
-    terms = dict(f.terms)
-    p = f.ring.field.p
+def _reduce_full(terms: dict, reducers, order, p: int, budget: _Budget) -> dict:
+    """Full normal form of the term map `terms` (consumed; zero
+    coefficients allowed) against monic reducers [(lm, tail), ...], where
+    tail lists the (monomial, coefficient) terms below lm.  Terms are
+    popped largest first from a heap on `order.reverse_key`, each keyed once
+    when it first appears; a reduction step cancels the popped lead exactly,
+    so only the reducer's tail is added.  The first reducer in list order
+    whose lead divides is used, one guard step each.  The remainder comes
+    back largest term first."""
+    rkey = order.reverse_key
+    heap = [(rkey(m), m) for m in terms]
+    heapq.heapify(heap)
+    pop, push = heapq.heappop, heapq.heappush
     remainder = {}
-    while terms:
-        lm = max(terms, key=order.key)
-        c = terms[lm]
-        for g, glm, glc_inv in reducers:
+    while heap:
+        lm = pop(heap)[1]
+        c = terms.pop(lm)
+        if not c:
+            continue
+        for glm, tail in reducers:
             if glm.divides(lm):
                 budget.spend()
-                fac_mono = lm.quotient(glm)
-                fac_c = (c * glc_inv) % p
-                for m2, c2 in g.terms.items():
-                    m = m2.mul(fac_mono)
-                    v = (terms.get(m, 0) - fac_c * c2) % p
-                    if v:
-                        terms[m] = v
+                u = lm.quotient(glm)
+                for m2, c2 in tail:
+                    m = m2.mul(u)
+                    old = terms.get(m)
+                    if old is None:
+                        terms[m] = -c * c2 % p
+                        push(heap, (rkey(m), m))
                     else:
-                        terms.pop(m, None)
+                        terms[m] = (old - c * c2) % p
                 break
         else:
             remainder[lm] = c
-            del terms[lm]
-    return Polynomial(f.ring, remainder)
+    return remainder
 
 
-def _prep(polys, order):
-    reducers = []
-    for g in polys:
-        lm = g.leading_monomial(order)
-        reducers.append((g, lm, g.ring.field.inv(g.terms[lm])))
-    return reducers
-
-
-def s_polynomial(f: Polynomial, g: Polynomial, order) -> Polynomial:
-    lmf = f.leading_monomial(order)
-    lmg = g.leading_monomial(order)
-    lcm = lmf.lcm(lmg)
-    field = f.ring.field
-    sf = f.term_mul(lcm.quotient(lmf), field.inv(f.terms[lmf]))
-    sg = g.term_mul(lcm.quotient(lmg), field.inv(g.terms[lmg]))
-    return sf - sg
+def _reducer(f: Polynomial, lm: Monomial):
+    """The (lead, tail) pair `_reduce_full` takes for a monic f."""
+    return lm, [(m, c) for m, c in f.terms.items() if m != lm]
 
 
 class GroebnerBasis:
@@ -121,11 +127,11 @@ class GroebnerBasis:
 
     __slots__ = ("ring", "order", "polys", "leading")
 
-    def __init__(self, ring, order, polys):
+    def __init__(self, ring, order, polys, leading):
         self.ring = ring
         self.order = order
         self.polys = tuple(polys)
-        self.leading = tuple(f.leading_monomial(order) for f in self.polys)
+        self.leading = tuple(leading)
 
     def __iter__(self):
         return iter(self.polys)
@@ -144,8 +150,10 @@ class GroebnerBasis:
             raise RingMismatchError("polynomial from a different ring")
         if not self.polys:
             return f
-        return _reduce_full(f, _prep(self.polys, self.order),
-                            self.order, _Budget(active_guard()))
+        reducers = [_reducer(g, lm) for g, lm in zip(self.polys, self.leading)]
+        return Polynomial(self.ring, _reduce_full(
+            dict(f.terms), reducers, self.order, self.ring.field.p,
+            _Budget(active_guard())))
 
     def contains(self, f: Polynomial) -> bool:
         return self.reduce(f).is_zero()
@@ -164,27 +172,47 @@ class GroebnerBasis:
         return "GroebnerBasis{" + ", ".join(str(f) for f in self.polys) + "}"
 
 
-def _interreduce(basis, order, ring, budget) -> tuple:
-    if not basis:
-        return ()
-    items = sorted(basis, key=lambda f: order.key(f.leading_monomial(order)))
+def _s_terms(ri, rj, lcm: Monomial, p: int) -> dict:
+    """Terms of S(f, g) = (lcm/lm_f)·f − (lcm/lm_g)·g for monic f and g given
+    as reducers (lead, tail); the leads cancel, so only the tails enter.
+    Zero coefficients may be left in (`_reduce_full` skips them)."""
+    u = lcm.quotient(ri[0])
+    terms = {m.mul(u): c for m, c in ri[1]}
+    u = lcm.quotient(rj[0])
+    for m, c in rj[1]:
+        m = m.mul(u)
+        terms[m] = (terms.get(m, 0) - c) % p
+    return terms
+
+
+def _interreduce(basis, lead, reducers, order, p, budget):
+    """Reduced basis from a monic GB with its leads and reducers: sort by
+    lead, keep the elements whose lead no kept smaller (or equal, earlier)
+    lead divides, then reduce each against the others.  Leads survive the reduction, so the result stays sorted
+    by lead; returns (polys, leads)."""
+    keys = [order.key(lm) for lm in lead]
     minimal = []
-    for f in items:
-        lm = f.leading_monomial(order)
-        if not any(g.leading_monomial(order).divides(lm) for g in minimal):
-            minimal.append(f)
-    prepped = _prep(minimal, order)
-    reduced = []
-    for idx, f in enumerate(minimal):
-        others = prepped[:idx] + prepped[idx + 1:]
-        nf = _reduce_full(f, others, order, budget) if others else f
-        reduced.append(nf.monic(order))
-    reduced.sort(key=lambda f: order.key(f.leading_monomial(order)))
-    return tuple(reduced)
+    for i in sorted(range(len(basis)), key=keys.__getitem__):
+        if not any(lead[j].divides(lead[i]) for j in minimal):
+            minimal.append(i)
+    kept = [reducers[i] for i in minimal]
+    polys = []
+    for idx, i in enumerate(minimal):
+        others = kept[:idx] + kept[idx + 1:]
+        f = basis[i]
+        if others:
+            f = Polynomial(f.ring, _reduce_full(dict(f.terms), others,
+                                                order, p, budget))
+        polys.append(f)
+    return polys, [lead[i] for i in minimal]
 
 
 def buchberger_raw(gens, order=None, *, ring=None, guard=None) -> GroebnerBasis:
-    """Reduced GB of exactly the given generators (relations NOT appended)."""
+    """Reduced GB of exactly the given generators (relations NOT appended).
+
+    Every basis element is kept monic, beside its lead and its reducer
+    entry, so no lead is recomputed; a new element's lead is the first term
+    of its remainder."""
     order = order or DEGREVLEX
     gens = list(gens)
     if ring is None:
@@ -195,18 +223,25 @@ def buchberger_raw(gens, order=None, *, ring=None, guard=None) -> GroebnerBasis:
         if g.ring != ring:
             raise RingMismatchError("generators from different rings")
     budget = _Budget(guard or active_guard())
+    field = ring.field
+    p = field.p
 
     basis = []
     lead = []
     reducers = []
+
+    def append(f, lm):
+        basis.append(f)
+        lead.append(lm)
+        reducers.append(_reducer(f, lm))
+
     for g in gens:
         if g.is_zero():
             continue
         budget.check_poly(g)
-        f = g.monic(order)
-        basis.append(f)
-        lead.append(f.leading_monomial(order))
-        reducers.append((f, lead[-1], 1))
+        lm = g.leading_monomial(order)
+        lc = g.terms[lm]
+        append(g if lc == 1 else g.scale(field.inv(lc)), lm)
 
     heap = []
     done = set()
@@ -240,23 +275,26 @@ def buchberger_raw(gens, order=None, *, ring=None, guard=None) -> GroebnerBasis:
                     break
         if chained:
             continue
-        s = s_polynomial(basis[i], basis[j], order)
-        nf = _reduce_full(s, reducers, order, budget)
-        if nf.is_zero():
+        nf = _reduce_full(_s_terms(reducers[i], reducers[j], lcm, p),
+                          reducers, order, p, budget)
+        if not nf:
             continue
-        budget.check_poly(nf)
-        nf = nf.monic(order)
+        lm = next(iter(nf))
+        lc = nf[lm]
+        f = Polynomial(ring, nf)
+        budget.check_poly(f)
+        if lc != 1:
+            f = f.scale(field.inv(lc))
         t = len(basis)
         if t + 1 > budget.guard.max_basis:
             raise ResourceLimitError(
                 f"basis size budget exceeded ({budget.guard.max_basis})")
-        basis.append(nf)
-        lead.append(nf.leading_monomial(order))
-        reducers.append((nf, lead[-1], 1))
+        append(f, lm)
         for i2 in range(t):
             push_pair(i2, t)
 
-    return GroebnerBasis(ring, order, _interreduce(basis, order, ring, budget))
+    polys, leading = _interreduce(basis, lead, reducers, order, p, budget)
+    return GroebnerBasis(ring, order, polys, leading)
 
 
 def buchberger(gens, order=None, *, ring=None, guard=None) -> GroebnerBasis:

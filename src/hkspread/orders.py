@@ -6,13 +6,47 @@ from __future__ import annotations
 from .errors import AlgebraError
 
 
+def _lex_key(exps):
+    return tuple(exps)
+
+
+def _lex_reverse_key(exps):
+    return tuple([-e for e in exps])
+
+
+def _deglex_key(exps):
+    return (sum(exps), tuple(exps))
+
+
+def _deglex_reverse_key(exps):
+    return (-sum(exps), tuple([-e for e in exps]))
+
+
+def _degrevlex_key(exps):
+    # higher = smaller reversed-negated tail
+    return (sum(exps), tuple([-e for e in reversed(exps)]))
+
+
+def _degrevlex_reverse_key(exps):
+    return (-sum(exps), exps[::-1])
+
+
+_KEYS = {
+    "lex": (_lex_key, _lex_reverse_key),
+    "deglex": (_deglex_key, _deglex_reverse_key),
+    "degrevlex": (_degrevlex_key, _degrevlex_reverse_key),
+}
+
+
 class MonomialOrder:
     """Total multiplicative well-order on exponent vectors.
 
     Comparison goes through sort keys: bigger key = bigger monomial.
+    `reverse_key` sorts the other way round (bigger monomial = smaller
+    key), so a min-heap on it pops the largest monomial first.
     """
 
-    __slots__ = ("kind",)
+    __slots__ = ("kind", "key", "reverse_key")
 
     KINDS = ("degrevlex", "lex", "deglex")
 
@@ -20,15 +54,7 @@ class MonomialOrder:
         if kind not in self.KINDS:
             raise AlgebraError(f"unknown monomial order {kind!r}")
         self.kind = kind
-
-    def key(self, exps):
-        if self.kind == "lex":
-            return tuple(exps)
-        total = sum(exps)
-        if self.kind == "deglex":
-            return (total, tuple(exps))
-        # degrevlex: higher = smaller reversed-negated tail
-        return (total, tuple(-exps[i] for i in range(len(exps) - 1, -1, -1)))
+        self.key, self.reverse_key = _KEYS[kind]
 
     def __eq__(self, other):
         return isinstance(other, MonomialOrder) and other.kind == self.kind
@@ -55,6 +81,9 @@ class AuxBlockOrder:
 
     def key(self, exps):
         return (exps[0], self.inner.key(exps[1:]))
+
+    def reverse_key(self, exps):
+        return (-exps[0], self.inner.reverse_key(exps[1:]))
 
     def __eq__(self, other):
         return isinstance(other, AuxBlockOrder) and other.inner == self.inner

@@ -9,6 +9,7 @@ with no relations models a polynomial ring.
 from __future__ import annotations
 
 import keyword
+from operator import add, le, sub
 
 from .errors import (
     AlgebraError,
@@ -78,17 +79,17 @@ class Monomial(tuple):
         return sum(self)
 
     def mul(self, other: "Monomial") -> "Monomial":
-        return Monomial(a + b for a, b in zip(self, other))
+        return Monomial(map(add, self, other))
 
     def divides(self, other: "Monomial") -> bool:
-        return all(a <= b for a, b in zip(self, other))
+        return all(map(le, self, other))
 
     def quotient(self, other: "Monomial") -> "Monomial":
         """self / other, assuming other divides self."""
-        return Monomial(a - b for a, b in zip(self, other))
+        return Monomial(map(sub, self, other))
 
     def lcm(self, other: "Monomial") -> "Monomial":
-        return Monomial(max(a, b) for a, b in zip(self, other))
+        return Monomial(map(max, self, other))
 
     def scaled(self, q: int) -> "Monomial":
         return Monomial(q * a for a in self)
@@ -422,11 +423,6 @@ class Polynomial:
         p = self.ring.field.p
         return Polynomial(self.ring,
                           {m.scaled(q): pow(c, q, p) for m, c in self.terms.items()})
-
-    def term_mul(self, mono: Monomial, coeff: int) -> "Polynomial":
-        coeff %= self.ring.field.p
-        return Polynomial(self.ring,
-                          {m.mul(mono): coeff * c for m, c in self.terms.items()})
 
     # -- leading data -------------------------------------------------------
 

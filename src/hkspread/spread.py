@@ -216,6 +216,8 @@ def colon_criterion_diagnostic(I: Ideal, x: Polynomial,
     ring = I.ring
     if x.is_zero():
         return ColonCriterionReport(candidate=x, rows=(), verdict="dependent")
+    if e_max < 1:
+        raise PreconditionError("the colon survey needs e_max >= 1")
     p = ring.characteristic
     m = maximal_ideal(ring)
     rows = []

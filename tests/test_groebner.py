@@ -1,7 +1,9 @@
 """Buchberger, reduced bases, normal forms, dimension, standard monomials."""
 
+import heapq
 import random
 import threading
+from itertools import product
 
 import pytest
 
@@ -26,7 +28,10 @@ from hkspread import (
     standard_monomials,
     use_guard,
 )
-from hkspread.groebner import active_guard
+from hkspread import groebner
+from hkspread.groebner import _Budget, _reduce_full, _reducer, _s_terms, active_guard
+from hkspread.orders import AuxBlockOrder
+from hkspread.poly import Polynomial
 from tests.test_poly import _random_poly
 
 ORDERS = [DEGREVLEX, LEX, DEGLEX]
@@ -304,3 +309,210 @@ def test_hilbert_numerator_unit_and_zero_ideals():
     assert hilbert_numerator(Ideal(R, ())) == [1]
     assert hilbert_numerator(R.ideal("x^2", "y^3")) == [1, 0, -1, -1, 0, 1]
     assert hilbert_numerator(R.ideal("x")) == [1, -1]
+
+
+# -- the heap-driven kernel against the normal form it replaced --------------
+#
+# `_seed_reduce_full` and `_seed_s_polynomial` are the reduction and the
+# S-polynomial from before the heap kernel: the largest term is found by
+# re-keying every term at every step, and S-polynomials are built with two
+# multiplications and a subtraction.  `_seed_buchberger` is the Buchberger
+# loop around them.  The kernel must spend the same guard steps on the same
+# reductions, so the step counts are compared as well as the results.
+
+KERNEL_ORDERS = [DEGREVLEX, LEX, DEGLEX, AuxBlockOrder(DEGREVLEX)]
+
+
+def _seed_reduce_full(f, reducers, order, budget):
+    """Full normal form of f against reducers [(poly, lm, 1/lc), ...]."""
+    terms = dict(f.terms)
+    p = f.ring.field.p
+    remainder = {}
+    while terms:
+        lm = max(terms, key=order.key)
+        c = terms[lm]
+        for g, glm, glc_inv in reducers:
+            if glm.divides(lm):
+                budget.spend()
+                fac_mono = lm.quotient(glm)
+                fac_c = (c * glc_inv) % p
+                for m2, c2 in g.terms.items():
+                    m = m2.mul(fac_mono)
+                    v = (terms.get(m, 0) - fac_c * c2) % p
+                    if v:
+                        terms[m] = v
+                    else:
+                        terms.pop(m, None)
+                break
+        else:
+            remainder[lm] = c
+            del terms[lm]
+    return Polynomial(f.ring, remainder)
+
+
+def _seed_prep(polys, order):
+    return [(g, g.leading_monomial(order), g.ring.field.inv(
+        g.leading_coefficient(order))) for g in polys]
+
+
+def _seed_s_polynomial(f, g, order):
+    lmf = f.leading_monomial(order)
+    lmg = g.leading_monomial(order)
+    lcm = lmf.lcm(lmg)
+    R, field = f.ring, f.ring.field
+    sf = f * R.monomial(lcm.quotient(lmf), field.inv(f.terms[lmf]))
+    sg = g * R.monomial(lcm.quotient(lmg), field.inv(g.terms[lmg]))
+    return sf - sg
+
+
+def _seed_buchberger(gens, order, budget):
+    """Reduced GB (as term keys) by the seed's loop: product and chain
+    criteria, smallest lcm first, then the seed's interreduction."""
+    basis = [g.monic(order) for g in gens if not g.is_zero()]
+    lead = [f.leading_monomial(order) for f in basis]
+    heap, done = [], set()
+
+    def push_pair(i, j):
+        if lead[i].is_coprime(lead[j]):
+            done.add((i, j))
+        else:
+            heapq.heappush(heap, (order.key(lead[i].lcm(lead[j])), i, j))
+
+    for j in range(len(basis)):
+        for i in range(j):
+            push_pair(i, j)
+    while heap:
+        _, i, j = heapq.heappop(heap)
+        if (i, j) in done:
+            continue
+        lcm = lead[i].lcm(lead[j])
+        done.add((i, j))
+        if any(k not in (i, j) and lead[k].divides(lcm)
+               and (min(i, k), max(i, k)) in done
+               and (min(j, k), max(j, k)) in done
+               for k in range(len(basis))):
+            continue
+        nf = _seed_reduce_full(_seed_s_polynomial(basis[i], basis[j], order),
+                               _seed_prep(basis, order), order, budget)
+        if nf.is_zero():
+            continue
+        basis.append(nf.monic(order))
+        lead.append(nf.leading_monomial(order))
+        for i2 in range(len(basis) - 1):
+            push_pair(i2, len(basis) - 1)
+    items = sorted(basis, key=lambda f: order.key(f.leading_monomial(order)))
+    minimal = []
+    for f in items:
+        if not any(g.leading_monomial(order).divides(f.leading_monomial(order))
+                   for g in minimal):
+            minimal.append(f)
+    prepped = _seed_prep(minimal, order)
+    reduced = []
+    for idx, f in enumerate(minimal):
+        others = prepped[:idx] + prepped[idx + 1:]
+        reduced.append(_seed_reduce_full(f, others, order, budget)
+                       if others else f)
+    return [f.terms_key() for f in reduced]
+
+
+def _nonzero_poly(rng, R, nterms, max_exp):
+    f = R.zero
+    while f.is_zero():
+        f = _random_poly(rng, R, nterms=nterms, max_exp=max_exp)
+    return f
+
+
+def _kernel_case_id(value):
+    return getattr(value, "name", value)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("order", KERNEL_ORDERS, ids=_kernel_case_id)
+def test_heap_kernel_matches_seed_normal_form(order, p):
+    rng = random.Random(1000 * p + KERNEL_ORDERS.index(order))
+    R = RingSpec(p, ("t", "x", "y", "z"))
+    for _ in range(40):
+        gens = [_nonzero_poly(rng, R, rng.randrange(1, 5), 3).monic(order)
+                for _ in range(rng.randrange(1, 5))]
+        f = _random_poly(rng, R, nterms=6, max_exp=4)
+        seed_budget = _Budget(GuardConfig())
+        expected = _seed_reduce_full(f, _seed_prep(gens, order), order,
+                                     seed_budget)
+        budget = _Budget(GuardConfig())
+        reducers = [_reducer(g, g.leading_monomial(order)) for g in gens]
+        got = _reduce_full(dict(f.terms), reducers, order, p, budget)
+        assert Polynomial(R, got) == expected
+        assert budget.steps == seed_budget.steps
+        # largest term first: the remainder's first term is its lead
+        if got:
+            assert next(iter(got)) == expected.leading_monomial(order)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("order", KERNEL_ORDERS, ids=_kernel_case_id)
+def test_s_terms_match_seed_s_polynomial(order, p):
+    rng = random.Random(2000 * p + KERNEL_ORDERS.index(order))
+    R = RingSpec(p, ("t", "x", "y", "z"))
+    for _ in range(60):
+        f, g = (_nonzero_poly(rng, R, rng.randrange(1, 6), 3).monic(order)
+                for _ in range(2))
+        lf, lg = f.leading_monomial(order), g.leading_monomial(order)
+        got = _s_terms(_reducer(f, lf), _reducer(g, lg), lf.lcm(lg), p)
+        assert Polynomial(R, got) == _seed_s_polynomial(f, g, order)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("order", KERNEL_ORDERS, ids=_kernel_case_id)
+def test_buchberger_matches_seed_basis_and_steps(order, p, monkeypatch):
+    steps = []
+    spend = _Budget.spend
+
+    def counting(self, n=1):
+        steps.append(n)
+        spend(self, n)
+
+    rng = random.Random(3000 * p + KERNEL_ORDERS.index(order))
+    R = RingSpec(p, ("t", "x", "y"))
+    total = 0
+    for _ in range(12):
+        gens = [_nonzero_poly(rng, R, rng.randrange(2, 5), 2)
+                for _ in range(rng.randrange(2, 5))]
+        seed_budget = _Budget(GuardConfig())
+        expected = _seed_buchberger(gens, order, seed_budget)
+        steps.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(groebner._Budget, "spend", counting)
+            gb = groebner.buchberger_raw(gens, order, ring=R)
+        assert [f.terms_key() for f in gb.polys] == expected
+        assert sum(steps) == seed_budget.steps
+        assert list(gb.leading) == [f.leading_monomial(order) for f in gb.polys]
+        total += seed_budget.steps
+    assert total >= 10  # the random ideals did make Buchberger work
+
+
+@pytest.mark.parametrize("order", KERNEL_ORDERS, ids=_kernel_case_id)
+def test_reverse_key_orders_monomials_opposite_to_key(order):
+    rng = random.Random(4000 + KERNEL_ORDERS.index(order))
+    monos = {Monomial(rng.randrange(4) for _ in range(4)) for _ in range(300)}
+    monos |= {Monomial(m) for m in product(range(3), repeat=4)}
+    monos = list(monos)
+    for a in monos[:120]:
+        for b in monos:
+            ka, kb = order.key(a), order.key(b)
+            ra, rb = order.reverse_key(a), order.reverse_key(b)
+            assert (ka < kb) == (ra > rb)
+            assert (ka == kb) == (ra == rb) == (a == b)
+    assert (sorted(monos, key=order.reverse_key)
+            == sorted(monos, key=order.key, reverse=True))
+
+
+def test_gb_step_budget_is_pinned():
+    """What --max-gb-steps N means: the basis below takes exactly 60 steps
+    (Buchberger's reductions plus interreduction)."""
+    R = RingSpec(2, ("x", "y", "z")).quotient("x^3 + y^3 + z^3")
+    x, y, z = R.gens()
+    gens = [x**16 + y**16, z**16]
+    assert len(buchberger(gens, ring=R, guard=GuardConfig(max_steps=60))) == 10
+    with pytest.raises(ResourceLimitError,
+                       match=r"^reduction step budget exceeded \(59\)$"):
+        buchberger(gens, ring=R, guard=GuardConfig(max_steps=59))

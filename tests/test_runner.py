@@ -147,6 +147,14 @@ def test_spread_hk_e_max_zero_on_quotient_ring_names_the_estimates():
         "need e_max >= 1")
 
 
+def test_independent_e_max_zero_names_the_colon_survey():
+    rep = run_script(parse_script(
+        "char 2; vars x y; ideal m = x, y; independent m e_max=0"))
+    error = report_document(rep, include_timing=False)["results"][0]["error"]
+    assert error["type"] == "PreconditionError"
+    assert error["message"] == "the colon survey needs e_max >= 1"
+
+
 def test_every_exported_name_resolves():
     for name in hkspread.__all__:
         assert hasattr(hkspread, name), name
@@ -257,3 +265,32 @@ def test_cli_max_exponent_env(scripts, capsys, monkeypatch):
     assert main(["run", str(path)]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["results"][0]["error"]["type"] == "ResourceLimitError"
+
+
+@pytest.mark.parametrize("args, env, name", [
+    (["--max-gb-steps", "-1"], {}, "--max-gb-steps"),
+    (["--max-gb-steps", "0"], {}, "--max-gb-steps"),
+    (["--max-exponent", "0"], {}, "--max-exponent"),
+    (["--max-exponent", "many"], {}, "--max-exponent"),
+    ([], {"HKSPREAD_MAX_GB_STEPS": "0"}, "HKSPREAD_MAX_GB_STEPS"),
+    ([], {"HKSPREAD_MAX_EXPONENT": "-3"}, "HKSPREAD_MAX_EXPONENT"),
+    ([], {"HKSPREAD_MAX_EXPONENT": "many"}, "HKSPREAD_MAX_EXPONENT"),
+])
+def test_cli_rejects_non_positive_budgets(scripts, capsys, monkeypatch,
+                                          args, env, name):
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    with pytest.raises(SystemExit) as info:
+        main(["run", str(scripts["ok"])] + args)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert name in captured.err
+    assert "integer" in captured.err
+
+
+def test_cli_budget_of_one_is_accepted(scripts, capsys, monkeypatch):
+    monkeypatch.setenv("HKSPREAD_MAX_EXPONENT", "1")
+    assert main(["run", str(scripts["ok"]), "--max-gb-steps", "1"]) == 0
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert (config["max_gb_steps"], config["max_exponent"]) == (1, 1)

@@ -137,6 +137,16 @@ def test_colon_criterion_detects_membership():
     assert colon_criterion_diagnostic(R.ideal(x), R.zero).verdict == "dependent"
 
 
+def test_colon_criterion_e_max_zero():
+    R = _r2()
+    x, y = R.gens()
+    with pytest.raises(PreconditionError, match="colon survey needs e_max >= 1"):
+        colon_criterion_diagnostic(R.ideal(y), x, e_max=0)
+    # a zero candidate needs no survey
+    rep = colon_criterion_diagnostic(R.ideal(y), R.zero, e_max=0)
+    assert rep.verdict == "dependent"
+
+
 def test_independence_diagnostic():
     R = _r2()
     x, y = R.gens()

@@ -1,7 +1,29 @@
 """Ideal-level algebra: sums, products, Frobenius (bracket) powers,
-colons, intersections, and minimal generator counts."""
+colons, intersections, and minimal generator counts.
+
+Bracket powers are built as Frobenius chains.  Level q of a base ideal I
+is an Ideal for I^[q]; level pq comes from the reduced DEGREVLEX GB of
+level q, each element raised to the p-th power and reduced modulo the
+ring's relation GB.  That is exact in characteristic p: (g + h)^p =
+g^p + h^p, and the relation ideal contains the p-th powers of its
+elements, so these generate I^[pq] plus the relations.  Buchberger then
+starts from a basis that is already nearly reduced, and each level costs
+about one basis raised to the p-th power instead of reductions that grow
+with q.  In a relation-free ring GB(I^[q]) = GB(I)^[q] exactly, so each
+level's GB is seeded from the base's and Buchberger is skipped.
+
+A base ideal keeps its own chain.  Inside a session (`chain_memo`, set by
+`run_script`) chains are looked up by (ring, reduced GB of the base)
+instead, so equal ideals built by different commands share every level,
+and the relation GB is computed once per ring.  The memo is a
+`ContextVar`, like the guard: nothing is shared across sessions or
+threads.
+"""
 
 from __future__ import annotations
+
+from contextlib import contextmanager
+from contextvars import ContextVar
 
 from .errors import (
     AlgebraError,
@@ -10,7 +32,13 @@ from .errors import (
     ResourceLimitError,
     RingMismatchError,
 )
-from .groebner import active_guard, buchberger, buchberger_raw, krull_dimension
+from .groebner import (
+    GroebnerBasis,
+    active_guard,
+    buchberger,
+    buchberger_raw,
+    krull_dimension,
+)
 from .orders import DEGREVLEX, AuxBlockOrder
 from .poly import Monomial, Polynomial, RingSpec, as_q
 
@@ -23,7 +51,7 @@ class Ideal:
     of the ambient polynomial ring.
     """
 
-    __slots__ = ("ring", "gens", "_gb")
+    __slots__ = ("ring", "gens", "_gb", "_chain")
 
     def __init__(self, ring: RingSpec, gens=()):
         self.ring = ring
@@ -37,6 +65,7 @@ class Ideal:
                 clean.append(g)
         self.gens = tuple(clean)
         self._gb = {}
+        self._chain = None  # (_Chain, q) when this ideal is level q of it
 
     # -- canonical form -----------------------------------------------------
 
@@ -91,13 +120,29 @@ class Ideal:
                      tuple(f * g for f in self.gens for g in other.gens))
 
     def bracket_power(self, q) -> "Ideal":
+        """I^[q], as level q of I's Frobenius chain (see the module
+        docstring); when I is itself level q0 of a chain, level q0·q of
+        that chain, and q = 1 gives I.  The guard caps the exponents of
+        the generators raised to the q-th power, taking a level's
+        generators to be its base's raised to the q0-th power."""
         q = as_q(self.ring, q)
+        chain, q0 = self._chain or (None, 1)
+        base = self if chain is None else chain.levels[1]
         guard = active_guard()
-        for g in self.gens:
-            if g.max_exponent() * q > guard.max_exponent:
+        for g in base.gens:
+            if g.max_exponent() * q0 * q > guard.max_exponent:
                 raise ResourceLimitError(
                     f"bracket power exponent exceeds cap ({guard.max_exponent})")
-        return Ideal(self.ring, tuple(g.qth_power(q) for g in self.gens))
+        if q == 1:
+            return self
+        return (chain or self._base_chain()).level(q0 * q)
+
+    def _base_chain(self) -> "_Chain":
+        memo = _CHAINS.get()
+        if memo is None:
+            self._chain = (_Chain(self), 1)
+            return self._chain[0]
+        return memo.setdefault((self.ring, self.groebner_basis()), _Chain(self))
 
     def colon(self, other) -> "Ideal":
         return ideal_colon(self, self._check(other))
@@ -120,6 +165,65 @@ class Ideal:
 
     def __repr__(self):
         return "Ideal(" + ", ".join(str(g) for g in self.gens) + ")"
+
+
+# The session's chain memo: (ring, reduced DEGREVLEX GB of a base ideal) ->
+# its _Chain, and ring -> the relation GB.  None outside a session.
+_CHAINS = ContextVar("hkspread_chains", default=None)
+
+
+@contextmanager
+def chain_memo():
+    """Share Frobenius chains between the ideals of one session."""
+    token = _CHAINS.set({})
+    try:
+        yield
+    finally:
+        _CHAINS.reset(token)
+
+
+class _Chain:
+    """Levels {q: I^[q]} of one base ideal I, with the ring's relation GB."""
+
+    __slots__ = ("ring", "levels", "relations")
+
+    def __init__(self, base: Ideal):
+        self.ring = base.ring
+        self.levels = {1: base}
+        self.relations = None
+
+    def level(self, q: int) -> Ideal:
+        level = self.levels.get(q)
+        if level is not None:
+            return level
+        ring = self.ring
+        if not ring.relations:
+            gb = self.levels[1].groebner_basis()
+            level = Ideal(ring, tuple(g.qth_power(q) for g in gb.polys))
+            level._gb[DEGREVLEX] = GroebnerBasis(
+                ring, DEGREVLEX, level.gens, [m.scaled(q) for m in gb.leading])
+        else:
+            p = ring.characteristic
+            prev = self.level(q // p).groebner_basis()
+            rel = self.relation_basis()
+            level = Ideal(ring, tuple(rel.reduce(g.qth_power(p))
+                                      for g in prev.polys))
+        level._chain = (self, q)
+        self.levels[q] = level
+        return level
+
+    def relation_basis(self) -> GroebnerBasis:
+        """The ring's relation GB, computed once per chain outside a
+        session and once per ring inside one."""
+        if self.relations is None:
+            memo = _CHAINS.get()
+            gb = None if memo is None else memo.get(self.ring)
+            if gb is None:
+                gb = Ideal(self.ring, ()).groebner_basis()
+                if memo is not None:
+                    memo[self.ring] = gb
+            self.relations = gb
+        return self.relations
 
 
 def maximal_ideal(ring: RingSpec) -> Ideal:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import __version__
 from .errors import AlgebraError
 from .groebner import GuardConfig, use_guard
-from .ideals import ideal_colon
+from .ideals import chain_memo, ideal_colon
 from .lengths import ehk_estimate, length_quotient
 from .orders import order_by_name
 from .poly import FrobeniusExponent
@@ -244,7 +244,7 @@ def run_script(script: SessionScript, config: RunConfig | None = None) -> Report
                         max_exponent=config.max_exponent)
     report = Report(config=config, ring=script.ring, bindings=script.bindings)
     start = time.perf_counter()
-    with use_guard(guard):
+    with use_guard(guard), chain_memo():
         session = _Session(script, config)
         for cmd in script.commands:
             echo = format_command(cmd)

@@ -370,7 +370,12 @@ class _Parser:
                 while (self.peek().kind == "SYM"
                        and self.peek().value == ","):
                     self.advance()
-                    values.append(self.parse_q_value(ring))
+                    tok = self.peek()
+                    value = self.parse_q_value(ring)
+                    if value <= values[-1]:
+                        self.fail(f"q values must increase, got {value} "
+                                  f"after {values[-1]}", tok)
+                    values.append(value)
                 seen[key] = tuple(values)
             elif kind == "poly":
                 seen[key] = self.parse_poly(ring)

@@ -151,11 +151,12 @@ def star_spread_estimate(J: Ideal, a: Ideal | None = None,
         schedule.append(cur)
         q0 = p ** cur
         Jq0 = J.bracket_power(q0)
+        aJq0 = a * Jq0  # N = a^[q]·J^[q·q0] = (a·J^[q0])^[q]
         round_ratios = []
         for e in range(e_max + 1):
             q = p ** e
             M = Jq0.bracket_power(q)
-            N = a.bracket_power(q) * M
+            N = aJq0.bracket_power(q)
             lam = length_subquotient(M, N)
             ratio = Fraction(int(lam)) / (Fraction(q) ** d * ehk_a)
             cells.append(SpreadCell(q0, e, q, int(lam), ratio))
@@ -364,16 +365,19 @@ def check_lemma33_additivity(I: Ideal, z: Polynomial, a: Ideal | None = None,
     q0 = p ** q0_exponent
     ehk_a = ehk_estimate(a, e_max=e_max).value
     Iz = Ideal(ring, I.gens + (z,))
+    # a^[q]·K^[q·q0] = (a·K^[q0])^[q] for K = (I, z) and K = I
+    a_iz = a * Iz.bracket_power(q0)
+    a_i = a * I.bracket_power(q0)
     pairs = []
     for e in range(e_max + 1):
         q = p ** e
         qq0 = q * q0
-        aq = a.bracket_power(q)
         big = Iz.bracket_power(qq0)
         small = I.bracket_power(qq0)
-        lhs = Fraction(int(length_subquotient(big, aq * big)), q ** d)
-        rhs = ehk_a + Fraction(int(length_subquotient(small, aq * small)),
-                               q ** d)
+        lhs = Fraction(int(length_subquotient(big, a_iz.bracket_power(q))),
+                       q ** d)
+        rhs = ehk_a + Fraction(
+            int(length_subquotient(small, a_i.bracket_power(q))), q ** d)
         pairs.append((f"additivity[q={q}]", lhs, rhs))
     return _finish("lemma33-additivity", ring, pairs, tolerance)
 
@@ -441,13 +445,17 @@ def check_corollary_vanishing(R: RingSpec, I: Ideal, q0_exponent: int = 0,
     mz = Ideal(S, mS.gens + (z,))
     p = R.characteristic
     q0 = p ** q0_exponent
+    # mS^[q]·I^[q·q0]S = (mS·I^[q0]S)^[q], and the same for (mS, z)
+    Iq0S = I.bracket_power(q0).extended_to(S)
+    m_i = mS * Iq0S
+    mz_i = mz * Iq0S
     pairs = []
     for e in range(e_max + 1):
         q = p ** e
         IqS = I.bracket_power(q * q0).extended_to(S)
         zq = Ideal(S, (z.qth_power(q),))
-        numerator = mS.bracket_power(q) * IqS + zq.intersection(IqS)
-        denominator = mz.bracket_power(q) * IqS
+        numerator = m_i.bracket_power(q) + zq.intersection(IqS)
+        denominator = mz_i.bracket_power(q)
         lam = length_subquotient(numerator, denominator)
         pairs.append((f"vanishing[q={q}]", Fraction(int(lam)), Fraction(0)))
     rows = _identity_rows(pairs, True, None)

@@ -5,17 +5,24 @@ import random
 import pytest
 
 from hkspread import (
+    GuardConfig,
     HomogeneityError,
     Ideal,
     Monomial,
     PreconditionError,
+    ResourceLimitError,
     RingMismatchError,
     RingSpec,
+    buchberger,
     ideal_colon,
     ideal_intersection,
     maximal_ideal,
     min_gens,
+    use_guard,
 )
+from hkspread import ideals
+
+from tests.test_poly import _random_poly
 
 
 def _r2():
@@ -211,3 +218,118 @@ def test_extended_to_polynomial_extension():
     assert aS.ring is S
     assert S.poly("x^2") in aS
     assert S.poly("z") not in aS
+
+
+# -- Frobenius chains against the direct path ----------------------------------
+
+
+def _direct(I, q):
+    """I^[q] as bracket powers were built before chains: every generator
+    raised to the q-th power, the GB left to Buchberger."""
+    return Ideal(I.ring, tuple(g.qth_power(q) for g in I.gens))
+
+
+_CHAIN_RINGS = [
+    RingSpec(3, ("x", "y", "z")).quotient("x^2 + y*z"),
+    RingSpec(2, ("x", "y", "z")).quotient("x^3 + y^3 + z^3"),
+    RingSpec(3, ("x", "y", "z")),
+    RingSpec(5, ("x", "y")),
+]
+_CHAIN_IDS = ["quadric", "cubic", "F3xyz", "F5xy"]
+
+
+def _random_ideal(rng, ring):
+    """A proper nonzero ideal on one to three generators, each a random
+    polynomial times a random variable, so homogeneous or not; on about a
+    third of the draws pure powers of every variable join them, so that
+    the colength is finite."""
+    while True:
+        gens = [_random_poly(rng, ring, nterms=rng.randrange(1, 4), max_exp=2)
+                * rng.choice(ring.gens()) for _ in range(rng.randrange(1, 4))]
+        if rng.randrange(3) == 0:
+            gens += [ring.poly(f"{v}^{rng.randrange(2, 4)}")
+                     for v in ring.variables]
+        I = Ideal(ring, tuple(gens))
+        if I.gens and not I.is_unit():
+            return I
+
+
+@pytest.mark.parametrize("ring", _CHAIN_RINGS, ids=_CHAIN_IDS)
+def test_chain_levels_match_direct_path(ring):
+    """Reduced GBs of every level q <= p^3 on 10 seeded random ideals, built
+    upwards from q = 1, and straight to the top on a fresh copy."""
+    rng = random.Random(ring.characteristic * 7 + ring.nvars)
+    p = ring.characteristic
+    for _ in range(10):
+        I = _random_ideal(rng, ring)
+        for e in range(4):
+            q = p ** e
+            want = buchberger(_direct(I, q).gens, ring=ring)
+            assert I.bracket_power(q).groebner_basis() == want, (I, q)
+        top = Ideal(ring, I.gens).bracket_power(p ** 3)
+        assert top.groebner_basis() == want, I
+        # a level's bracket power is a later level of the same chain
+        assert I.bracket_power(p).bracket_power(p * p) is I.bracket_power(p ** 3)
+
+
+@pytest.mark.parametrize("ring", _CHAIN_RINGS[2:], ids=_CHAIN_IDS[2:])
+def test_relation_free_levels_are_seeded(ring, monkeypatch):
+    """GB(I^[q]) = GB(I)^[q]: each level's GB, leading terms included, is
+    Buchberger's, and asking for it runs no Buchberger."""
+    rng = random.Random(ring.characteristic + 5)
+    p = ring.characteristic
+    runs = []
+    monkeypatch.setattr(ideals, "buchberger",
+                        lambda *a, **k: runs.append(a) or buchberger(*a, **k))
+    for _ in range(10):
+        I = _random_ideal(rng, ring)
+        I.groebner_basis()
+        before = len(runs)
+        levels = [I.bracket_power(p ** e) for e in range(1, 4)]
+        seeded = [lv.groebner_basis() for lv in levels]
+        assert len(runs) == before
+        for lv, gb in zip(levels, seeded):
+            want = buchberger(lv.gens, ring=ring)
+            assert gb == want and gb.leading == want.leading, (I, lv)
+
+
+@pytest.mark.parametrize("ring", _CHAIN_RINGS[:3], ids=_CHAIN_IDS[:3])
+def test_driver_products_match_old_products(ring):
+    """The drivers take a^[q]·J^[q·q0] as (a·J^[q0])^[q]; over S = R[w] the
+    corollary takes mS^[q]·I^[q·q0]S and (mS, w)^[q]·I^[q·q0]S likewise.
+    Both sides have one reduced GB, on 4 seeded random J and a."""
+    rng = random.Random(ring.characteristic * 3 + len(ring.relations))
+    p = ring.characteristic
+    m = maximal_ideal(ring)
+    S = ring.adjoin_variables(("w",))
+    mS = m.extended_to(S)
+    mw = Ideal(S, mS.gens + (S.gen(ring.nvars),))
+    for trial in range(4):
+        J = _random_ideal(rng, ring)
+        a = m if trial % 2 else m * m + _random_ideal(rng, ring)
+        for q0 in (1, p):
+            JS = J.bracket_power(q0).extended_to(S)
+            for q in (1, p, p * p):
+                old = _direct(a, q) * _direct(J, q * q0)
+                new = (a * J.bracket_power(q0)).bracket_power(q)
+                assert new.groebner_basis() == old.groebner_basis(), (J, a, q0, q)
+                old_js = _direct(J, q * q0).extended_to(S)
+                for b in (mS, mw):
+                    old = _direct(b, q) * old_js
+                    new = (b * JS).bracket_power(q)
+                    assert new.groebner_basis() == old.groebner_basis(), (J, b, q)
+
+
+def test_level_bracket_power_keeps_the_direct_exponent_cap():
+    """The cap is checked on the base's generators times q0·q, the bound the
+    direct path checked on (I^[q0])^[q]."""
+    R = RingSpec(3, ("x", "y", "z")).quotient("x^2 + y*z")
+    J = R.ideal("x + y", "z")
+    with use_guard(GuardConfig(max_exponent=27)):
+        level = J.bracket_power(3)
+        # a GB element y^2 makes the level's own generators reach y^6
+        assert max(g.max_exponent() for g in level.gens) > 3
+        assert level.bracket_power(9) is J.bracket_power(27)
+        with pytest.raises(ResourceLimitError,
+                           match=r"bracket power exponent exceeds cap \(27\)"):
+            level.bracket_power(27)

@@ -8,6 +8,7 @@ import pytest
 from hkspread import (
     INFINITE,
     ContainmentError,
+    GuardConfig,
     Ideal,
     InfiniteLengthError,
     LengthValue,
@@ -21,6 +22,7 @@ from hkspread import (
     length_quotient,
     length_subquotient,
     maximal_ideal,
+    use_guard,
 )
 from tests.test_poly import _random_poly
 
@@ -250,6 +252,20 @@ def test_fermat_cubic_hk_table():
     samples = hk_function(maximal_ideal(cubic), 8)
     assert [s.colength for s in samples] == [1, 8] + [
         9 * 4 ** e // 4 for e in range(2, 9)]
+
+
+def test_large_q_hk_tables_within_a_small_step_budget():
+    """Frobenius chains keep every reduction small at q = p^13: the direct
+    path spent 1,195,723 steps in one Buchberger run on m^[3^13] in the
+    quadric.  The exponent cap is raised, the step budget lowered."""
+    cubic = RingSpec(2, ("x", "y", "z")).quotient("x^3 + y^3 + z^3")
+    with use_guard(GuardConfig(max_steps=1_000, max_exponent=10 ** 7)):
+        quadric = hk_function(maximal_ideal(_a1()), 13)
+        fermat = hk_function(maximal_ideal(cubic), 13)
+    assert [s.colength for s in quadric] == [
+        (3 * 3 ** (2 * e) - 1) // 2 for e in range(14)]
+    assert [s.colength for s in fermat] == [1, 8] + [
+        9 * 4 ** e // 4 for e in range(2, 14)]
 
 
 def test_hk_function_rejects_infinite():

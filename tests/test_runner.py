@@ -1,6 +1,8 @@
 """Report builder, JSON/CSV serialization, and the command-line entry point."""
 
 import json
+import threading
+from pathlib import Path
 
 import pytest
 
@@ -14,8 +16,11 @@ from hkspread import (
     report_json,
     run_script,
 )
+from hkspread import ideals
 from hkspread.cli import main
 from hkspread.runner import error_document, report_document
+
+GOLDEN = Path(__file__).parent / "golden"
 
 SESSION = """
 char 2
@@ -244,6 +249,89 @@ def test_cli_csv_format(scripts, capsys):
     assert main(["run", str(scripts["ok"]), "--format", "csv"]) == 0
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "command,section,label,q0,e,q,value,num,den,pass"
+
+
+@pytest.mark.parametrize("name", ["minimal", "quadric", "session"])
+def test_cli_csv_matches_golden(name, capsys):
+    assert main(["run", str(GOLDEN / f"{name}.hks"), "--format", "csv"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.csv").read_text()
+
+
+def test_ehk_past_the_exponent_cap_fails_at_the_default_guard():
+    rep = run_script(parse_script(
+        "char 3; vars x y z; quotient x^2 + y*z; ideal m = x, y, z; "
+        "ehk m e_max=11"))
+    assert rep.results[0].error == {
+        "type": "ResourceLimitError",
+        "message": "bracket power exponent exceeds cap (100000)"}
+
+
+_QUADRIC_SESSION = parse_script(
+    "char 3; vars x y z; quotient x^2 + y*z; ideal m = x, y, z; "
+    "ideal J = x + y, z; ehk m e_max=2; spread J e_max=2")
+
+
+def _record_new_levels(monkeypatch, on_new=None):
+    """Patch `_Chain.level` to list, per thread, every level it builds."""
+    made = {}
+    level = ideals._Chain.level
+
+    def recording(chain, q):
+        new = q not in chain.levels
+        result = level(chain, q)
+        if new:
+            made.setdefault(threading.get_ident(), []).append(result)
+            if on_new is not None:
+                on_new()
+        return result
+
+    monkeypatch.setattr(ideals._Chain, "level", recording)
+    return made
+
+
+def test_session_builds_each_level_of_m_once(monkeypatch):
+    m = _QUADRIC_SESSION.ideals()["m"]
+    m_powers = [m.bracket_power(3), m.bracket_power(9)]
+    made = _record_new_levels(monkeypatch)
+    assert run_script(_QUADRIC_SESSION).ok
+    (levels,) = made.values()
+    # ehk takes m^[3] and m^[9], and so does the spread's normalizer, which
+    # builds its own maximal ideal: it finds them in the session's memo
+    assert sum(lv in m_powers for lv in levels) == 2
+    assert ideals._CHAINS.get() is None
+
+
+def test_chain_memo_is_per_session_and_per_thread(monkeypatch):
+    barrier = threading.Barrier(2, timeout=10)
+    held = set()
+
+    def meet_once():
+        # the first level each thread builds waits for the other thread, so
+        # both sessions are open at the same time
+        if threading.get_ident() not in held:
+            held.add(threading.get_ident())
+            barrier.wait()
+
+    made = _record_new_levels(monkeypatch, meet_once)
+    reports, memo_after = [], []
+
+    def session():
+        reports.append(run_script(_QUADRIC_SESSION))
+        memo_after.append(ideals._CHAINS.get())
+
+    workers = [threading.Thread(target=session) for _ in range(2)]
+    for w in workers:
+        w.start()
+    for w in workers:
+        w.join(30)
+    assert not any(w.is_alive() for w in workers)
+    assert [r.ok for r in reports] == [True, True]
+    assert memo_after == [None, None]
+    first, second = made.values()
+    # both sessions build the same levels, and none is shared
+    assert len(first) == len(second) > 0
+    assert not {id(lv) for lv in first} & {id(lv) for lv in second}
+    assert ideals._CHAINS.get() is None
 
 
 def test_cli_env_override_and_flag_precedence(scripts, capsys, monkeypatch):

@@ -185,6 +185,13 @@ _HEAD = "char 2; vars x y; ideal J = x; ideal m = x, y; "  # 47 columns
     ("frobnicate J", "unknown command 'frobnicate'", 48),
     ("identity product J q=2", "expected ideal name", 67),
     ("length J extra", "unexpected token 'extra'", 57),
+    ("identity product m m ell=1 q=2,2",
+     "q values must increase, got 2 after 2", 79),
+    ("identity product m m ell=1 q=4,2",
+     "q values must increase, got 2 after 4", 79),
+    ("identity basechange m s=1 q=1,2,2",
+     "q values must increase, got 2 after 2", 80),
+    ("identity self m q=2,4,4", "q values must increase, got 4 after 4", 70),
 ])
 def test_command_error_positions(command, message, column):
     err = _error(_HEAD + command)

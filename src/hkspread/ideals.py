@@ -1,23 +1,21 @@
 """Ideal-level algebra: sums, products, Frobenius (bracket) powers,
 colons, intersections, and minimal generator counts.
 
-Bracket powers are built as Frobenius chains.  Level q of a base ideal I
-is an Ideal for I^[q]; level pq comes from the reduced DEGREVLEX GB of
-level q, each element raised to the p-th power and reduced modulo the
-ring's relation GB.  That is exact in characteristic p: (g + h)^p =
-g^p + h^p, and the relation ideal contains the p-th powers of its
-elements, so these generate I^[pq] plus the relations.  Buchberger then
-starts from a basis that is already nearly reduced, and each level costs
-about one basis raised to the p-th power instead of reductions that grow
-with q.  In a relation-free ring GB(I^[q]) = GB(I)^[q] exactly, so each
-level's GB is seeded from the base's and Buchberger is skipped.
+Bracket powers are built as Frobenius chains.  I^[q] keeps the generators
+g^q of I's generators, but its DEGREVLEX GB is level q of I's chain: level
+pq is computed from the reduced GB of level q, each element raised to the
+p-th power and reduced modulo the ring's relation GB.  That is exact in
+characteristic p: (g + h)^p = g^p + h^p, and the relation ideal contains
+the p-th powers of its elements, so these generate I^[pq] plus the
+relations.  Buchberger then starts from a basis that is already nearly
+reduced, and each level costs about one basis raised to the p-th power
+instead of reductions that grow with q.
 
-A base ideal keeps its own chain.  Inside a session (`chain_memo`, set by
-`run_script`) chains are looked up by (ring, reduced GB of the base)
-instead, so equal ideals built by different commands share every level,
-and the relation GB is computed once per ring.  The memo is a
-`ContextVar`, like the guard: nothing is shared across sessions or
-threads.
+A base ideal keeps its own chain, and its bracket powers point into it.
+Inside a session (`chain_memo`, set by `run_script`) chains are looked up
+by (ring, reduced GB of the base) instead, so equal ideals built by
+different commands share every level.  The memo is a `ContextVar`, like
+the guard: nothing is shared across sessions or threads.
 """
 
 from __future__ import annotations
@@ -73,7 +71,11 @@ class Ideal:
         order = order or DEGREVLEX
         gb = self._gb.get(order)
         if gb is None:
-            gb = buchberger(self.gens, order, ring=self.ring)
+            chain, q = self._chain or (None, 1)
+            if q > 1 and order == DEGREVLEX:
+                gb = chain.basis(q)
+            else:
+                gb = buchberger(self.gens, order, ring=self.ring)
             self._gb[order] = gb
         return gb
 
@@ -83,8 +85,11 @@ class Ideal:
         return self.groebner_basis().contains(f)
 
     def contains_ideal(self, other: "Ideal") -> bool:
+        """Reduces other's reduced GB, which generates other plus the
+        relations: a bracket power's generators grow with q, its GB is
+        read off the chain."""
         gb = self.groebner_basis()
-        return all(gb.contains(g) for g in other.gens)
+        return all(gb.contains(g) for g in other.groebner_basis().polys)
 
     def __eq__(self, other):
         if not isinstance(other, Ideal):
@@ -120,29 +125,29 @@ class Ideal:
                      tuple(f * g for f in self.gens for g in other.gens))
 
     def bracket_power(self, q) -> "Ideal":
-        """I^[q], as level q of I's Frobenius chain (see the module
-        docstring); when I is itself level q0 of a chain, level q0·q of
-        that chain, and q = 1 gives I.  The guard caps the exponents of
-        the generators raised to the q-th power, taking a level's
-        generators to be its base's raised to the q0-th power."""
+        """I^[q]: the generators raised to the q-th power, with the GB taken
+        from level q of I's Frobenius chain (see the module docstring);
+        when I is itself level q0 of a chain, level q0·q of that chain.
+        q = 1 gives I.  The guard caps the exponents of the generators
+        raised to the q-th power."""
         q = as_q(self.ring, q)
-        chain, q0 = self._chain or (None, 1)
-        base = self if chain is None else chain.levels[1]
         guard = active_guard()
-        for g in base.gens:
-            if g.max_exponent() * q0 * q > guard.max_exponent:
+        for g in self.gens:
+            if g.max_exponent() * q > guard.max_exponent:
                 raise ResourceLimitError(
                     f"bracket power exponent exceeds cap ({guard.max_exponent})")
         if q == 1:
             return self
-        return (chain or self._base_chain()).level(q0 * q)
-
-    def _base_chain(self) -> "_Chain":
-        memo = _CHAINS.get()
-        if memo is None:
-            self._chain = (_Chain(self), 1)
-            return self._chain[0]
-        return memo.setdefault((self.ring, self.groebner_basis()), _Chain(self))
+        if self._chain is None:
+            gb = self.groebner_basis()
+            memo = _CHAINS.get()
+            chain = _Chain(gb) if memo is None else memo.setdefault(
+                (self.ring, gb), _Chain(gb))
+            self._chain = (chain, 1)
+        chain, q0 = self._chain
+        power = Ideal(self.ring, tuple(g.qth_power(q) for g in self.gens))
+        power._chain = (chain, q0 * q)
+        return power
 
     def colon(self, other) -> "Ideal":
         return ideal_colon(self, self._check(other))
@@ -168,7 +173,7 @@ class Ideal:
 
 
 # The session's chain memo: (ring, reduced DEGREVLEX GB of a base ideal) ->
-# its _Chain, and ring -> the relation GB.  None outside a session.
+# its _Chain.  None outside a session.
 _CHAINS = ContextVar("hkspread_chains", default=None)
 
 
@@ -183,47 +188,27 @@ def chain_memo():
 
 
 class _Chain:
-    """Levels {q: I^[q]} of one base ideal I, with the ring's relation GB."""
+    """Reduced DEGREVLEX GBs {q: GB(I^[q])} of one base ideal I."""
 
-    __slots__ = ("ring", "levels", "relations")
+    __slots__ = ("ring", "bases", "relations")
 
-    def __init__(self, base: Ideal):
+    def __init__(self, base: GroebnerBasis):
         self.ring = base.ring
-        self.levels = {1: base}
+        self.bases = {1: base}
         self.relations = None
 
-    def level(self, q: int) -> Ideal:
-        level = self.levels.get(q)
-        if level is not None:
-            return level
-        ring = self.ring
-        if not ring.relations:
-            gb = self.levels[1].groebner_basis()
-            level = Ideal(ring, tuple(g.qth_power(q) for g in gb.polys))
-            level._gb[DEGREVLEX] = GroebnerBasis(
-                ring, DEGREVLEX, level.gens, [m.scaled(q) for m in gb.leading])
-        else:
+    def basis(self, q: int) -> GroebnerBasis:
+        gb = self.bases.get(q)
+        if gb is None:
+            ring = self.ring
             p = ring.characteristic
-            prev = self.level(q // p).groebner_basis()
-            rel = self.relation_basis()
-            level = Ideal(ring, tuple(rel.reduce(g.qth_power(p))
-                                      for g in prev.polys))
-        level._chain = (self, q)
-        self.levels[q] = level
-        return level
-
-    def relation_basis(self) -> GroebnerBasis:
-        """The ring's relation GB, computed once per chain outside a
-        session and once per ring inside one."""
-        if self.relations is None:
-            memo = _CHAINS.get()
-            gb = None if memo is None else memo.get(self.ring)
-            if gb is None:
-                gb = Ideal(self.ring, ()).groebner_basis()
-                if memo is not None:
-                    memo[self.ring] = gb
-            self.relations = gb
-        return self.relations
+            prev = self.basis(q // p)
+            if self.relations is None:
+                self.relations = Ideal(ring, ()).groebner_basis()
+            gb = buchberger([self.relations.reduce(g.qth_power(p))
+                             for g in prev.polys], DEGREVLEX, ring=ring)
+            self.bases[q] = gb
+        return gb
 
 
 def maximal_ideal(ring: RingSpec) -> Ideal:

@@ -20,7 +20,6 @@ from hkspread import (
     min_gens,
     use_guard,
 )
-from hkspread import ideals
 
 from tests.test_poly import _random_poly
 
@@ -257,40 +256,41 @@ def _random_ideal(rng, ring):
 @pytest.mark.parametrize("ring", _CHAIN_RINGS, ids=_CHAIN_IDS)
 def test_chain_levels_match_direct_path(ring):
     """Reduced GBs of every level q <= p^3 on 10 seeded random ideals, built
-    upwards from q = 1, and straight to the top on a fresh copy."""
+    upwards from q = 1, and straight to the top on a fresh copy; each
+    bracket power keeps the direct generators."""
     rng = random.Random(ring.characteristic * 7 + ring.nvars)
     p = ring.characteristic
     for _ in range(10):
         I = _random_ideal(rng, ring)
         for e in range(4):
             q = p ** e
-            want = buchberger(_direct(I, q).gens, ring=ring)
-            assert I.bracket_power(q).groebner_basis() == want, (I, q)
+            direct = _direct(I, q)
+            want = buchberger(direct.gens, ring=ring)
+            power = I.bracket_power(q)
+            assert power.gens == direct.gens, (I, q)
+            assert power.groebner_basis() == want, (I, q)
         top = Ideal(ring, I.gens).bracket_power(p ** 3)
         assert top.groebner_basis() == want, I
-        # a level's bracket power is a later level of the same chain
-        assert I.bracket_power(p).bracket_power(p * p) is I.bracket_power(p ** 3)
+        # a level's bracket power reads a later level of the same chain
+        top = I.bracket_power(p).bracket_power(p * p)
+        assert top.gens == _direct(I, p ** 3).gens
+        assert top.groebner_basis() is I.bracket_power(p ** 3).groebner_basis()
 
 
 @pytest.mark.parametrize("ring", _CHAIN_RINGS[2:], ids=_CHAIN_IDS[2:])
-def test_relation_free_levels_are_seeded(ring, monkeypatch):
-    """GB(I^[q]) = GB(I)^[q]: each level's GB, leading terms included, is
-    Buchberger's, and asking for it runs no Buchberger."""
+def test_relation_free_levels_are_frobenius_images(ring):
+    """Without relations GB(I^[q]) = GB(I)^[q]: each level's GB, leading
+    terms included, is the base's raised to the q-th power."""
     rng = random.Random(ring.characteristic + 5)
     p = ring.characteristic
-    runs = []
-    monkeypatch.setattr(ideals, "buchberger",
-                        lambda *a, **k: runs.append(a) or buchberger(*a, **k))
     for _ in range(10):
         I = _random_ideal(rng, ring)
-        I.groebner_basis()
-        before = len(runs)
-        levels = [I.bracket_power(p ** e) for e in range(1, 4)]
-        seeded = [lv.groebner_basis() for lv in levels]
-        assert len(runs) == before
-        for lv, gb in zip(levels, seeded):
-            want = buchberger(lv.gens, ring=ring)
-            assert gb == want and gb.leading == want.leading, (I, lv)
+        gb = I.groebner_basis()
+        for e in range(1, 4):
+            q = p ** e
+            level = I.bracket_power(q).groebner_basis()
+            assert level.polys == tuple(g.qth_power(q) for g in gb.polys), I
+            assert level.leading == tuple(m.scaled(q) for m in gb.leading)
 
 
 @pytest.mark.parametrize("ring", _CHAIN_RINGS[:3], ids=_CHAIN_IDS[:3])
@@ -321,15 +321,74 @@ def test_driver_products_match_old_products(ring):
 
 
 def test_level_bracket_power_keeps_the_direct_exponent_cap():
-    """The cap is checked on the base's generators times q0·q, the bound the
-    direct path checked on (I^[q0])^[q]."""
+    """The cap is checked on the generators raised to the q-th power, and a
+    level's generators are its base's raised to the q0-th power, so
+    (J^[3])^[27] trips where J^[81] does."""
     R = RingSpec(3, ("x", "y", "z")).quotient("x^2 + y*z")
     J = R.ideal("x + y", "z")
-    with use_guard(GuardConfig(max_exponent=27)):
+    with use_guard(GuardConfig(max_exponent=80)):
         level = J.bracket_power(3)
-        # a GB element y^2 makes the level's own generators reach y^6
-        assert max(g.max_exponent() for g in level.gens) > 3
-        assert level.bracket_power(9) is J.bracket_power(27)
-        with pytest.raises(ResourceLimitError,
-                           match=r"bracket power exponent exceeds cap \(27\)"):
-            level.bracket_power(27)
+        assert max(g.max_exponent() for g in level.gens) == 3
+        assert level.bracket_power(9).gens == J.bracket_power(27).gens
+        for big in (level.bracket_power, lambda q: J.bracket_power(3 * q)):
+            with pytest.raises(ResourceLimitError,
+                               match=r"bracket power exponent exceeds cap \(80\)"):
+                big(27)
+
+
+def test_level_basis_past_the_cap_raises():
+    """GB(x^2, xy + z^2) in F_2[x,y,z] contains z^4, so GB(I^[q]) contains
+    z^(4q) while the generators stop at 2q: at a cap in [2q, 4q) the direct
+    path raised inside Buchberger, and so does every chain level."""
+    R = RingSpec(2, ("x", "y", "z"))
+    for q, cap in ((2, 4), (2, 7), (8, 16), (8, 31), (2 ** 15, 100_000)):
+        with use_guard(GuardConfig(max_exponent=cap)):
+            I = R.ideal("x^2", "x*y + z^2")
+            power = I.bracket_power(q)  # the generators pass the cap
+            for gb in (lambda: power.groebner_basis(),
+                       lambda: buchberger(_direct(I, q).gens, ring=R)):
+                with pytest.raises(ResourceLimitError,
+                                   match=rf"monomial exponent exceeds cap \({cap}\)"):
+                    gb()
+
+
+@pytest.mark.parametrize("ring", _CHAIN_RINGS, ids=_CHAIN_IDS)
+def test_chain_levels_keep_their_basis_under_the_cap(ring):
+    """No level's basis slips past the cap: with the cap one below the
+    largest exponent among the leading terms of GB(I^[q]), the chain
+    raises, as the direct path does (6 seeded random ideals, q <= p^2)."""
+    rng = random.Random(ring.characteristic * 13 + ring.nvars)
+    p = ring.characteristic
+    for _ in range(6):
+        I = _random_ideal(rng, ring)
+        for q in (p, p * p):
+            top = max(max(m) for m in
+                      buchberger(_direct(I, q).gens, ring=ring).leading)
+            with use_guard(GuardConfig(max_exponent=top - 1)):
+                for build in (lambda: Ideal(ring, I.gens).bracket_power(q),
+                              lambda: _direct(I, q)):
+                    with pytest.raises(ResourceLimitError):
+                        build().groebner_basis()
+
+
+def test_driver_products_trip_the_cap_where_old_products_did():
+    """(a·J^[q0])^[q] keeps the generators of a^[q]·J^[q·q0], so both fail
+    first at the same cap: here x·(x + y)^q0 gives (1 + q0)·q."""
+    R = RingSpec(3, ("x", "y", "z")).quotient("x^2 + y*z")
+    m = maximal_ideal(R)
+    for q0 in (1, 3):
+        for q in (1, 3, 9):
+            edge = (1 + q0) * q
+            for cap in (edge - 1, edge):
+                with use_guard(GuardConfig(max_exponent=cap)):
+                    J = R.ideal("x + y", "z")
+                    outcomes = []
+                    for build in (
+                            lambda: (m * J.bracket_power(q0)).bracket_power(q),
+                            lambda: _direct(m, q) * _direct(J, q * q0)):
+                        try:
+                            build().groebner_basis()
+                            outcomes.append(True)
+                        except ResourceLimitError:
+                            outcomes.append(False)
+                    assert outcomes == [cap == edge] * 2, (q0, q, cap)

@@ -272,26 +272,27 @@ _QUADRIC_SESSION = parse_script(
 
 
 def _record_new_levels(monkeypatch, on_new=None):
-    """Patch `_Chain.level` to list, per thread, every level it builds."""
+    """Patch `_Chain.basis` to list, per thread, every level GB it builds."""
     made = {}
-    level = ideals._Chain.level
+    basis = ideals._Chain.basis
 
     def recording(chain, q):
-        new = q not in chain.levels
-        result = level(chain, q)
+        new = q not in chain.bases
+        result = basis(chain, q)
         if new:
             made.setdefault(threading.get_ident(), []).append(result)
             if on_new is not None:
                 on_new()
         return result
 
-    monkeypatch.setattr(ideals._Chain, "level", recording)
+    monkeypatch.setattr(ideals._Chain, "basis", recording)
     return made
 
 
 def test_session_builds_each_level_of_m_once(monkeypatch):
     m = _QUADRIC_SESSION.ideals()["m"]
-    m_powers = [m.bracket_power(3), m.bracket_power(9)]
+    m_powers = [m.bracket_power(3).groebner_basis(),
+                m.bracket_power(9).groebner_basis()]
     made = _record_new_levels(monkeypatch)
     assert run_script(_QUADRIC_SESSION).ok
     (levels,) = made.values()

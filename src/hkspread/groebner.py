@@ -1,10 +1,10 @@
 """Buchberger's algorithm, reduced Groebner bases, normal forms, and the
 combinatorial consequences used everywhere else: membership, Krull
-dimension, standard-monomial counting (enumeration is kept as an oracle
-for tests) and Hilbert-series numerators of leading-term ideals.  The
-numerators count standard monomials by degree; they measure I itself,
-not only its leading-term ideal, when the GB's order is
-degree-compatible, as DEGREVLEX is.
+dimension and sparse Hilbert-series numerators of leading-term ideals
+(standard-monomial enumeration is kept as an oracle for tests).  The
+numerators count standard monomials by degree, so every length is read
+off them; they measure I itself, not only its leading-term ideal, when
+the GB's order is degree-compatible, as DEGREVLEX is.
 
 Quotient rings are handled by appending the ring's relations to every
 generator list (see `buchberger`), so all computation happens in the
@@ -343,14 +343,16 @@ def krull_dimension(I, order=None) -> int:
     return best
 
 
-def _staircase_bounds(I, order):
-    """Leading terms of I's GB and, per variable, the smallest pure power
-    among them; None for the unit ideal.  Raises InfiniteLengthError when a
-    variable has no pure power, i.e. the colength is infinite."""
+def standard_monomials(I, order=None):
+    """Iterator over monomials outside the leading-term ideal, one guard step
+    per point of the exponent box (per variable, the smallest pure power
+    among the leading terms).  Raises InfiniteLengthError when their count
+    is infinite.  Lengths read `hilbert_numerator` instead; this walk is
+    the oracle it is tested against."""
     G = _as_gb(I, order)
     lts = G.leading
     if any(m.degree() == 0 for m in lts):
-        return None
+        return iter(())
     bounds = []
     for i in range(G.ring.nvars):
         pure = [m[i] for m in lts
@@ -359,18 +361,6 @@ def _staircase_bounds(I, order):
             raise InfiniteLengthError(
                 f"no pure power of {G.ring.variables[i]} in the leading-term ideal")
         bounds.append(min(pure))
-    return lts, bounds
-
-
-def standard_monomials(I, order=None):
-    """Iterator over monomials outside the leading-term ideal, one guard step
-    per point of the exponent box.  Raises InfiniteLengthError when their
-    count is infinite.  Lengths use `count_standard_monomials`; this walk is
-    the oracle it is tested against."""
-    staircase = _staircase_bounds(I, order)
-    if staircase is None:
-        return iter(())
-    lts, bounds = staircase
     budget = _Budget(active_guard(), "standard-monomial enumeration")
     return _staircase(bounds, lts, budget)
 
@@ -383,61 +373,49 @@ def _staircase(bounds, lts, budget):
             yield mono
 
 
-def count_standard_monomials(I, order=None) -> int:
-    """The colength: the number of monomials outside the leading-term ideal,
-    counted without visiting them.  Raises InfiniteLengthError when it is
-    infinite."""
-    staircase = _staircase_bounds(I, order)
-    if staircase is None:
-        return 0
-    return _count_staircase(staircase[0])
-
-
-def _count_staircase(lts) -> int:
-    """Monomials outside the finite-colength monomial ideal spanned by the
-    exponent vectors `lts`.  Between consecutive last exponents lo < hi of
-    the generators, the slice at each height is the staircase of the
-    generators with last exponent <= lo, one variable fewer; the slice at
-    the largest last exponent is empty.  (Bayer-Stillman, JSC 14, 1992.)"""
-    if len(lts[0]) == 1:
-        return min(m[0] for m in lts)
-    cuts = sorted({m[-1] for m in lts})
-    total = 0
-    for lo, hi in zip(cuts, cuts[1:]):
-        total += (hi - lo) * _count_staircase(
-            list({m[:-1] for m in lts if m[-1] <= lo}))
-    return total
-
-
-def hilbert_numerator(I) -> list:
-    """Coefficients of K(t), where K(t)/(1−t)^n is the generating function
-    by degree of the standard monomials of I's DEGREVLEX GB (n variables).
-    The unit ideal gives [0] and no leading terms give [1]."""
+def hilbert_numerator(I) -> dict:
+    """K(t) as {degree: coefficient}, zero coefficients left out, where
+    K(t)/(1−t)^n is the generating function by degree of the standard
+    monomials of I's DEGREVLEX GB (n variables).  The unit ideal gives {}
+    and no leading terms give {0: 1}.  The dict has one entry per term, so
+    its size follows the leading terms, not their degrees."""
     return _numerator(_as_gb(I).leading)
 
 
-def _numerator(lts) -> list:
-    """K for the monomial ideal spanned by the exponent vectors `lts`,
-    sliced on the last variable as in `_count_staircase`:
+def _numerator(lts) -> dict:
+    """K for the monomial ideal spanned by the exponent vectors `lts`
+    (Bayer-Stillman, JSC 14, 1992).  Sliced on the last variable:
     K(L) = 1 + Σ_c t^c·(K(L_c) − K(L_prev)), with c over the distinct last
     exponents, L_c the generators with last exponent <= c (that variable
-    dropped) and L_prev the slice before (none at the first cut)."""
+    dropped) and L_prev the slice before (none at the first cut).
+
+    Closed forms end the recursion.  One variable: 1 − t^b, b the smallest
+    exponent.  Two variables: the corners (a_i, b_i) of the staircase, a
+    rising and b falling, give K = 1 − Σ t^(a_i+b_i) + Σ t^(a_(i+1)+b_i)."""
     if not lts:
-        return [1]
+        return {0: 1}
     if any(not any(m) for m in lts):
-        return [0]
-    if len(lts[0]) == 1:
-        return [1] + [0] * (min(m[0] for m in lts) - 1) + [-1]
-    total = [1]
-    prev = [1]
-    for c in sorted({m[-1] for m in lts}):
-        cur = _numerator(list({m[:-1] for m in lts if m[-1] <= c}))
-        total += [0] * (c + max(len(cur), len(prev)) - len(total))
-        for k, v in enumerate(cur):
-            total[c + k] += v
-        for k, v in enumerate(prev):
-            total[c + k] -= v
-        prev = cur
-    while len(total) > 1 and total[-1] == 0:
-        total.pop()
-    return total
+        return {}
+    n = len(lts[0])
+    if n == 1:
+        return {0: 1, min(m[0] for m in lts): -1}
+    K = {0: 1}
+    if n == 2:
+        corners = []
+        for a, b in sorted(lts):
+            if not corners or b < corners[-1][1]:
+                corners.append((a, b))
+        for a, b in corners:
+            K[a + b] = K.get(a + b, 0) - 1
+        for (_, b), (a, _) in zip(corners, corners[1:]):
+            K[a + b] = K.get(a + b, 0) + 1
+    else:
+        prev = {0: 1}
+        for c in sorted({m[-1] for m in lts}):
+            cur = _numerator(list({m[:-1] for m in lts if m[-1] <= c}))
+            for d, v in cur.items():
+                K[c + d] = K.get(c + d, 0) + v
+            for d, v in prev.items():
+                K[c + d] = K.get(c + d, 0) - v
+            prev = cur
+    return {d: v for d, v in K.items() if v}

@@ -1,18 +1,19 @@
-"""Colengths by counting standard monomials, subquotient lengths from the
-Hilbert-series numerators of two leading-term ideals (no colon is
-computed), Hilbert-Kunz functions, and multiplicity estimation with exact
-rational arithmetic.  Every length rests on DEGREVLEX GBs: the order is
-degree-compatible, which is what makes the numerators give lengths for
-inhomogeneous ideals too."""
+"""Lengths read off sparse Hilbert-series numerators: colengths λ(R/I)
+and subquotient lengths λ(M/N) by one formula (no colon is computed,
+no monomial is visited), Hilbert-Kunz functions, and multiplicity
+estimation with exact rational arithmetic.  Every length rests on
+DEGREVLEX GBs: the order is degree-compatible, which is what makes the
+numerators give lengths for inhomogeneous ideals too."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, zip_longest
+from math import comb
 
 from .errors import ContainmentError, InfiniteLengthError, PreconditionError
-from .groebner import count_standard_monomials, hilbert_numerator
+from .groebner import hilbert_numerator
 from .ideals import Ideal
 
 
@@ -48,12 +49,24 @@ class LengthValue:
 INFINITE = LengthValue(None)
 
 
-def length_quotient(I: Ideal, order=None) -> LengthValue:
-    """λ(R/I): the number of standard monomials, or the infinite value."""
-    try:
-        return LengthValue(count_standard_monomials(I, order))
-    except InfiniteLengthError:
+def _length(D: dict, n: int) -> LengthValue:
+    """Σ of the coefficients of D/(1−t)^n, D = {degree: coefficient}, or
+    INFINITE when D/(1−t)^n is not a polynomial.
+
+    Read off the Taylor coefficients of D at t = 1,
+    a_k = D^(k)(1)/k! = Σ_j c_j·C(j, k): (1−t)^n divides D iff a_k = 0 for
+    every k < n, and then D = (1−t)^n·H with H(1) = (−1)^n·a_n.  The cost
+    is O(terms · n), whatever the degrees."""
+    a = [sum(c * comb(j, k) for j, c in D.items()) for k in range(n + 1)]
+    if any(a[:n]):
         return INFINITE
+    return LengthValue((-1) ** n * a[n])
+
+
+def length_quotient(I: Ideal) -> LengthValue:
+    """λ(R/I): the number of standard monomials, K_I/(1−t)^n at t = 1, or
+    the infinite value."""
+    return _length(hilbert_numerator(I), I.ring.nvars)
 
 
 def length_subquotient(M: Ideal, N: Ideal) -> LengthValue:
@@ -64,18 +77,14 @@ def length_subquotient(M: Ideal, N: Ideal) -> LengthValue:
     homogeneous or not, the standard monomials of degree <= d are a basis
     of R_{<=d} / (I ∩ R_{<=d}), with generating function K_I/(1−t)^n.  The
     subquotients (M ∩ R_{<=d}) / (N ∩ R_{<=d}) increase to M/N, so λ(M/N)
-    is the sum of the coefficients of D = (K_N − K_M)/(1−t)^n: D(1) when D
+    is the sum of the coefficients of (K_N − K_M)/(1−t)^n: finite when it
     is a polynomial, infinite when it is not.
     """
     if not M.contains_ideal(N):
         raise ContainmentError("second ideal is not contained in the first")
-    diff = [a - b for a, b in zip_longest(hilbert_numerator(N),
-                                          hilbert_numerator(M), fillvalue=0)]
-    for _ in range(M.ring.nvars):
-        if sum(diff):
-            return INFINITE
-        diff = list(accumulate(diff))[:-1]  # the quotient by (1 − t)
-    return LengthValue(sum(diff))
+    diff = Counter(hilbert_numerator(N))
+    diff.subtract(hilbert_numerator(M))
+    return _length(diff, M.ring.nvars)
 
 
 @dataclass(frozen=True)
@@ -150,18 +159,6 @@ def _fit_leading(samples, d):
     return lead, second, residuals
 
 
-_METHOD_ALIASES = {
-    "auto": "auto",
-    "exact": "exact",
-    "monomial-exact": "exact",
-    "regular-exact": "exact",
-    "last": "last-sample",
-    "last-sample": "last-sample",
-    "fit": "linear-fit",
-    "linear-fit": "linear-fit",
-}
-
-
 def ehk_estimate(a: Ideal, e_max: int = 3, method: str = "auto") -> HKEstimate:
     """Hilbert-Kunz multiplicity of a finite-colength ideal.
 
@@ -169,23 +166,23 @@ def ehk_estimate(a: Ideal, e_max: int = 3, method: str = "auto") -> HKEstimate:
     e_HK = λ(R/a) (staircases dilate exactly), and in fact any
     finite-colength ideal of a relation-free ring does (the Frobenius is
     flat, so λ(R/a^[q]) = q^d λ(R/a)).  Rings with relations are sampled
-    along e = 0..e_max and extrapolated.
+    along e = 0..e_max and extrapolated.  `method` is auto, exact, fit or
+    last; the estimate names the rule it used (monomial-exact,
+    regular-exact, linear-fit or last-sample).
     """
-    try:
-        mode = _METHOD_ALIASES[method]
-    except KeyError:
+    if method not in ("auto", "exact", "fit", "last"):
         raise PreconditionError(f"unknown estimation method {method!r}")
     ring = a.ring
     relation_free = not ring.relations
     monomial = relation_free and all(g.is_monomial() for g in a.gens)
 
-    if mode == "exact" and not relation_free:
+    if method == "exact" and not relation_free:
         raise PreconditionError(
             "exact method requires a relation-free ring; use fit or last")
-    if mode == "auto":
-        mode = "exact" if relation_free else "linear-fit"
+    if method == "auto":
+        method = "exact" if relation_free else "fit"
 
-    if mode == "exact":
+    if method == "exact":
         lam = length_quotient(a)
         if not lam.is_finite:
             raise InfiniteLengthError("multiplicity needs finite colength")
@@ -195,11 +192,11 @@ def ehk_estimate(a: Ideal, e_max: int = 3, method: str = "auto") -> HKEstimate:
                           samples=(sample,),
                           error_bound=Fraction(0))
 
-    if mode == "linear-fit" and e_max < 1:
+    if method == "fit" and e_max < 1:
         raise PreconditionError("fit methods need e_max >= 1")
     samples = tuple(hk_function(a, e_max))
     trend = _ratio_trend(samples)
-    if mode == "last-sample":
+    if method == "last":
         bound = None
         if len(samples) >= 2:
             bound = abs(samples[-1].normalized - samples[-2].normalized)

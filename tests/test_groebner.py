@@ -10,6 +10,7 @@ import pytest
 from hkspread import (
     DEGLEX,
     DEGREVLEX,
+    INFINITE,
     LEX,
     GuardConfig,
     Ideal,
@@ -18,7 +19,6 @@ from hkspread import (
     ResourceLimitError,
     RingSpec,
     buchberger,
-    count_standard_monomials,
     hilbert_numerator,
     is_member,
     krull_dimension,
@@ -30,6 +30,7 @@ from hkspread import (
 )
 from hkspread import groebner
 from hkspread.groebner import _Budget, _reduce_full, _reducer, _s_terms, active_guard
+from hkspread.lengths import _length
 from hkspread.orders import AuxBlockOrder
 from hkspread.poly import Polynomial
 from tests.test_poly import _random_poly
@@ -149,7 +150,7 @@ def test_standard_monomials_exact_set():
     assert sm == {Monomial((a, b)) for a in range(2) for b in range(3)}
     assert set(standard_monomials(R.ideal("x", "y"))) == {Monomial((0, 0))}
     assert list(standard_monomials(R.ideal(1))) == []
-    assert count_standard_monomials(R.ideal(1)) == 0
+    assert length_quotient(R.ideal(1)) == 0
 
 
 def test_standard_monomials_binomial_count():
@@ -161,8 +162,7 @@ def test_standard_monomials_infinite():
     R = RingSpec(2, ("x", "y"))
     with pytest.raises(InfiniteLengthError):
         standard_monomials(R.ideal("x"))
-    with pytest.raises(InfiniteLengthError):
-        count_standard_monomials(R.ideal("x"))
+    assert not length_quotient(R.ideal("x")).is_finite
 
 
 @pytest.mark.parametrize("order", ORDERS)
@@ -188,21 +188,22 @@ def test_count_matches_enumeration_on_random_staircases():
         exps += [tuple(rng.randrange(4) for _ in range(n))
                  for _ in range(rng.randrange(5))]
         I = Ideal(R, tuple(R.monomial(e) for e in exps))
-        assert count_standard_monomials(I) == _enumerated(I)
+        assert length_quotient(I) == _enumerated(I)
 
 
 @pytest.mark.parametrize("p, relation", [(3, "x^2 + y*z"),
                                          (2, "x^3 + y^3 + z^3")])
 def test_count_matches_enumeration_in_quotient_rings(p, relation):
+    """A colength does not depend on the order that enumerates it."""
     rng = random.Random(p * 31)
     Q = RingSpec(p, ("x", "y", "z")).quotient(relation)
-    for trial in range(25):
+    for _ in range(25):
         gens = [Q.poly(f"{v}^{rng.randrange(1, 6)}") for v in Q.variables]
         gens += [_random_poly(rng, Q, nterms=3, max_exp=3)
                  for _ in range(rng.randrange(3))]
         I = Ideal(Q, tuple(gens))
-        order = ORDERS[trial % len(ORDERS)]
-        assert count_standard_monomials(I, order) == _enumerated(I, order)
+        for order in ORDERS:
+            assert length_quotient(I) == _enumerated(I, order)
 
 
 def test_enumeration_is_guarded_and_counting_is_not():
@@ -275,7 +276,7 @@ def _degree_counts(I):
 
 def _series(numerator, n, length):
     """The first `length` coefficients of numerator/(1 − t)^n."""
-    coeffs = numerator + [0] * (length - len(numerator))
+    coeffs = [numerator.get(k, 0) for k in range(length)]
     for _ in range(n):
         for k in range(1, length):
             coeffs[k] += coeffs[k - 1]
@@ -305,10 +306,116 @@ def test_hilbert_numerator_matches_enumeration(p, relation):
 
 def test_hilbert_numerator_unit_and_zero_ideals():
     R = RingSpec(2, ("x", "y"))
-    assert hilbert_numerator(R.ideal(1)) == [0]
-    assert hilbert_numerator(Ideal(R, ())) == [1]
-    assert hilbert_numerator(R.ideal("x^2", "y^3")) == [1, 0, -1, -1, 0, 1]
-    assert hilbert_numerator(R.ideal("x")) == [1, -1]
+    assert hilbert_numerator(R.ideal(1)) == {}
+    assert hilbert_numerator(Ideal(R, ())) == {0: 1}
+    assert hilbert_numerator(R.ideal("x^2", "y^3")) == {0: 1, 2: -1, 3: -1, 5: 1}
+    assert hilbert_numerator(R.ideal("x")) == {0: 1, 1: -1}
+
+
+# -- the sparse numerator and the length formula against the oracles they
+# replaced ------------------------------------------------------------------
+#
+# `_dense_numerator` is the numerator as a coefficient list (index = degree)
+# and `_count_staircase` the recursive colength count, both from before every
+# length was read off the sparse numerator by `lengths._length`.
+
+
+def _dense_numerator(lts):
+    if not lts:
+        return [1]
+    if any(not any(m) for m in lts):
+        return [0]
+    if len(lts[0]) == 1:
+        return [1] + [0] * (min(m[0] for m in lts) - 1) + [-1]
+    total = [1]
+    prev = [1]
+    for c in sorted({m[-1] for m in lts}):
+        cur = _dense_numerator(list({m[:-1] for m in lts if m[-1] <= c}))
+        total += [0] * (c + max(len(cur), len(prev)) - len(total))
+        for k, v in enumerate(cur):
+            total[c + k] += v
+        for k, v in enumerate(prev):
+            total[c + k] -= v
+        prev = cur
+    while len(total) > 1 and total[-1] == 0:
+        total.pop()
+    return total
+
+
+def _count_staircase(lts):
+    """Monomials outside a finite-colength monomial ideal: between
+    consecutive last exponents lo < hi, each slice is the staircase of the
+    generators with last exponent <= lo, one variable fewer."""
+    if len(lts[0]) == 1:
+        return min(m[0] for m in lts)
+    cuts = sorted({m[-1] for m in lts})
+    total = 0
+    for lo, hi in zip(cuts, cuts[1:]):
+        total += (hi - lo) * _count_staircase(
+            list({m[:-1] for m in lts if m[-1] <= lo}))
+    return total
+
+
+def _finite_colength(lts, n):
+    """Every variable has a pure power (the unit counts for all of them)."""
+    return all(any(all(e == 0 for k, e in enumerate(m) if k != i) for m in lts)
+               for i in range(n))
+
+
+def _random_exponent_sets(seed, trials):
+    """(n, exponent vectors) in 1-4 variables: pure powers of most
+    variables, random mixed terms, repeats and multiples of earlier terms
+    (non-minimal generators), now and then the unit or no term at all."""
+    rng = random.Random(seed)
+    for trial in range(trials):
+        n = trial % 4 + 1
+        lts = [tuple(rng.randrange(1, 7) if k == i else 0 for k in range(n))
+               for i in range(n) if rng.random() < 0.85]
+        lts += [tuple(rng.randrange(5) for _ in range(n))
+                for _ in range(rng.randrange(6))]
+        lts += [tuple(e + rng.randrange(2) for e in m)
+                for m in rng.sample(lts, min(len(lts), 2))]
+        if rng.random() < 0.05:
+            lts.append((0,) * n)
+        if rng.random() < 0.05:
+            lts = []
+        rng.shuffle(lts)
+        yield n, lts
+
+
+def test_sparse_numerator_matches_dense_oracle():
+    kinds = set()
+    for n, lts in _random_exponent_sets(7, 800):
+        dense = _dense_numerator(lts)
+        assert groebner._numerator(lts) == {
+            d: c for d, c in enumerate(dense) if c}
+        kinds.add("empty" if not lts else "unit" if dense == [0]
+                  else "repeat" if len(set(lts)) < len(lts) else n)
+    assert kinds == {1, 2, 3, 4, "empty", "unit", "repeat"}
+
+
+def test_length_formula_matches_staircase_count():
+    finite = infinite = 0
+    for n, lts in _random_exponent_sets(11, 800):
+        lam = _length(groebner._numerator(lts), n)
+        if lts and _finite_colength(lts, n):
+            assert lam == _count_staircase(lts)
+            finite += 1
+        else:
+            assert lam == INFINITE
+            infinite += 1
+    assert finite > 500 and infinite > 100
+
+
+def test_length_matches_staircase_count_on_bracket_powers_of_the_quadric():
+    """GB(m^[3^e]) up to e = 12, far past what enumeration can visit."""
+    Q = RingSpec(3, ("x", "y", "z")).quotient("x^2 + y*z")
+    m = Q.ideal("x", "y", "z")
+    with use_guard(GuardConfig(max_exponent=10**7)):
+        for e in range(13):
+            mq = m.bracket_power(3 ** e)
+            assert length_quotient(mq) == _count_staircase(
+                mq.groebner_basis().leading)
 
 
 # -- the heap-driven kernel against the normal form it replaced --------------

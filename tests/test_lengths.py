@@ -17,6 +17,7 @@ from hkspread import (
     PreconditionError,
     RingSpec,
     ehk_estimate,
+    hilbert_numerator,
     hk_function,
     ideal_colon,
     length_quotient,
@@ -268,6 +269,19 @@ def test_large_q_hk_tables_within_a_small_step_budget():
         9 * 4 ** e // 4 for e in range(2, 14)]
 
 
+def test_numerator_of_bracket_powers_stays_sparse():
+    """K of m^[3^e] in the quadric has degree above q but the same number
+    of terms from e = 2 to e = 12, so no length costs O(q)."""
+    m = maximal_ideal(_a1())
+    sizes = set()
+    with use_guard(GuardConfig(max_exponent=10 ** 7)):
+        for e in range(2, 13):
+            K = hilbert_numerator(m.bracket_power(3 ** e))
+            assert max(K) > 3 ** e
+            sizes.add(len(K))
+    assert sizes == {6}
+
+
 def test_hk_function_rejects_infinite():
     R = _r2()
     with pytest.raises(InfiniteLengthError):
@@ -311,6 +325,9 @@ def test_ehk_method_validation():
         ehk_estimate(m, method="exact")
     with pytest.raises(PreconditionError):
         ehk_estimate(m, method="bogus")
+    # the reported method names are not inputs
+    with pytest.raises(PreconditionError, match="unknown estimation method"):
+        ehk_estimate(m, method="linear-fit")
     with pytest.raises(PreconditionError):
         ehk_estimate(m, e_max=0, method="fit")
     # last-sample with e_max=0 degenerates to the single sample, no bound

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from hkspread import (
+    GuardConfig,
     Ideal,
     PreconditionError,
     RingSpec,
@@ -18,6 +19,7 @@ from hkspread import (
     star_independence_diagnostic,
     star_spread_estimate,
     star_spread_hk_difference,
+    use_guard,
 )
 
 
@@ -47,6 +49,18 @@ def test_spread_regular_ratios_are_the_generator_count(gens, mu):
     assert rep.q0_schedule == (0,)
     assert [c.ratio for c in rep.cells] == [Fraction(mu)] * 4
     assert [c.q for c in rep.cells] == [1, 2, 4, 8]
+
+
+def test_spread_on_the_quadric_at_large_q():
+    """Cells λ(J^[q]/m^[q]J^[q]) = 3q² − 1 for J = (x+y, z) up to q = 3^12;
+    each length costs O(numerator terms), not O(q)."""
+    Q = _a1()
+    with use_guard(GuardConfig(max_exponent=10 ** 7)):
+        rep = star_spread_estimate(Q.ideal("x + y", "z"), maximal_ideal(Q),
+                                   e_max=12)
+    assert rep.estimate == 2
+    assert [c.q for c in rep.cells] == [3 ** e for e in range(13)]
+    assert [c.length for c in rep.cells] == [3 * c.q ** 2 - 1 for c in rep.cells]
 
 
 def test_spread_three_variables():

@@ -16,8 +16,14 @@ step costs O(log T) rather than a scan of all T terms.  Buchberger keeps
 every basis element monic beside its leading monomial and its reducer
 entry (lead, tail), builds S-polynomials from the two tails and reads a
 new element's lead off the first term of its remainder, so no lead is
-recomputed.  The guard is spent once per reduction step, so a step
-budget counts reductions, not terms or heap operations.
+recomputed.  Pairs are pruned by the Gebauer-Moeller update once, when an
+element joins the basis, and elements whose tails no later lead can
+reduce are skipped by the interreduction (see `buchberger_raw`).
+
+The guard is spent once per reduction step, so a step budget counts
+reductions, not terms, pairs or heap operations: the reductions of the
+S-polynomials of the pairs that survive the criteria, then those of the
+interreduction.
 """
 
 from __future__ import annotations
@@ -125,13 +131,16 @@ def _reducer(f: Polynomial, lm: Monomial):
 class GroebnerBasis:
     """Reduced basis: monic, interreduced, canonical for (ideal, order)."""
 
-    __slots__ = ("ring", "order", "polys", "leading")
+    __slots__ = ("ring", "order", "polys", "leading", "_reducers")
 
     def __init__(self, ring, order, polys, leading):
         self.ring = ring
         self.order = order
         self.polys = tuple(polys)
         self.leading = tuple(leading)
+        # built by the first `reduce`; two threads may both build it, to
+        # equal lists
+        self._reducers = None
 
     def __iter__(self):
         return iter(self.polys)
@@ -150,9 +159,11 @@ class GroebnerBasis:
             raise RingMismatchError("polynomial from a different ring")
         if not self.polys:
             return f
-        reducers = [_reducer(g, lm) for g, lm in zip(self.polys, self.leading)]
+        if self._reducers is None:
+            self._reducers = [_reducer(g, lm)
+                              for g, lm in zip(self.polys, self.leading)]
         return Polynomial(self.ring, _reduce_full(
-            dict(f.terms), reducers, self.order, self.ring.field.p,
+            dict(f.terms), self._reducers, self.order, self.ring.field.p,
             _Budget(active_guard())))
 
     def contains(self, f: Polynomial) -> bool:
@@ -185,24 +196,34 @@ def _s_terms(ri, rj, lcm: Monomial, p: int) -> dict:
     return terms
 
 
-def _interreduce(basis, lead, reducers, order, p, budget):
+def _interreduce(basis, lead, reducers, order, p, budget, fresh):
     """Reduced basis from a monic GB with its leads and reducers: sort by
     lead, keep the elements whose lead no kept smaller (or equal, earlier)
-    lead divides, then reduce each against the others.  Leads survive the reduction, so the result stays sorted
-    by lead; returns (polys, leads)."""
+    lead divides, then reduce each against the kept elements with smaller
+    leads, the only ones that can divide a term below its own lead.
+
+    Elements from index `fresh` on were appended by the run, each a full
+    normal form modulo every element before it, so only a kept lead
+    appended later can divide one of their tail terms; a generator's tail
+    is tested against every smaller kept lead.  The normal form is computed
+    only when such a lead divides a tail term.  An element skipped would
+    take no reduction step, so the steps are those of reducing them all.
+
+    Leads survive the reduction, so the result stays sorted by lead;
+    returns (polys, leads)."""
     keys = [order.key(lm) for lm in lead]
     minimal = []
     for i in sorted(range(len(basis)), key=keys.__getitem__):
         if not any(lead[j].divides(lead[i]) for j in minimal):
             minimal.append(i)
-    kept = [reducers[i] for i in minimal]
     polys = []
     for idx, i in enumerate(minimal):
-        others = kept[:idx] + kept[idx + 1:]
         f = basis[i]
-        if others:
-            f = Polynomial(f.ring, _reduce_full(dict(f.terms), others,
-                                                order, p, budget))
+        smaller = minimal[:idx]
+        divisors = [lead[j] for j in smaller if j > i or i < fresh]
+        if any(d.divides(m) for m, _ in reducers[i][1] for d in divisors):
+            f = Polynomial(f.ring, _reduce_full(
+                dict(f.terms), [reducers[j] for j in smaller], order, p, budget))
         polys.append(f)
     return polys, [lead[i] for i in minimal]
 
@@ -212,7 +233,24 @@ def buchberger_raw(gens, order=None, *, ring=None, guard=None) -> GroebnerBasis:
 
     Every basis element is kept monic, beside its lead and its reducer
     entry, so no lead is recomputed; a new element's lead is the first term
-    of its remainder."""
+    of its remainder.
+
+    Pairs go through the Gebauer-Moeller update (Gebauer-Moeller, JSC 6,
+    1988) once, when an element h joins the basis (the generators join one
+    by one first):
+    - a queued pair (i, j) is dropped when lm(h) divides its lcm and that
+      lcm differs from lcm(i, h) and from lcm(j, h) (criterion B);
+    - of the new pairs (i, h), with i over the active elements, those whose
+      lcm has a proper divisor among the new lcms are dropped (criterion
+      M); of several with the same lcm only the one with the smallest i
+      stays, and none if one of them is coprime (criterion F); coprime
+      pairs are dropped (product criterion);
+    - an element whose lead lm(h) divides leaves the active set.
+    Pairs are reduced smallest lcm first (`order.key`, then (i, j)), each
+    S-polynomial against every element in the order they joined.
+
+    The step budget counts the reduction steps of the pairs that survive
+    these criteria, plus those of the final interreduction."""
     order = order or DEGREVLEX
     gens = list(gens)
     if ring is None:
@@ -229,11 +267,37 @@ def buchberger_raw(gens, order=None, *, ring=None, guard=None) -> GroebnerBasis:
     basis = []
     lead = []
     reducers = []
+    active = []
+    heap = []   # (key(lcm), i, j, lcm) of the queued pairs, i < j
 
     def append(f, lm):
+        t = len(basis)
         basis.append(f)
         lead.append(lm)
         reducers.append(_reducer(f, lm))
+        # criterion B on the queued pairs; the pairs it drops leave the heap
+        lcms = [lm.lcm(m) for m in lead]
+        kept = [e for e in heap if not (
+            lm.divides(e[3]) and lcms[e[1]] != e[3] and lcms[e[2]] != e[3])]
+        if len(kept) != len(heap):
+            heap[:] = kept
+            heapq.heapify(heap)
+        # criteria M and F and the product criterion on the new pairs, by
+        # degree of the lcm (a proper divisor has a smaller degree), the
+        # coprime pairs of a degree first: each pair need only be tested
+        # against the lcms kept before it
+        new = sorted((lcms[i].degree(), not lead[i].is_coprime(lm), i)
+                     for i in active)
+        minimal = []
+        for _, useful, i in new:
+            lcm = lcms[i]
+            if any(m.divides(lcm) for m in minimal):
+                continue
+            minimal.append(lcm)
+            if useful:
+                heapq.heappush(heap, (order.key(lcm), i, t, lcm))
+        active[:] = [i for i in active if not lm.divides(lead[i])]
+        active.append(t)
 
     for g in gens:
         if g.is_zero():
@@ -242,39 +306,10 @@ def buchberger_raw(gens, order=None, *, ring=None, guard=None) -> GroebnerBasis:
         lm = g.leading_monomial(order)
         lc = g.terms[lm]
         append(g if lc == 1 else g.scale(field.inv(lc)), lm)
-
-    heap = []
-    done = set()
-
-    def push_pair(i, j):
-        if lead[i].is_coprime(lead[j]):
-            done.add((i, j))
-            return
-        lcm = lead[i].lcm(lead[j])
-        heapq.heappush(heap, (order.key(lcm), i, j))
-
-    for j in range(len(basis)):
-        for i in range(j):
-            push_pair(i, j)
+    fresh = len(basis)
 
     while heap:
-        _, i, j = heapq.heappop(heap)
-        if (i, j) in done:
-            continue
-        lcm = lead[i].lcm(lead[j])
-        done.add((i, j))
-        chained = False
-        for k in range(len(basis)):
-            if k == i or k == j:
-                continue
-            if lead[k].divides(lcm):
-                ik = (i, k) if i < k else (k, i)
-                jk = (j, k) if j < k else (k, j)
-                if ik in done and jk in done:
-                    chained = True
-                    break
-        if chained:
-            continue
+        _, i, j, lcm = heapq.heappop(heap)
         nf = _reduce_full(_s_terms(reducers[i], reducers[j], lcm, p),
                           reducers, order, p, budget)
         if not nf:
@@ -285,15 +320,13 @@ def buchberger_raw(gens, order=None, *, ring=None, guard=None) -> GroebnerBasis:
         budget.check_poly(f)
         if lc != 1:
             f = f.scale(field.inv(lc))
-        t = len(basis)
-        if t + 1 > budget.guard.max_basis:
+        if len(basis) + 1 > budget.guard.max_basis:
             raise ResourceLimitError(
                 f"basis size budget exceeded ({budget.guard.max_basis})")
         append(f, lm)
-        for i2 in range(t):
-            push_pair(i2, t)
 
-    polys, leading = _interreduce(basis, lead, reducers, order, p, budget)
+    polys, leading = _interreduce(basis, lead, reducers, order, p, budget,
+                                  fresh)
     return GroebnerBasis(ring, order, polys, leading)
 
 

@@ -9,7 +9,7 @@ with no relations models a polynomial ring.
 from __future__ import annotations
 
 import keyword
-from operator import add, le, sub
+from operator import add, le, mul, sub
 
 from .errors import (
     AlgebraError,
@@ -95,7 +95,7 @@ class Monomial(tuple):
         return Monomial(q * a for a in self)
 
     def is_coprime(self, other: "Monomial") -> bool:
-        return all(a == 0 or b == 0 for a, b in zip(self, other))
+        return not any(map(mul, self, other))
 
 
 def _valid_var_name(name: str) -> bool:

@@ -424,8 +424,10 @@ def test_length_matches_staircase_count_on_bracket_powers_of_the_quadric():
 # S-polynomial from before the heap kernel: the largest term is found by
 # re-keying every term at every step, and S-polynomials are built with two
 # multiplications and a subtraction.  `_seed_buchberger` is the Buchberger
-# loop around them.  The kernel must spend the same guard steps on the same
-# reductions, so the step counts are compared as well as the results.
+# loop around them, with the chain criterion from before the
+# Gebauer-Moeller update; the reduced bases must equal its bases.
+# `_gm_buchberger` is the textbook Gebauer-Moeller loop on plain lists around
+# the same kernel: the guard must count the same steps as it does.
 
 KERNEL_ORDERS = [DEGREVLEX, LEX, DEGLEX, AuxBlockOrder(DEGREVLEX)]
 
@@ -507,6 +509,12 @@ def _seed_buchberger(gens, order, budget):
         lead.append(nf.leading_monomial(order))
         for i2 in range(len(basis) - 1):
             push_pair(i2, len(basis) - 1)
+    return _seed_interreduce(basis, order, budget)
+
+
+def _seed_interreduce(basis, order, budget):
+    """Term keys of the reduced basis: the minimal elements by lead, each
+    reduced against all the others."""
     items = sorted(basis, key=lambda f: order.key(f.leading_monomial(order)))
     minimal = []
     for f in items:
@@ -520,6 +528,52 @@ def _seed_buchberger(gens, order, budget):
         reduced.append(_seed_reduce_full(f, others, order, budget)
                        if others else f)
     return [f.terms_key() for f in reduced]
+
+
+def _gm_update(G, B, h, lead):
+    """Gebauer-Moeller UPDATE (procedure UPDATE in Becker-Weispfenning,
+    Groebner Bases, 1993) on indices: G the active elements, B the pairs (i, j) with i < j, h the new
+    element.  C is popped from its end, so of the new pairs with one lcm
+    the pair with the oldest element stays."""
+    def lcm(i, j):
+        return lead[i].lcm(lead[j])
+
+    C = [(g, h) for g in G]
+    D = []
+    while C:
+        g1, _ = C.pop()
+        if lead[g1].is_coprime(lead[h]) or not any(
+                lcm(g2, h).divides(lcm(g1, h)) for g2, _ in C + D):
+            D.append((g1, h))
+    E = [(g, h) for g, _ in D if not lead[g].is_coprime(lead[h])]
+    B = [(i, j) for i, j in B
+         if not lead[h].divides(lcm(i, j))
+         or lcm(i, h) == lcm(i, j) or lcm(j, h) == lcm(i, j)]
+    return [g for g in G if not lead[h].divides(lead[g])] + [h], B + E
+
+
+def _gm_buchberger(gens, order, budget):
+    """Reduced GB (as term keys) by the textbook Gebauer-Moeller loop: the
+    generators enter one by one through UPDATE, the pair with the smallest
+    (lcm, i, j) is reduced next against every element in the order they
+    came, and each nonzero remainder enters through UPDATE."""
+    basis = [g.monic(order) for g in gens if not g.is_zero()]
+    lead = [f.leading_monomial(order) for f in basis]
+    G, B = [], []
+    for h in range(len(basis)):
+        G, B = _gm_update(G, B, h, lead)
+    while B:
+        i, j = min(B, key=lambda ij: (order.key(lead[ij[0]].lcm(lead[ij[1]])),
+                                      ij))
+        B.remove((i, j))
+        nf = _seed_reduce_full(_seed_s_polynomial(basis[i], basis[j], order),
+                               _seed_prep(basis, order), order, budget)
+        if nf.is_zero():
+            continue
+        basis.append(nf.monic(order))
+        lead.append(nf.leading_monomial(order))
+        G, B = _gm_update(G, B, len(basis) - 1, lead)
+    return _seed_interreduce(basis, order, budget)
 
 
 def _nonzero_poly(rng, R, nterms, max_exp):
@@ -584,17 +638,90 @@ def test_buchberger_matches_seed_basis_and_steps(order, p, monkeypatch):
     for _ in range(12):
         gens = [_nonzero_poly(rng, R, rng.randrange(2, 5), 2)
                 for _ in range(rng.randrange(2, 5))]
-        seed_budget = _Budget(GuardConfig())
-        expected = _seed_buchberger(gens, order, seed_budget)
+        expected = _seed_buchberger(gens, order, _Budget(GuardConfig()))
+        gm_budget = _Budget(GuardConfig())
+        assert _gm_buchberger(gens, order, gm_budget) == expected
         steps.clear()
         with monkeypatch.context() as patch:
             patch.setattr(groebner._Budget, "spend", counting)
             gb = groebner.buchberger_raw(gens, order, ring=R)
         assert [f.terms_key() for f in gb.polys] == expected
-        assert sum(steps) == seed_budget.steps
+        assert sum(steps) == gm_budget.steps
         assert list(gb.leading) == [f.leading_monomial(order) for f in gb.polys]
-        total += seed_budget.steps
+        total += gm_budget.steps
     assert total >= 10  # the random ideals did make Buchberger work
+
+
+def _interreduce_all(basis, lead, reducers, order, p, budget):
+    """`_interreduce` without the skip: every kept element is reduced
+    against all the other kept ones."""
+    minimal = []
+    for i in sorted(range(len(basis)), key=lambda i: order.key(lead[i])):
+        if not any(lead[j].divides(lead[i]) for j in minimal):
+            minimal.append(i)
+    polys = []
+    for i in minimal:
+        others = [reducers[j] for j in minimal if j != i]
+        polys.append(Polynomial(basis[i].ring, _reduce_full(
+            dict(basis[i].terms), others, order, p, budget)))
+    return polys, [lead[i] for i in minimal]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("order", KERNEL_ORDERS, ids=_kernel_case_id)
+def test_gebauer_moeller_kernel_on_larger_ideals(order, p, monkeypatch):
+    """2 to 6 binomials and trinomials in 4 variables, 16 ideals whose
+    textbook run takes at most 250 steps: the reduced basis and its leads
+    equal the seed loop's, the steps the textbook loop's, and the
+    interreduction that skips elements with no reducible tail term returns
+    what reducing every element returns, in as many steps."""
+    interreduce = groebner._interreduce
+    reduce_full = groebner._reduce_full
+    seen = {"normal_forms": 0, "skipped": 0, "reduced": 0, "steps": 0}
+
+    def checked(basis, lead, reducers, order, p, budget, fresh):
+        before = budget.steps
+        seen["normal_forms"] = 0
+        polys, leads = interreduce(basis, lead, reducers, order, p, budget,
+                                   fresh)
+        reference = _Budget(GuardConfig())
+        ref_polys, ref_leads = _interreduce_all(basis, lead, reducers, order,
+                                                p, reference)
+        assert polys == ref_polys and leads == ref_leads
+        assert budget.steps - before == reference.steps
+        seen["reduced"] += seen["normal_forms"]
+        seen["skipped"] += len(polys) - seen["normal_forms"]
+        seen["steps"] = budget.steps
+        return polys, leads
+
+    def counted(*args):
+        seen["normal_forms"] += 1
+        return reduce_full(*args)
+
+    rng = random.Random(5000 * p + KERNEL_ORDERS.index(order))
+    R = RingSpec(p, ("t", "x", "y", "z"))
+    total = cases = 0
+    while cases < 16:
+        gens = [_nonzero_poly(rng, R, rng.randrange(2, 4), 2)
+                for _ in range(rng.randrange(2, 7))]
+        gm_budget = _Budget(GuardConfig(max_steps=250))
+        try:  # the oracles re-key every term at every step: keep them small
+            gm = _gm_buchberger(gens, order, gm_budget)
+        except ResourceLimitError:
+            continue
+        cases += 1
+        expected = _seed_buchberger(gens, order, _Budget(GuardConfig()))
+        assert gm == expected
+        with monkeypatch.context() as patch:
+            patch.setattr(groebner, "_interreduce", checked)
+            patch.setattr(groebner, "_reduce_full", counted)
+            gb = groebner.buchberger_raw(gens, order, ring=R)
+        assert [f.terms_key() for f in gb.polys] == expected
+        assert list(gb.leading) == [f.leading_monomial(order) for f in gb.polys]
+        assert seen["steps"] == gm_budget.steps
+        total += gm_budget.steps
+    assert total >= 30  # the random ideals did make Buchberger work
+    assert seen["skipped"] and seen["reduced"]
 
 
 @pytest.mark.parametrize("order", KERNEL_ORDERS, ids=_kernel_case_id)
@@ -615,10 +742,14 @@ def test_reverse_key_orders_monomials_opposite_to_key(order):
 
 def test_gb_step_budget_is_pinned():
     """What --max-gb-steps N means: the basis below takes exactly 60 steps
-    (Buchberger's reductions plus interreduction)."""
+    (the reductions of the pairs that survive the Gebauer-Moeller criteria,
+    plus interreduction), as in the textbook loop."""
     R = RingSpec(2, ("x", "y", "z")).quotient("x^3 + y^3 + z^3")
     x, y, z = R.gens()
     gens = [x**16 + y**16, z**16]
+    budget = _Budget(GuardConfig())
+    _gm_buchberger(gens + list(R.relations), DEGREVLEX, budget)
+    assert budget.steps == 60
     assert len(buchberger(gens, ring=R, guard=GuardConfig(max_steps=60))) == 10
     with pytest.raises(ResourceLimitError,
                        match=r"^reduction step budget exceeded \(59\)$"):

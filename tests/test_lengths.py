@@ -255,6 +255,14 @@ def test_fermat_cubic_hk_table():
         9 * 4 ** e // 4 for e in range(2, 9)]
 
 
+def test_fermat_quartic_hk_table():
+    """The case Buchberger bounds: F_5[x,y,z]/(x^4 + y^4 + z^4) under the
+    default guard, λ(R/m^[q]) = 76q²/25 from q = 25 on."""
+    quartic = RingSpec(5, ("x", "y", "z")).quotient("x^4 + y^4 + z^4")
+    samples = hk_function(maximal_ideal(quartic), 4)
+    assert [s.colength for s in samples] == [1, 75, 1900, 47500, 1187500]
+
+
 def test_large_q_hk_tables_within_a_small_step_budget():
     """Frobenius chains keep every reduction small at q = p^13: the direct
     path spent 1,195,723 steps in one Buchberger run on m^[3^13] in the

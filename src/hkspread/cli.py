@@ -1,8 +1,9 @@
 """Command-line entry point: parse a session script, run it, print a report.
 
 Exit codes: 0 all commands succeeded and every identity check passed,
-1 a command failed or an identity check did not pass, 2 parse error or a
-bad option (a budget flag or environment variable below 1, say).
+1 a command failed or an identity check did not pass, 2 an unreadable
+script file, a parse error or a bad option (a budget flag or environment
+variable below 1, say).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .errors import ScriptError
-from .groebner import GuardConfig
+from .groebner import DEFAULT_GUARD
 from .orders import MonomialOrder
 from .runner import RunConfig, error_document, report_csv, report_json, run_script
 from .script import parse_script
@@ -71,21 +72,25 @@ def main(argv=None) -> int:
     max_steps = args.max_gb_steps
     if max_steps is None:
         max_steps = _env_budget(parser, "HKSPREAD_MAX_GB_STEPS",
-                                GuardConfig.max_steps)
+                                DEFAULT_GUARD.max_steps)
     max_exponent = args.max_exponent
     if max_exponent is None:
         max_exponent = _env_budget(parser, "HKSPREAD_MAX_EXPONENT",
-                                   GuardConfig.max_exponent)
+                                   DEFAULT_GUARD.max_exponent)
 
-    if args.script == "-":
-        text = sys.stdin.read()
-    else:
-        path = Path(args.script)
-        if not path.exists():
-            print(f"hkspread: no such script file: {args.script}",
-                  file=sys.stderr)
-            return 2
-        text = path.read_text(encoding="utf-8")
+    try:
+        if args.script == "-":
+            text = sys.stdin.read()
+        else:
+            text = Path(args.script).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        print(f"hkspread: no such script file: {args.script}", file=sys.stderr)
+        return 2
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        print(f"hkspread: cannot read script file: {args.script}: {reason}",
+              file=sys.stderr)
+        return 2
 
     try:
         script = parse_script(text)

@@ -31,16 +31,15 @@ from __future__ import annotations
 import heapq
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from .errors import AlgebraError, InfiniteLengthError, ResourceLimitError, RingMismatchError
 from .orders import DEGREVLEX
 from .poly import Monomial, Polynomial
 
 
-@dataclass(frozen=True)
-class GuardConfig:
+class GuardConfig(NamedTuple):
     """Resource budget: exceeding it raises, never returns a wrong answer."""
 
     max_steps: int = 500_000
@@ -48,9 +47,13 @@ class GuardConfig:
     max_exponent: int = 100_000
 
 
+# The budget in force when no guard is set; its fields are the defaults
+# that the runner and the command line fall back to.
+DEFAULT_GUARD = GuardConfig()
+
 # Per thread and per asyncio task: a guard set in one context is not seen
 # by code running in another.
-_GUARD = ContextVar("hkspread_guard", default=GuardConfig())
+_GUARD = ContextVar("hkspread_guard", default=DEFAULT_GUARD)
 
 
 def active_guard() -> GuardConfig:

@@ -8,17 +8,16 @@ numerators give lengths for inhomogeneous ideals too."""
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from typing import NamedTuple
 
 from .errors import ContainmentError, InfiniteLengthError, PreconditionError
 from .groebner import hilbert_numerator
 from .ideals import Ideal
 
 
-@dataclass(frozen=True, eq=False)
-class LengthValue:
+class LengthValue(NamedTuple):
     """A module length: a nonnegative integer or the typed infinite value."""
 
     value: int | None
@@ -33,6 +32,10 @@ class LengthValue:
         if isinstance(other, int):
             return self.value == other
         return NotImplemented
+
+    def __ne__(self, other):  # tuple's own __ne__ would ignore __eq__
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
 
     def __hash__(self):
         return hash(("LengthValue", self.value))
@@ -87,16 +90,14 @@ def length_subquotient(M: Ideal, N: Ideal) -> LengthValue:
     return _length(diff, M.ring.nvars)
 
 
-@dataclass(frozen=True)
-class HKSample:
+class HKSample(NamedTuple):
     e: int
     q: int
     colength: int
     normalized: Fraction
 
 
-@dataclass(frozen=True)
-class HKEstimate:
+class HKEstimate(NamedTuple):
     value: Fraction
     method: str
     samples: tuple

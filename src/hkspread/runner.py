@@ -11,12 +11,12 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import __version__
 from .errors import AlgebraError
-from .groebner import GuardConfig, use_guard
+from .groebner import DEFAULT_GUARD, GuardConfig, use_guard
 from .ideals import chain_memo, ideal_colon
 from .lengths import ehk_estimate, length_quotient
 from .orders import order_by_name
@@ -53,32 +53,40 @@ SCHEMA_VERSION = 1
 DEFAULT_E_MAX = 3
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     order: str = "degrevlex"
-    max_gb_steps: int = GuardConfig.max_steps
-    max_exponent: int = GuardConfig.max_exponent
+    max_gb_steps: int = DEFAULT_GUARD.max_steps
+    max_exponent: int = DEFAULT_GUARD.max_exponent
     format: str = "json"
 
 
-@dataclass
 class CommandResult:
-    command: str
-    kind: str
-    status: str
-    data: dict | None = None
-    error: dict | None = None
+    """One command's echo, report kind and status, with its data or error."""
+
+    def __init__(self, command: str, kind: str, status: str,
+                 data: dict | None = None, error: dict | None = None):
+        self.command = command
+        self.kind = kind
+        self.status = status
+        self.data = data
+        self.error = error
 
 
-@dataclass
 class Report:
-    config: RunConfig
-    ring: object
-    bindings: tuple
-    results: list = field(default_factory=list)
-    ok: bool = True
-    total_seconds: float = 0.0
-    per_command_seconds: list = field(default_factory=list)
+    """A session's results, filled in by `run_script` as commands run."""
+
+    def __init__(self, config: RunConfig, ring, bindings: tuple,
+                 results: list | None = None, ok: bool = True,
+                 total_seconds: float = 0.0,
+                 per_command_seconds: list | None = None):
+        self.config = config
+        self.ring = ring
+        self.bindings = bindings
+        self.results = [] if results is None else results
+        self.ok = ok
+        self.total_seconds = total_seconds
+        self.per_command_seconds = (
+            [] if per_command_seconds is None else per_command_seconds)
 
 
 def _frac(x: Fraction | None):

@@ -21,11 +21,15 @@ Grammar (statements separated by ';' or newline, '#' comments):
 
 Polynomials are infix with '^' and '*'; implicit multiplication is not
 allowed.  q and q0 take power-of-p values (not exponents).
+
+Each command parses to a NamedTuple listed in COMMANDS: its `_fields` are
+the leading ideal names and then the options, and an option is required
+when it is not in `_field_defaults`.  Commands and scripts equal only
+records of their own class.
 """
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, fields
 from typing import NamedTuple
 
 from .errors import HomogeneityError, NotPrimeError, ScriptError
@@ -89,47 +93,40 @@ def tokenize(text: str):
 # -- command AST --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GbCommand:
+class GbCommand(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True)
-class LengthCommand:
+class LengthCommand(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True)
-class ColonCommand:
+class ColonCommand(NamedTuple):
     left: str
     right: str
 
 
-@dataclass(frozen=True)
-class EhkCommand:
+class EhkCommand(NamedTuple):
     name: str
     e_max: int | None = None
     method: str | None = None
 
 
-@dataclass(frozen=True)
-class SpreadCommand:
+class SpreadCommand(NamedTuple):
     name: str
     a: str | None = None
     q0: int | None = None
     e_max: int | None = None
 
 
-@dataclass(frozen=True)
-class SpreadHkCommand:
+class SpreadHkCommand(NamedTuple):
     name: str
     a: str | None = None
     q0: int | None = None
     e_max: int | None = None
 
 
-@dataclass(frozen=True)
-class IdentityProductCommand:
+class IdentityProductCommand(NamedTuple):
     left: str
     right: str
     ell: int
@@ -137,16 +134,14 @@ class IdentityProductCommand:
     e_max: int | None = None
 
 
-@dataclass(frozen=True)
-class IdentitySelfCommand:
+class IdentitySelfCommand(NamedTuple):
     name: str
     q: tuple
     q0: int | None = None
     e_max: int | None = None
 
 
-@dataclass(frozen=True)
-class IdentityLemma33Command:
+class IdentityLemma33Command(NamedTuple):
     name: str
     z: Polynomial
     a: str | None = None
@@ -154,31 +149,28 @@ class IdentityLemma33Command:
     e_max: int | None = None
 
 
-@dataclass(frozen=True)
-class IdentityBasechangeCommand:
+class IdentityBasechangeCommand(NamedTuple):
     name: str
     s: int
     q: tuple
     e_max: int | None = None
 
 
-@dataclass(frozen=True)
-class IdentityCorollaryCommand:
+class IdentityCorollaryCommand(NamedTuple):
     name: str
     q0: int | None = None
     e_max: int | None = None
 
 
-@dataclass(frozen=True)
-class IndependentCommand:
+class IndependentCommand(NamedTuple):
     name: str
     q0: int | None = None
     e_max: int | None = None
 
 
 # verb -> (command class, number of leading ideal names).  The class's
-# fields after the ideal names are the command's options, in the order the
-# printer writes them; a field without a default is a required option.
+# _fields after the ideal names are the command's options, in the order the
+# printer writes them; a field not in _field_defaults is a required option.
 COMMANDS = {
     "gb": (GbCommand, 1),
     "length": (LengthCommand, 1),
@@ -208,8 +200,7 @@ _GROUPS = {verb.split()[0] for verb in COMMANDS if " " in verb}
 _METHODS = ("fit", "last", "exact")
 
 
-@dataclass(frozen=True)
-class SessionScript:
+class SessionScript(NamedTuple):
     ring: RingSpec
     bindings: tuple  # ((name, (Polynomial, ...)), ...) in declaration order
     commands: tuple
@@ -218,6 +209,20 @@ class SessionScript:
         from .ideals import Ideal
         return {name: Ideal(self.ring, tuple(g for g in gens if not g.is_zero()))
                 for name, gens in self.bindings}
+
+
+def _same_class_eq(self, other):
+    return type(self) is type(other) and tuple.__eq__(self, other)
+
+
+def _same_class_ne(self, other):
+    return not _same_class_eq(self, other)
+
+
+# A NamedTuple equals every tuple with equal items; a command or script
+# equals only one of its own class, so `gb J` and `length J` differ.
+for _cls in (*VERBS, SessionScript):
+    _cls.__eq__, _cls.__ne__ = _same_class_eq, _same_class_ne
 
 
 # -- parser -------------------------------------------------------------------
@@ -485,16 +490,16 @@ def parse_script(text: str) -> SessionScript:
                 if verb not in COMMANDS:
                     p.fail(f"unknown {word} kind {verb_tok.value!r}", verb_tok)
             cls, n_names = COMMANDS[verb]
-            options = fields(cls)[n_names:]
+            options = cls._fields[n_names:]
             names = []
             for _ in range(n_names):
                 if p.looks_like_option():
                     p.fail("expected ideal name")
                 names.append(require_bound(p.expect_ident("ideal name")))
-            opts = p.parse_options(ring, [f.name for f in options], bound)
-            for f in options:
-                if f.default is MISSING and f.name not in opts:
-                    p.fail(f"missing required option {f.name!r}", verb_tok)
+            opts = p.parse_options(ring, options, bound)
+            for key in options:
+                if key not in cls._field_defaults and key not in opts:
+                    p.fail(f"missing required option {key!r}", verb_tok)
             p.end_statement()
             commands.append(cls(*names, **opts))
         p.skip_separators()
@@ -520,9 +525,8 @@ def parse_polynomial(text: str, ring: RingSpec) -> Polynomial:
 def format_command(cmd) -> str:
     verb = VERBS[type(cmd)]
     n_names = COMMANDS[verb][1]
-    values = [(f.name, getattr(cmd, f.name)) for f in fields(cmd)]
-    parts = [verb] + [value for _, value in values[:n_names]]
-    for key, value in values[n_names:]:
+    parts = [verb, *cmd[:n_names]]
+    for key, value in zip(cmd._fields[n_names:], cmd[n_names:]):
         if value is not None:
             if _OPTION_TYPES[key] == "qlist":
                 value = ",".join(str(q) for q in value)

@@ -15,8 +15,8 @@ carries that caveat.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import PreconditionError
 from .ideals import Ideal, ideal_colon, maximal_ideal
@@ -34,8 +34,7 @@ def _nearest_int(r: Fraction) -> int:
     return int((r + Fraction(1, 2)).__floor__())
 
 
-@dataclass(frozen=True)
-class SpreadCell:
+class SpreadCell(NamedTuple):
     q0: int
     e: int
     q: int
@@ -43,8 +42,7 @@ class SpreadCell:
     ratio: Fraction
 
 
-@dataclass(frozen=True)
-class SpreadReport:
+class SpreadReport(NamedTuple):
     method: str
     J: Ideal
     a: Ideal
@@ -59,8 +57,7 @@ class SpreadReport:
     components: tuple = ()
 
 
-@dataclass(frozen=True)
-class IdentityRow:
+class IdentityRow(NamedTuple):
     label: str
     lhs: Fraction
     rhs: Fraction
@@ -68,8 +65,7 @@ class IdentityRow:
     passed: bool
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     name: str
     exact: bool
     tolerance: Fraction | None
@@ -78,8 +74,7 @@ class IdentityReport:
     notes: tuple = ()
 
 
-@dataclass(frozen=True)
-class ColonRow:
+class ColonRow(NamedTuple):
     e: int
     q: int
     unit_colon: bool
@@ -87,16 +82,14 @@ class ColonRow:
     contained: bool
 
 
-@dataclass(frozen=True)
-class ColonCriterionReport:
+class ColonCriterionReport(NamedTuple):
     candidate: Polynomial
     rows: tuple
     verdict: str
     caveat: str = CAVEAT
 
 
-@dataclass(frozen=True)
-class IndependenceReport:
+class IndependenceReport(NamedTuple):
     generators: tuple
     reports: tuple
     verdict: str

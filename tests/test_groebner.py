@@ -236,6 +236,15 @@ def test_resource_guard_trips():
     R.ideal("x^2").bracket_power(49)
 
 
+def test_guard_defaults_and_immutability():
+    assert (GuardConfig().max_steps, GuardConfig().max_basis,
+            GuardConfig().max_exponent) == (500_000, 1_000, 100_000)
+    guard = GuardConfig(max_steps=5)
+    with pytest.raises(AttributeError):
+        guard.max_steps = 6
+    assert guard.max_steps == 5
+
+
 def test_guard_set_in_one_thread_is_not_seen_in_another():
     inside = threading.Event()
     release = threading.Event()

@@ -46,8 +46,17 @@ def test_length_value_semantics():
     assert inf == INFINITE
     assert not inf.is_finite
     assert inf != 6
+    assert not lam != 6 and lam != 7
     with pytest.raises(InfiniteLengthError):
         int(inf)
+
+
+def test_estimates_refuse_assignment():
+    est = ehk_estimate(_r2().ideal("x", "y"), e_max=1)
+    with pytest.raises(AttributeError):
+        est.value = Fraction(2)
+    with pytest.raises(AttributeError):
+        est.samples[0].colength = 0
 
 
 def test_length_quotient_examples():

@@ -1,6 +1,9 @@
 """Report builder, JSON/CSV serialization, and the command-line entry point."""
 
 import json
+import os
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -236,6 +239,58 @@ def test_cli_exit_codes(scripts, capsys):
     assert err_doc["error"]["message"] == "characteristic must be prime"
     assert main(["run", str(scripts["missing"])]) == 2
     assert "no such script file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["directory", "not_utf8", "no_permission"])
+def test_cli_unreadable_script_exits_2(tmp_path, capsys, monkeypatch, kind):
+    path = tmp_path / "script.hks"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not_utf8":
+        path.write_bytes(b"char 2\nvars x\xff\n")
+    else:
+        path.write_text("char 2\nvars x\n")
+
+        def refuse(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+        monkeypatch.setattr(Path, "read_text", refuse)
+    assert main(["run", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"hkspread: cannot read script file: {path}")
+    assert captured.err.count("\n") == 1
+
+
+def test_cli_fallback_budgets_are_the_guard_defaults(scripts, capsys,
+                                                     monkeypatch):
+    monkeypatch.delenv("HKSPREAD_MAX_GB_STEPS", raising=False)
+    monkeypatch.delenv("HKSPREAD_MAX_EXPONENT", raising=False)
+    assert main(["run", str(scripts["ok"])]) == 0
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert (config["max_gb_steps"], config["max_exponent"]) == (500_000, 100_000)
+    assert (RunConfig().max_gb_steps, RunConfig().max_exponent) == (500_000, 100_000)
+
+
+def test_records_keep_their_semantics():
+    config = RunConfig(order="lex")
+    with pytest.raises(AttributeError):
+        config.order = "deglex"
+    first = Report(config=config, ring=None, bindings=())
+    second = Report(config=config, ring=None, bindings=())
+    first.results.append("result")
+    first.per_command_seconds.append(0.5)
+    assert second.results == [] and second.per_command_seconds == []
+
+
+def test_importing_the_cli_skips_dataclasses_and_inspect():
+    # a fresh interpreter: this test process has imported both already
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import sys, hkspread.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_cli_reads_stdin(scripts, capsys, monkeypatch):

@@ -13,6 +13,7 @@ from hkspread.script import (
     EhkCommand,
     GbCommand,
     IdentityProductCommand,
+    LengthCommand,
     SpreadCommand,
     format_command,
 )
@@ -120,6 +121,28 @@ def test_parse_polynomial_api():
         parse_polynomial("x + ", R)
     with pytest.raises(ScriptError):
         parse_polynomial("x y", R)  # implicit multiplication rejected
+
+
+def test_commands_equal_only_their_own_class():
+    assert GbCommand("J") == GbCommand("J")
+    assert GbCommand("J") != LengthCommand("J")
+    assert not GbCommand("J") == LengthCommand("J")
+    assert GbCommand("J") != ("J",)
+    assert hash(GbCommand("J")) == hash(GbCommand("J"))
+    head = "char 2; vars x y; ideal J = x, y; "
+    gb, length = parse_script(head + "gb J"), parse_script(head + "length J")
+    assert gb != length and not gb == length
+    assert gb == parse_script(head + "gb J")
+    assert gb != (gb.ring, gb.bindings, gb.commands)
+
+
+def test_commands_refuse_assignment():
+    cmd = EhkCommand("J", e_max=2)
+    with pytest.raises(AttributeError):
+        cmd.e_max = 3
+    with pytest.raises(AttributeError):
+        cmd.name = "m"
+    assert cmd == EhkCommand("J", 2, None)
 
 
 def test_format_command_canonical():

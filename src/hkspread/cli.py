@@ -60,7 +60,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="reduction-step budget per basis computation "
                           "(env HKSPREAD_MAX_GB_STEPS)")
     run.add_argument("--max-exponent", type=_budget, default=None, metavar="N",
-                     help="largest exponent allowed in any Frobenius power "
+                     help="largest exponent allowed in any Frobenius power, "
+                          "Buchberger input or new basis element "
                           "(env HKSPREAD_MAX_EXPONENT)")
     return parser
 

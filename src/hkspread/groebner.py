@@ -10,20 +10,18 @@ Quotient rings are handled by appending the ring's relations to every
 generator list (see `buchberger`), so all computation happens in the
 ambient polynomial ring.
 
-The normal form (`_reduce_full`) pops terms largest first from a heap
-keyed by the order's `reverse_key`, so each term is keyed once and each
-step costs O(log T) rather than a scan of all T terms.  Buchberger keeps
-every basis element monic beside its leading monomial and its reducer
-entry (lead, tail), builds S-polynomials from the two tails and reads a
-new element's lead off the first term of its remainder, so no lead is
-recomputed.  Pairs are pruned by the Gebauer-Moeller update once, when an
-element joins the basis, and elements whose tails no later lead can
-reduce are skipped by the interreduction (see `buchberger_raw`).
+Buchberger, normal forms, S-polynomials and the interreduction run on
+packed monomials (`orders.Packing`; Bachmann-Schoenemann, ISSAC 1998):
+each exponent vector is one int, W bits per variable under guard bits,
+with minus the order's rank on top, all linear in the exponents.  A
+product is one addition, a larger monomial a smaller int, divisibility
+one subtraction tested on the guard bits.  A product that would reach a
+guard bit raises `Overflow`; the run is redone twice as wide.
 
 The guard is spent once per reduction step, so a step budget counts
 reductions, not terms, pairs or heap operations: the reductions of the
 S-polynomials of the pairs that survive the criteria, then those of the
-interreduction.
+interreduction.  The packing does not change which steps are taken.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ from itertools import product
 from typing import NamedTuple
 
 from .errors import AlgebraError, InfiniteLengthError, ResourceLimitError, RingMismatchError
-from .orders import DEGREVLEX
+from .orders import DEGREVLEX, Overflow, packing_for
 from .poly import Monomial, Polynomial
 
 
@@ -83,67 +81,76 @@ class _Budget:
             raise ResourceLimitError(
                 f"{self.layer} step budget exceeded ({self.guard.max_steps})")
 
-    def check_poly(self, f: Polynomial):
-        if f.max_exponent() > self.guard.max_exponent:
+    def check_exponent(self, e: int):
+        if e > self.guard.max_exponent:
             raise ResourceLimitError(
                 f"monomial exponent exceeds cap ({self.guard.max_exponent})")
 
 
-def _reduce_full(terms: dict, reducers, order, p: int, budget: _Budget) -> dict:
-    """Full normal form of the term map `terms` (consumed; zero
-    coefficients allowed) against monic reducers [(lm, tail), ...], where
-    tail lists the (monomial, coefficient) terms below lm.  Terms are
-    popped largest first from a heap on `order.reverse_key`, each keyed once
-    when it first appears; a reduction step cancels the popped lead exactly,
-    so only the reducer's tail is added.  The first reducer in list order
-    whose lead divides is used, one guard step each.  The remainder comes
-    back largest term first."""
-    rkey = order.reverse_key
-    heap = [(rkey(m), m) for m in terms]
+def _widened(order, n, e, run, width=0):
+    """run(packing) with headroom for exponents up to e, at least `width`
+    wide; on overflow, run again twice as wide, with a fresh step budget."""
+    width = max(width, (2 * n * e).bit_length() + 1)
+    while True:
+        try:
+            return run(packing_for(order, n, width))
+        except Overflow:
+            width *= 2
+
+
+def _reduce_full(terms: dict, reducers, packing, p: int, spend,
+                 quotient=None) -> dict:
+    """Full normal form of the packed term map `terms` (consumed; zero
+    coefficients allowed) against reducer entries, largest term first: a
+    step cancels that term with the first reducer in list order whose lead
+    divides it, calling `spend` once, and adds the reducer's tail.
+    `quotient`, if given, collects each step's (multiplier, coefficient).
+    Returns the remainder, largest term first."""
+    g = packing.guard
+    heap = list(terms)
     heapq.heapify(heap)
-    pop, push = heapq.heappop, heapq.heappush
+    pop, push, get = heapq.heappop, heapq.heappush, terms.get
     remainder = {}
     while heap:
-        lm = pop(heap)[1]
+        lm = pop(heap)
         c = terms.pop(lm)
         if not c:
             continue
-        for glm, tail in reducers:
-            if glm.divides(lm):
-                budget.spend()
-                u = lm.quotient(glm)
-                for m2, c2 in tail:
-                    m = m2.mul(u)
-                    old = terms.get(m)
+        t = lm | g
+        for glm, top, tail in reducers:
+            if (t - glm) & g == g:
+                spend()
+                u = lm - glm
+                if (top + u) & g:
+                    raise Overflow
+                if quotient is not None:
+                    quotient.append((u, c))
+                c = p - c
+                for m, c2 in tail:
+                    m += u
+                    old = get(m)
                     if old is None:
-                        terms[m] = -c * c2 % p
-                        push(heap, (rkey(m), m))
+                        terms[m] = c * c2 % p
+                        push(heap, m)
                     else:
-                        terms[m] = (old - c * c2) % p
+                        terms[m] = (old + c * c2) % p
                 break
         else:
             remainder[lm] = c
     return remainder
 
 
-def _reducer(f: Polynomial, lm: Monomial):
-    """The (lead, tail) pair `_reduce_full` takes for a monic f."""
-    return lm, [(m, c) for m, c in f.terms.items() if m != lm]
-
-
 class GroebnerBasis:
     """Reduced basis: monic, interreduced, canonical for (ideal, order)."""
 
-    __slots__ = ("ring", "order", "polys", "leading", "_reducers")
+    __slots__ = ("ring", "order", "polys", "leading", "_packed")
 
-    def __init__(self, ring, order, polys, leading):
+    def __init__(self, ring, order, polys, leading, packed):
         self.ring = ring
         self.order = order
         self.polys = tuple(polys)
         self.leading = tuple(leading)
-        # built by the first `reduce`; two threads may both build it, to
-        # equal lists
-        self._reducers = None
+        self._packed = packed   # (packing, reducer entries), see `reduce`
 
     def __iter__(self):
         return iter(self.polys)
@@ -162,12 +169,19 @@ class GroebnerBasis:
             raise RingMismatchError("polynomial from a different ring")
         if not self.polys:
             return f
-        if self._reducers is None:
-            self._reducers = [_reducer(g, lm)
-                              for g, lm in zip(self.polys, self.leading)]
-        return Polynomial(self.ring, _reduce_full(
-            dict(f.terms), self._reducers, self.order, self.ring.field.p,
-            _Budget(active_guard())))
+
+        def run(packing):
+            packed = self._packed
+            if packed[0] is not packing:   # two threads may both rebuild it
+                packed = self._packed = (packing, [
+                    packing.reducer(packing.terms(g), packing.pack(lm))
+                    for g, lm in zip(self.polys, self.leading)])
+            return packing.polynomial(self.ring, _reduce_full(
+                packing.terms(f), packed[1], packing, self.ring.field.p,
+                _Budget(active_guard()).spend).items())
+
+        return _widened(self.order, self.ring.nvars, f.max_exponent(), run,
+                        self._packed[0].width)
 
     def contains(self, f: Polynomial) -> bool:
         return self.reduce(f).is_zero()
@@ -186,162 +200,167 @@ class GroebnerBasis:
         return "GroebnerBasis{" + ", ".join(str(f) for f in self.polys) + "}"
 
 
-def _s_terms(ri, rj, lcm: Monomial, p: int) -> dict:
-    """Terms of S(f, g) = (lcm/lm_f)·f − (lcm/lm_g)·g for monic f and g given
-    as reducers (lead, tail); the leads cancel, so only the tails enter.
-    Zero coefficients may be left in (`_reduce_full` skips them)."""
-    u = lcm.quotient(ri[0])
-    terms = {m.mul(u): c for m, c in ri[1]}
-    u = lcm.quotient(rj[0])
-    for m, c in rj[1]:
-        m = m.mul(u)
+def exact_quotient(h: Polynomial, g: Polynomial) -> Polynomial:
+    """h/g in the ambient polynomial ring, in one pass: the steps of h's
+    normal form against g alone are the quotient's terms.  Unmetered, as
+    exact division always was; AlgebraError when g does not divide h."""
+    ring, e = h.ring, max(h.max_exponent(), g.max_exponent())
+    inv = ring.field.inv(g.terms[g.leading_monomial(DEGREVLEX)])
+
+    def run(packing):
+        monic, quotient = packing.terms(g.scale(inv)), []
+        if _reduce_full(packing.terms(h), [packing.reducer(monic, min(monic))],
+                        packing, ring.field.p, lambda: None, quotient):
+            raise AlgebraError("exact division failed")
+        return packing.polynomial(ring, [(u, c * inv) for u, c in quotient])
+
+    return _widened(DEGREVLEX, ring.nvars, e, run)
+
+
+def _s_terms(ri, rj, lcm: int, packing, p: int) -> dict:
+    """Terms of S(f, g) = (lcm/lm_f)·f − (lcm/lm_g)·g for monic reducer
+    entries: the leads cancel, so only the tails enter (zero coefficients
+    may be left in; `_reduce_full` skips them)."""
+    g, u, v = packing.guard, lcm - ri[0], lcm - rj[0]
+    if (ri[1] + u) & g or (rj[1] + v) & g:
+        raise Overflow
+    terms = {m + u: c for m, c in ri[2]}
+    for m, c in rj[2]:
+        m += v
         terms[m] = (terms.get(m, 0) - c) % p
     return terms
 
 
-def _interreduce(basis, lead, reducers, order, p, budget, fresh):
-    """Reduced basis from a monic GB with its leads and reducers: sort by
-    lead, keep the elements whose lead no kept smaller (or equal, earlier)
+def _interreduce(reducers, packing, p, spend, fresh):
+    """Reducer entries of the reduced basis, sorted by lead, from a monic
+    GB's: keep the elements whose lead no kept smaller (or equal, earlier)
     lead divides, then reduce each against the kept elements with smaller
     leads, the only ones that can divide a term below its own lead.
-
     Elements from index `fresh` on were appended by the run, each a full
     normal form modulo every element before it, so only a kept lead
     appended later can divide one of their tail terms; a generator's tail
-    is tested against every smaller kept lead.  The normal form is computed
-    only when such a lead divides a tail term.  An element skipped would
-    take no reduction step, so the steps are those of reducing them all.
-
-    Leads survive the reduction, so the result stays sorted by lead;
-    returns (polys, leads)."""
-    keys = [order.key(lm) for lm in lead]
+    is tested against every smaller kept lead.  Only an element with a
+    tail term so divisible is reduced; the others would take no step."""
+    g, lead = packing.guard, [r[0] for r in reducers]
     minimal = []
-    for i in sorted(range(len(basis)), key=keys.__getitem__):
-        if not any(lead[j].divides(lead[i]) for j in minimal):
+    for i in sorted(range(len(lead)), key=lead.__getitem__, reverse=True):
+        if not any(((lead[i] | g) - lead[j]) & g == g for j in minimal):
             minimal.append(i)
-    polys = []
+    kept = []
     for idx, i in enumerate(minimal):
-        f = basis[i]
+        lm, _, tail = entry = reducers[i]
         smaller = minimal[:idx]
         divisors = [lead[j] for j in smaller if j > i or i < fresh]
-        if any(d.divides(m) for m, _ in reducers[i][1] for d in divisors):
-            f = Polynomial(f.ring, _reduce_full(
-                dict(f.terms), [reducers[j] for j in smaller], order, p, budget))
-        polys.append(f)
-    return polys, [lead[i] for i in minimal]
+        if any(((m | g) - d) & g == g for m, _ in tail for d in divisors):
+            entry = packing.reducer(_reduce_full(
+                dict([(lm, 1)] + tail), [reducers[j] for j in smaller],
+                packing, p, spend), lm)
+        kept.append(entry)
+    return kept
 
 
 def buchberger_raw(gens, order=None, *, ring=None, guard=None) -> GroebnerBasis:
     """Reduced GB of exactly the given generators (relations NOT appended).
 
-    Every basis element is kept monic, beside its lead and its reducer
-    entry, so no lead is recomputed; a new element's lead is the first term
-    of its remainder.
-
-    Pairs go through the Gebauer-Moeller update (Gebauer-Moeller, JSC 6,
-    1988) once, when an element h joins the basis (the generators join one
-    by one first):
+    Every basis element is kept monic as a packed reducer entry; the
+    exponent cap is checked on every generator and every new element.
+    Pairs go through the Gebauer-Moeller update (JSC 6, 1988) once, when an
+    element h joins the basis (the generators join one by one first):
     - a queued pair (i, j) is dropped when lm(h) divides its lcm and that
       lcm differs from lcm(i, h) and from lcm(j, h) (criterion B);
-    - of the new pairs (i, h), with i over the active elements, those whose
-      lcm has a proper divisor among the new lcms are dropped (criterion
-      M); of several with the same lcm only the one with the smallest i
-      stays, and none if one of them is coprime (criterion F); coprime
-      pairs are dropped (product criterion);
+    - of the new pairs (i, h), i over the active elements, those whose lcm
+      has a proper divisor among the new lcms are dropped (criterion M);
+      of equal lcms only the smallest i stays, none if one is coprime
+      (criterion F); coprime pairs are dropped (product criterion);
     - an element whose lead lm(h) divides leaves the active set.
-    Pairs are reduced smallest lcm first (`order.key`, then (i, j)), each
-    S-polynomial against every element in the order they joined.
-
-    The step budget counts the reduction steps of the pairs that survive
-    these criteria, plus those of the final interreduction."""
+    Pairs are reduced smallest lcm first (then by (i, j)), each against
+    every element in the order they joined.  The step budget counts the
+    reduction steps of the surviving pairs and of the interreduction."""
     order = order or DEGREVLEX
     gens = list(gens)
-    if ring is None:
-        if not gens:
-            raise AlgebraError("cannot infer the ring from an empty generator list")
-        ring = gens[0].ring
+    ring = ring or _ring_of(gens)
     for g in gens:
         if g.ring != ring:
             raise RingMismatchError("generators from different rings")
-    budget = _Budget(guard or active_guard())
-    field = ring.field
-    p = field.p
+    guard = guard or active_guard()
+    gens = [g for g in gens if not g.is_zero()]
+    e = max((g.max_exponent() for g in gens), default=0)
+    _Budget(guard).check_exponent(e)
+    return _widened(order, ring.nvars, e, lambda packing: _buchberger(
+        gens, order, ring, packing, _Budget(guard)))
 
-    basis = []
-    lead = []
-    reducers = []
-    active = []
-    heap = []   # (key(lcm), i, j, lcm) of the queued pairs, i < j
 
-    def append(f, lm):
-        t = len(basis)
-        basis.append(f)
+def _buchberger(gens, order, ring, packing, budget) -> GroebnerBasis:
+    field, p, g = ring.field, ring.field.p, packing.guard
+    reducers, lead, active = [], [], []
+    heap = []   # (−lcm, i, j, lcm exponents) of the queued pairs, i < j
+
+    def append(entry):
+        lm, t, lcm = entry[0], len(lead), packing.lcm
+        reducers.append(entry)
         lead.append(lm)
-        reducers.append(_reducer(f, lm))
         # criterion B on the queued pairs; the pairs it drops leave the heap
-        lcms = [lm.lcm(m) for m in lead]
         kept = [e for e in heap if not (
-            lm.divides(e[3]) and lcms[e[1]] != e[3] and lcms[e[2]] != e[3])]
+            ((e[3] | g) - lm) & g == g and lcm(lm, lead[e[1]]) != e[3]
+            and lcm(lm, lead[e[2]]) != e[3])]
         if len(kept) != len(heap):
             heap[:] = kept
             heapq.heapify(heap)
         # criteria M and F and the product criterion on the new pairs, by
-        # degree of the lcm (a proper divisor has a smaller degree), the
-        # coprime pairs of a degree first: each pair need only be tested
-        # against the lcms kept before it
-        new = sorted((lcms[i].degree(), not lead[i].is_coprime(lm), i)
-                     for i in active)
+        # packed lcm exponents (a proper divisor is a smaller int), coprime
+        # pairs of an lcm first: test each against the lcms kept before it
+        new = sorted((d, d != (lead[i] + lm) & packing.low, i)
+                     for i in active for d in [lcm(lm, lead[i])])
         minimal = []
-        for _, useful, i in new:
-            lcm = lcms[i]
-            if any(m.divides(lcm) for m in minimal):
+        for d, useful, i in new:
+            if any(((d | g) - m) & g == g for m in minimal):
                 continue
-            minimal.append(lcm)
+            minimal.append(d)
             if useful:
-                heapq.heappush(heap, (order.key(lcm), i, t, lcm))
-        active[:] = [i for i in active if not lm.divides(lead[i])]
+                heapq.heappush(heap, (-packing.pack(packing.monomial(d)), i, t, d))
+        active[:] = [i for i in active if ((lead[i] | g) - lm) & g != g]
         active.append(t)
 
-    for g in gens:
-        if g.is_zero():
-            continue
-        budget.check_poly(g)
-        lm = g.leading_monomial(order)
-        lc = g.terms[lm]
-        append(g if lc == 1 else g.scale(field.inv(lc)), lm)
-    fresh = len(basis)
+    def monic_entry(terms, lm):
+        inv = field.inv(terms[lm])
+        return packing.reducer(terms if inv == 1 else {
+            x: c * inv % p for x, c in terms.items()}, lm)
+
+    for f in gens:
+        terms = packing.terms(f)
+        append(monic_entry(terms, min(terms)))
+    fresh = len(lead)
 
     while heap:
-        _, i, j, lcm = heapq.heappop(heap)
-        nf = _reduce_full(_s_terms(reducers[i], reducers[j], lcm, p),
-                          reducers, order, p, budget)
-        if not nf:
-            continue
-        lm = next(iter(nf))
-        lc = nf[lm]
-        f = Polynomial(ring, nf)
-        budget.check_poly(f)
-        if lc != 1:
-            f = f.scale(field.inv(lc))
-        if len(basis) + 1 > budget.guard.max_basis:
-            raise ResourceLimitError(
-                f"basis size budget exceeded ({budget.guard.max_basis})")
-        append(f, lm)
+        key, i, j, _ = heapq.heappop(heap)
+        nf = _reduce_full(_s_terms(reducers[i], reducers[j], -key, packing, p),
+                          reducers, packing, p, budget.spend)
+        if nf:
+            entry = monic_entry(nf, next(iter(nf)))
+            if packing.field > budget.guard.max_exponent:
+                budget.check_exponent(max(packing.monomial(entry[1])))
+            if len(lead) + 1 > budget.guard.max_basis:
+                raise ResourceLimitError(
+                    f"basis size budget exceeded ({budget.guard.max_basis})")
+            append(entry)
 
-    polys, leading = _interreduce(basis, lead, reducers, order, p, budget,
-                                  fresh)
-    return GroebnerBasis(ring, order, polys, leading)
+    entries = _interreduce(reducers, packing, p, budget.spend, fresh)
+    return GroebnerBasis(
+        ring, order, [packing.polynomial(ring, [(e[0], 1)] + e[2]) for e in entries],
+        [packing.monomial(e[0]) for e in entries], (packing, entries))
 
 
 def buchberger(gens, order=None, *, ring=None, guard=None) -> GroebnerBasis:
     """Reduced GB of (gens) + (ring relations); all downstream work in R."""
     gens = list(gens)
-    if ring is None:
-        if not gens:
-            raise AlgebraError("cannot infer the ring from an empty generator list")
-        ring = gens[0].ring
-    return buchberger_raw(list(gens) + list(ring.relations),
-                          order, ring=ring, guard=guard)
+    ring = ring or _ring_of(gens)
+    return buchberger_raw(gens + list(ring.relations), order, ring=ring, guard=guard)
+
+
+def _ring_of(gens):
+    if not gens:
+        raise AlgebraError("cannot infer the ring from an empty generator list")
+    return gens[0].ring
 
 
 def _as_gb(obj, order=None) -> GroebnerBasis:

@@ -35,6 +35,7 @@ from .groebner import (
     active_guard,
     buchberger,
     buchberger_raw,
+    exact_quotient,
     krull_dimension,
 )
 from .orders import DEGREVLEX, AuxBlockOrder
@@ -251,25 +252,6 @@ def _intersect_ambient(ring: RingSpec, gens_a, gens_b):
     return [_drop_aux(f, ring) for f in kept]
 
 
-def _exact_divide(h: Polynomial, g: Polynomial) -> Polynomial:
-    """Quotient h/g in the ambient polynomial ring (h must be a multiple)."""
-    order = DEGREVLEX
-    field = h.ring.field
-    glm = g.leading_monomial(order)
-    glc_inv = field.inv(g.terms[glm])
-    r = h
-    quot = h.ring.zero
-    while not r.is_zero():
-        lm = r.leading_monomial(order)
-        if not glm.divides(lm):
-            raise AlgebraError("exact division failed")
-        fac = Polynomial(h.ring,
-                         {lm.quotient(glm): (r.terms[lm] * glc_inv) % field.p})
-        quot = quot + fac
-        r = r - fac * g
-    return quot
-
-
 def ideal_colon(I: Ideal, J: Ideal) -> Ideal:
     """(I : J) = {r : rJ ⊆ I}, intersecting single-generator colons.
 
@@ -286,7 +268,7 @@ def ideal_colon(I: Ideal, J: Ideal) -> Ideal:
     ambient_i = list(I.gens) + list(ring.relations)
     for g in J.gens:
         meet = _intersect_ambient(ring, ambient_i, [g])
-        parts.append(Ideal(ring, tuple(_exact_divide(h, g) for h in meet)))
+        parts.append(Ideal(ring, tuple(exact_quotient(h, g) for h in meet)))
     result = parts[0]
     for part in parts[1:]:
         result = ideal_intersection(result, part)

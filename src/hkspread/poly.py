@@ -336,7 +336,7 @@ class Polynomial:
         return max(m.degree() for m in self.terms)
 
     def max_exponent(self) -> int:
-        return max((e for m in self.terms for e in m), default=0)
+        return max(map(max, self.terms), default=0)
 
     # -- arithmetic ---------------------------------------------------------
 

@@ -4,6 +4,7 @@ import heapq
 import random
 import threading
 from itertools import product
+from operator import mul
 
 import pytest
 
@@ -29,9 +30,9 @@ from hkspread import (
     use_guard,
 )
 from hkspread import groebner
-from hkspread.groebner import _Budget, _reduce_full, _reducer, _s_terms, active_guard
+from hkspread.groebner import _Budget, _reduce_full, _s_terms, active_guard
 from hkspread.lengths import _length
-from hkspread.orders import AuxBlockOrder
+from hkspread.orders import AuxBlockOrder, Overflow, Packing, weight_vector
 from hkspread.poly import Polynomial
 from tests.test_poly import _random_poly
 
@@ -427,7 +428,7 @@ def test_length_matches_staircase_count_on_bracket_powers_of_the_quadric():
                 mq.groebner_basis().leading)
 
 
-# -- the heap-driven kernel against the normal form it replaced --------------
+# -- the packed kernel against the kernels it replaced ------------------------
 #
 # `_seed_reduce_full` and `_seed_s_polynomial` are the reduction and the
 # S-polynomial from before the heap kernel: the largest term is found by
@@ -585,6 +586,15 @@ def _gm_buchberger(gens, order, budget):
     return _seed_interreduce(basis, order, budget)
 
 
+def _packed(order, n, e, run):
+    """(packing, run(packing)) through the kernel's widening loop."""
+    return groebner._widened(order, n, e, lambda packing: (packing, run(packing)))
+
+
+def _entry(packing, f, order):
+    return packing.reducer(packing.terms(f), packing.pack(f.leading_monomial(order)))
+
+
 def _nonzero_poly(rng, R, nterms, max_exp):
     f = R.zero
     while f.is_zero():
@@ -609,13 +619,20 @@ def test_heap_kernel_matches_seed_normal_form(order, p):
         expected = _seed_reduce_full(f, _seed_prep(gens, order), order,
                                      seed_budget)
         budget = _Budget(GuardConfig())
-        reducers = [_reducer(g, g.leading_monomial(order)) for g in gens]
-        got = _reduce_full(dict(f.terms), reducers, order, p, budget)
-        assert Polynomial(R, got) == expected
+
+        def run(packing):
+            budget.steps = 0
+            return _reduce_full(packing.terms(f),
+                                [_entry(packing, g, order) for g in gens],
+                                packing, p, budget.spend)
+
+        e = max(g.max_exponent() for g in gens + [f])
+        packing, got = _packed(order, 4, e, run)
+        assert packing.polynomial(R, got.items()) == expected
         assert budget.steps == seed_budget.steps
         # largest term first: the remainder's first term is its lead
         if got:
-            assert next(iter(got)) == expected.leading_monomial(order)
+            assert packing.monomial(next(iter(got))) == expected.leading_monomial(order)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -627,8 +644,17 @@ def test_s_terms_match_seed_s_polynomial(order, p):
         f, g = (_nonzero_poly(rng, R, rng.randrange(1, 6), 3).monic(order)
                 for _ in range(2))
         lf, lg = f.leading_monomial(order), g.leading_monomial(order)
-        got = _s_terms(_reducer(f, lf), _reducer(g, lg), lf.lcm(lg), p)
-        assert Polynomial(R, got) == _seed_s_polynomial(f, g, order)
+        expected = _seed_s_polynomial(f, g, order)
+
+        def run(packing):
+            ef, eg = _entry(packing, f, order), _entry(packing, g, order)
+            lcm = packing.pack(lf.lcm(lg))
+            assert packing.lcm(ef[0], eg[0]) == lcm & packing.low
+            return _s_terms(ef, eg, lcm, packing, p)
+
+        e = max(f.max_exponent(), g.max_exponent())
+        packing, got = _packed(order, 4, e, run)
+        assert packing.polynomial(R, got.items()) == expected
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -661,19 +687,21 @@ def test_buchberger_matches_seed_basis_and_steps(order, p, monkeypatch):
     assert total >= 10  # the random ideals did make Buchberger work
 
 
-def _interreduce_all(basis, lead, reducers, order, p, budget):
+def _interreduce_all(reducers, order, packing, p, spend):
     """`_interreduce` without the skip: every kept element is reduced
-    against all the other kept ones."""
+    against all the other kept ones; leads compared as tuples."""
+    lead = [packing.monomial(r[0]) for r in reducers]
     minimal = []
-    for i in sorted(range(len(basis)), key=lambda i: order.key(lead[i])):
+    for i in sorted(range(len(lead)), key=lambda i: order.key(lead[i])):
         if not any(lead[j].divides(lead[i]) for j in minimal):
             minimal.append(i)
-    polys = []
-    for i in minimal:
-        others = [reducers[j] for j in minimal if j != i]
-        polys.append(Polynomial(basis[i].ring, _reduce_full(
-            dict(basis[i].terms), others, order, p, budget)))
-    return polys, [lead[i] for i in minimal]
+    return [_reduce_full(dict([(reducers[i][0], 1)] + reducers[i][2]),
+                         [reducers[j] for j in minimal if j != i],
+                         packing, p, spend) for i in minimal]
+
+
+def _as_polys(R, packing, entries):
+    return [packing.polynomial(R, [(e[0], 1)] + e[2]) for e in entries]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -688,20 +716,21 @@ def test_gebauer_moeller_kernel_on_larger_ideals(order, p, monkeypatch):
     reduce_full = groebner._reduce_full
     seen = {"normal_forms": 0, "skipped": 0, "reduced": 0, "steps": 0}
 
-    def checked(basis, lead, reducers, order, p, budget, fresh):
+    def checked(reducers, packing, p, spend, fresh):
+        budget = spend.__self__
         before = budget.steps
         seen["normal_forms"] = 0
-        polys, leads = interreduce(basis, lead, reducers, order, p, budget,
-                                   fresh)
+        entries = interreduce(reducers, packing, p, spend, fresh)
         reference = _Budget(GuardConfig())
-        ref_polys, ref_leads = _interreduce_all(basis, lead, reducers, order,
-                                                p, reference)
-        assert polys == ref_polys and leads == ref_leads
+        ref = _interreduce_all(reducers, order, packing, p, reference.spend)
+        assert _as_polys(R, packing, entries) == [
+            packing.polynomial(R, nf.items()) for nf in ref]
+        assert [e[0] for e in entries] == [next(iter(nf)) for nf in ref]
         assert budget.steps - before == reference.steps
         seen["reduced"] += seen["normal_forms"]
-        seen["skipped"] += len(polys) - seen["normal_forms"]
+        seen["skipped"] += len(entries) - seen["normal_forms"]
         seen["steps"] = budget.steps
-        return polys, leads
+        return entries
 
     def counted(*args):
         seen["normal_forms"] += 1
@@ -733,20 +762,148 @@ def test_gebauer_moeller_kernel_on_larger_ideals(order, p, monkeypatch):
     assert seen["skipped"] and seen["reduced"]
 
 
+def test_s_terms_overflow_on_either_side():
+    """In 2-bit fields (exponents up to 3), S(xz + z, y + z^3) under LEX
+    needs x·y·z^4 on the second side only: either argument order raises,
+    and 3-bit fields give the seed S-polynomial."""
+    R = RingSpec(3, ("x", "y", "z"))
+    f, g = R.poly("x*z + z"), R.poly("y + z^3")
+    lcm = Monomial((1, 1, 1))
+    narrow, wide = Packing(LEX, 3, 2), Packing(LEX, 3, 3)
+    for a, b in ((f, g), (g, f)):
+        with pytest.raises(Overflow):
+            _s_terms(_entry(narrow, a, LEX), _entry(narrow, b, LEX),
+                     narrow.pack(lcm), narrow, 3)
+        got = _s_terms(_entry(wide, a, LEX), _entry(wide, b, LEX),
+                       wide.pack(lcm), wide, 3)
+        assert wide.polynomial(R, got.items()) == _seed_s_polynomial(a, b, LEX)
+
+
+@pytest.mark.parametrize("order, gens", [
+    (AuxBlockOrder(DEGREVLEX), ["t^16 + y", "t - x^16"]),
+    (LEX, ["2*t^3*x^3 + 2*x^2", "2*t^4*y^4 + t^2*x^2*y^2",
+           "t^4*x^5*y^4 + t^4*y^3"]),
+], ids=["eliminate-t", "lex"])
+def test_intermediate_exponents_past_the_packed_width(order, gens, monkeypatch):
+    """Eliminating t with t − x^16 carries x^16 up to x^256 while reducing
+    t^16 + y, past the fields that the generators' exponents call for (the
+    lex ideal overflows as well): the run overflows once, is redone twice
+    as wide, and returns the oracles' basis and steps.  Under a cap below
+    256 the new element x^256 + y is refused instead."""
+    R = RingSpec(3, ("t", "x", "y"))
+    gens = [R.poly(g) for g in gens]
+    widths = []
+    packing = groebner.packing_for
+
+    def recording(order, n, width):
+        widths.append(width)
+        return packing(order, n, width)
+
+    budget = _Budget(GuardConfig())
+    expected = _gm_buchberger(gens, order, budget)
+    assert expected == _seed_buchberger(gens, order, _Budget(GuardConfig()))
+    steps = []
+    spend = _Budget.spend
+
+    def counting(self, n=1):
+        steps.append(self)
+        spend(self, n)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(groebner, "packing_for", recording)
+        patch.setattr(_Budget, "spend", counting)
+        gb = groebner.buchberger_raw(gens, order, ring=R)
+    assert len(widths) == 2 and widths[1] == 2 * widths[0]
+    assert [f.terms_key() for f in gb.polys] == expected
+    assert steps.count(steps[-1]) == budget.steps
+    if order != LEX:
+        assert str(gb.polys[0]) == "x^256 + y"
+        with pytest.raises(ResourceLimitError,
+                           match=r"^monomial exponent exceeds cap \(255\)$"):
+            groebner.buchberger_raw(gens, order, ring=R,
+                                    guard=GuardConfig(max_exponent=255))
+
+
+def test_kernel_started_without_headroom_matches_the_oracles(monkeypatch):
+    """Every packed computation starts as narrow as its inputs allow, with
+    no headroom, so many products overflow and are redone wider: bases and
+    steps of Buchberger, normal forms of `GroebnerBasis.reduce` and exact
+    quotients still equal the oracles' in all four orders."""
+    widened = groebner._widened
+    runs = {"calls": 0, "attempts": 0}
+
+    def narrow(order, n, e, run, width=0):
+        def counted(packing):
+            runs["attempts"] += 1
+            return run(packing)
+        runs["calls"] += 1
+        return widened(order, n, 0, counted, max(width, e.bit_length()))
+
+    budgets = []
+    init = _Budget.__init__
+
+    def recording_init(self, *args):
+        init(self, *args)
+        budgets.append(self)
+
+    monkeypatch.setattr(groebner, "_widened", narrow)
+    monkeypatch.setattr(_Budget, "__init__", recording_init)
+    rng = random.Random(6000)
+    cases = 0
+    while cases < 24:
+        order = KERNEL_ORDERS[cases % 4]
+        R = RingSpec((2, 3, 5)[cases % 3], ("t", "x", "y"))
+        gens = [_nonzero_poly(rng, R, rng.randrange(2, 4), 3)
+                for _ in range(rng.randrange(2, 4))]
+        gm_budget = _Budget(GuardConfig(max_steps=250))
+        try:
+            expected = _gm_buchberger(gens, order, gm_budget)
+        except ResourceLimitError:
+            continue
+        cases += 1
+        gb = groebner.buchberger_raw(gens, order, ring=R)
+        assert budgets[-1].steps == gm_budget.steps
+        assert [f.terms_key() for f in gb.polys] == expected
+        assert list(gb.leading) == [f.leading_monomial(order) for f in gb.polys]
+        f = _random_poly(rng, R, nterms=5, max_exp=5)
+        assert gb.reduce(f) == _seed_reduce_full(
+            f, _seed_prep(gb.polys, order), order, _Budget(GuardConfig()))
+        assert groebner.exact_quotient(f * gens[0], gens[0]) == f
+    assert runs["attempts"] - runs["calls"] >= 10   # runs redone wider
+
+
 @pytest.mark.parametrize("order", KERNEL_ORDERS, ids=_kernel_case_id)
-def test_reverse_key_orders_monomials_opposite_to_key(order):
+def test_packed_key_orders_monomials_like_key(order):
+    """At each width, the packed int sorts exponent vectors exactly like
+    `order.key` (largest monomial = smallest int), and so does the
+    weight vector; the guard-bit divisibility, lcm and quotient agree
+    with the tuples, and a product overflows iff an exponent passes 2^W."""
     rng = random.Random(4000 + KERNEL_ORDERS.index(order))
-    monos = {Monomial(rng.randrange(4) for _ in range(4)) for _ in range(300)}
-    monos |= {Monomial(m) for m in product(range(3), repeat=4)}
-    monos = list(monos)
-    for a in monos[:120]:
-        for b in monos:
-            ka, kb = order.key(a), order.key(b)
-            ra, rb = order.reverse_key(a), order.reverse_key(b)
-            assert (ka < kb) == (ra > rb)
-            assert (ka == kb) == (ra == rb) == (a == b)
-    assert (sorted(monos, key=order.reverse_key)
-            == sorted(monos, key=order.key, reverse=True))
+    for width in (2, 5, 13):
+        top = (1 << width) - 1
+        monos = {Monomial(rng.randrange(top + 1) for _ in range(4))
+                 for _ in range(300)}
+        monos |= {Monomial(m) for m in product((0, 1, top), repeat=4)}
+        monos = list(monos)
+        packing = Packing(order, 4, width)
+        weights = weight_vector(order, 4, 4 << width)
+        by_key = sorted(monos, key=order.key)
+        assert sorted(monos, key=lambda m: -packing.pack(m)) == by_key
+        assert sorted(monos, key=lambda m: sum(map(mul, weights, m))) == by_key
+        assert [packing.monomial(packing.pack(m)) for m in monos] == monos
+        g = packing.guard
+        for a in monos[:60]:
+            for b in monos[:60]:
+                pa, pb = packing.pack(a), packing.pack(b)
+                assert (((pb | g) - pa) & g == g) == a.divides(b)
+                assert packing.monomial(packing.lcm(pa, pb)) == a.lcm(b)
+                if a.divides(b):
+                    assert pb - pa == packing.pack(b.quotient(a))
+                if max(a.mul(b)) > top:
+                    assert (pa + pb) & g
+                else:
+                    assert not (pa + pb) & g
+                    assert pa + pb == packing.pack(a.mul(b))
 
 
 def test_gb_step_budget_is_pinned():

@@ -5,6 +5,8 @@ import random
 import pytest
 
 from hkspread import (
+    DEGREVLEX,
+    AlgebraError,
     GuardConfig,
     HomogeneityError,
     Ideal,
@@ -21,6 +23,7 @@ from hkspread import (
     use_guard,
 )
 
+from hkspread.groebner import exact_quotient
 from tests.test_poly import _random_poly
 
 
@@ -392,3 +395,55 @@ def test_driver_products_trip_the_cap_where_old_products_did():
                         except ResourceLimitError:
                             outcomes.append(False)
                     assert outcomes == [cap == edge] * 2, (q0, q, cap)
+
+
+def _seed_exact_divide(h, g):
+    """Exact division before the packed kernel: one leading term at a time,
+    each step a whole new remainder `r − fac·g`."""
+    order = DEGREVLEX
+    field = h.ring.field
+    glm = g.leading_monomial(order)
+    glc_inv = field.inv(g.terms[glm])
+    r = h
+    quot = h.ring.zero
+    while not r.is_zero():
+        lm = r.leading_monomial(order)
+        if not glm.divides(lm):
+            raise AlgebraError("exact division failed")
+        fac = h.ring.monomial(lm.quotient(glm), r.terms[lm] * glc_inv)
+        quot = quot + fac
+        r = r - fac * g
+    return quot
+
+
+@pytest.mark.parametrize("ring", _CHAIN_RINGS[:2], ids=_CHAIN_IDS[:2])
+def test_exact_quotient_matches_seed_division(ring):
+    """Random products g·h, of up to 24 terms, in the quadric and the
+    cubic (ambient arithmetic, as in colons): the one-pass quotient is h,
+    as the seed division's is; g·h plus one term outside (g) fails in
+    both."""
+    rng = random.Random(900 + ring.characteristic)
+    x = ring.gen(0)
+    failures = 0
+    for _ in range(40):
+        g = h = ring.zero
+        while g.is_zero() or h.is_zero():
+            g = _random_poly(rng, ring, nterms=rng.randrange(1, 5), max_exp=3)
+            h = _random_poly(rng, ring, nterms=rng.randrange(1, 7), max_exp=4)
+        assert exact_quotient(g * h, g) == h == _seed_exact_divide(g * h, g)
+        assert exact_quotient(ring.zero, g) == ring.zero
+        extra = x ** (g.degree() + h.degree() + 1)
+        if g.degree() > 0 and not _divisible(extra, g):
+            failures += 1
+            for divide in (exact_quotient, _seed_exact_divide):
+                with pytest.raises(AlgebraError, match="exact division failed"):
+                    divide(g * h + extra, g)
+    assert failures >= 10
+
+
+def _divisible(f, g):
+    try:
+        _seed_exact_divide(f, g)
+        return True
+    except AlgebraError:
+        return False

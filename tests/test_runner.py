@@ -438,3 +438,17 @@ def test_cli_budget_of_one_is_accepted(scripts, capsys, monkeypatch):
     assert main(["run", str(scripts["ok"]), "--max-gb-steps", "1"]) == 0
     config = json.loads(capsys.readouterr().out)["config"]
     assert (config["max_gb_steps"], config["max_exponent"]) == (1, 1)
+
+
+def test_readme_large_q_example_is_exact():
+    """The README's `ehk m e_max=13` on the quadric at --max-exponent 10^7:
+    exponents up to 3^13 sit in wide packed fields, and every colength is
+    (3q² − 1)/2."""
+    script = parse_script("char 3\nvars x y z\nquotient x^2 + y*z\n"
+                          "ideal m = x, y, z\nehk m e_max=13\n")
+    doc = report_document(run_script(script, RunConfig(max_exponent=10**7)),
+                          include_timing=False)
+    samples = doc["results"][0]["data"]["samples"]
+    assert [(s["q"], s["colength"]) for s in samples] == [
+        (3 ** e, (3 * 9 ** e - 1) // 2) for e in range(14)]
+    assert samples[-1]["colength"] == 3812798742493

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .errors import ScriptError
 from .groebner import DEFAULT_GUARD
-from .orders import MonomialOrder
+from .orders import ORDERS
 from .runner import RunConfig, error_document, report_csv, report_json, run_script
 from .script import parse_script
 
@@ -53,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("script", help="script file path, or '-' for stdin")
     run.add_argument("--format", choices=("json", "csv"), default="json",
                      help="report format (default json)")
-    run.add_argument("--order", choices=MonomialOrder.KINDS,
+    run.add_argument("--order", choices=ORDERS,
                      default="degrevlex",
                      help="monomial order for printed bases (default degrevlex)")
     run.add_argument("--max-gb-steps", type=_budget, default=None, metavar="N",

@@ -1,7 +1,8 @@
 """Buchberger's algorithm, reduced Groebner bases, normal forms, and the
-combinatorial consequences used everywhere else: membership, Krull
-dimension and sparse Hilbert-series numerators of leading-term ideals
-(standard-monomial enumeration is kept as an oracle for tests).  The
+combinatorial consequences used everywhere else: membership and sparse
+Hilbert-series numerators of leading-term ideals, with the Krull
+dimension read off them (standard-monomial enumeration is kept as an
+oracle for tests).  The
 numerators count standard monomials by degree, so every length is read
 off them; they measure I itself, not only its leading-term ideal, when
 the GB's order is degree-compatible, as DEGREVLEX is.
@@ -30,6 +31,7 @@ import heapq
 from contextlib import contextmanager
 from contextvars import ContextVar
 from itertools import product
+from math import comb
 from typing import NamedTuple
 
 from .errors import AlgebraError, InfiniteLengthError, ResourceLimitError, RingMismatchError
@@ -377,25 +379,17 @@ def is_member(f: Polynomial, I) -> bool:
     return _as_gb(I).contains(f)
 
 
-def krull_dimension(I, order=None) -> int:
-    """Dimension of R/I from the leading-term ideal: size of the largest
-    variable subset meeting no leading-term support.  Unit ideal: -1."""
-    G = _as_gb(I, order)
+def krull_dimension(I) -> int:
+    """Dimension of R/I, the order of the pole of K(t)/(1−t)^n at t = 1
+    for K the Hilbert numerator of I's leading terms: n minus the number
+    of leading Taylor coefficients of K at 1 that vanish.  The unit ideal
+    (K = 0) gives -1."""
+    G = _as_gb(I)
     n = G.ring.nvars
-    supports = []
-    for m in G.leading:
-        s = frozenset(i for i, e in enumerate(m) if e)
-        if not s:
-            return -1
-        supports.append(s)
-    best = -1
-    for mask in range(1 << n):
-        subset = {i for i in range(n) if mask >> i & 1}
-        if len(subset) <= best:
-            continue
-        if not any(s <= subset for s in supports):
-            best = len(subset)
-    return best
+    K = _numerator(G.leading)
+    if not K:
+        return -1
+    return n - next(k for k, a in enumerate(taylor_at_one(K, n)) if a)
 
 
 def standard_monomials(I, order=None):
@@ -435,6 +429,13 @@ def hilbert_numerator(I) -> dict:
     and no leading terms give {0: 1}.  The dict has one entry per term, so
     its size follows the leading terms, not their degrees."""
     return _numerator(_as_gb(I).leading)
+
+
+def taylor_at_one(K: dict, n: int) -> list:
+    """The Taylor coefficients a_k = K^(k)(1)/k! = Σ_j c_j·C(j, k) at t = 1,
+    k = 0..n, of K = {degree j: coefficient c_j}: (1−t)^k divides K iff
+    a_0..a_(k−1) vanish.  The cost is O(terms · n), whatever the degrees."""
+    return [sum(c * comb(j, k) for j, c in K.items()) for k in range(n + 1)]
 
 
 def _numerator(lts) -> dict:

@@ -228,11 +228,6 @@ def _aux_ring(ring: RingSpec):
     return ext
 
 
-def _lift(f: Polynomial, ext: RingSpec, t_exp: int = 0) -> Polynomial:
-    return Polynomial(ext, {Monomial((t_exp,) + tuple(m)): c
-                            for m, c in f.terms.items()})
-
-
 def _drop_aux(f: Polynomial, ring: RingSpec) -> Polynomial:
     return Polynomial(ring, {Monomial(tuple(m)[1:]): c
                              for m, c in f.terms.items()})
@@ -244,8 +239,8 @@ def _intersect_ambient(ring: RingSpec, gens_a, gens_b):
     ext = _aux_ring(ring)
     t = ext.gen(0)
     one_minus_t = ext.one - t
-    lifted = [t * _lift(f, ext) for f in gens_a]
-    lifted += [one_minus_t * _lift(g, ext) for g in gens_b]
+    lifted = [t * ext.adopt(f) for f in gens_a]
+    lifted += [one_minus_t * ext.adopt(g) for g in gens_b]
     order = AuxBlockOrder(DEGREVLEX)
     G = buchberger_raw(lifted, order, ring=ext)
     kept = [f for f in G.polys if all(m[0] == 0 for m in f.terms)]

@@ -9,11 +9,10 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import comb
 from typing import NamedTuple
 
 from .errors import ContainmentError, InfiniteLengthError, PreconditionError
-from .groebner import hilbert_numerator
+from .groebner import hilbert_numerator, taylor_at_one
 from .ideals import Ideal
 
 
@@ -56,11 +55,10 @@ def _length(D: dict, n: int) -> LengthValue:
     """Σ of the coefficients of D/(1−t)^n, D = {degree: coefficient}, or
     INFINITE when D/(1−t)^n is not a polynomial.
 
-    Read off the Taylor coefficients of D at t = 1,
-    a_k = D^(k)(1)/k! = Σ_j c_j·C(j, k): (1−t)^n divides D iff a_k = 0 for
-    every k < n, and then D = (1−t)^n·H with H(1) = (−1)^n·a_n.  The cost
-    is O(terms · n), whatever the degrees."""
-    a = [sum(c * comb(j, k) for j, c in D.items()) for k in range(n + 1)]
+    Read off the Taylor coefficients a_k of D at t = 1 (`taylor_at_one`):
+    (1−t)^n divides D iff a_k = 0 for every k < n, and then
+    D = (1−t)^n·H with H(1) = (−1)^n·a_n."""
+    a = taylor_at_one(D, n)
     if any(a[:n]):
         return INFINITE
     return LengthValue((-1) ** n * a[n])
@@ -105,10 +103,6 @@ class HKEstimate(NamedTuple):
     error_bound: Fraction | None = None
     secondary: Fraction | None = None
     ratio_trend: str | None = None
-
-    @property
-    def value_float(self) -> float:
-        return float(self.value)
 
 
 def hk_function(a: Ideal, e_max: int) -> list:

@@ -1,6 +1,11 @@
-"""Monomial orders: degrevlex (default), lex, deglex, plus the internal
-block order used for one-variable elimination, and the packed integer
-monomials (`Packing`) that the Groebner kernel computes with."""
+"""Monomial orders and the packed integer monomials (`Packing`) that the
+Groebner kernel computes with.
+
+An order is its matrix (Robbiano, EUROCAL 1985): a < b iff the first row
+whose value tells them apart is smaller on a.  Sort keys, the packing's
+weights (`weight_vector`) and the block order that eliminates one
+variable (`AuxBlockOrder`) all read the same rows.  The orders are
+degrevlex (default), lex and deglex."""
 
 from __future__ import annotations
 
@@ -9,22 +14,6 @@ from operator import mul
 
 from .errors import AlgebraError
 from .poly import Monomial, Polynomial
-
-
-def _lex_key(exps):
-    return tuple(exps)
-
-
-def _deglex_key(exps):
-    return (sum(exps), tuple(exps))
-
-
-def _degrevlex_key(exps):
-    # higher = smaller reversed-negated tail
-    return (sum(exps), tuple([-e for e in reversed(exps)]))
-
-
-_KEYS = {"lex": _lex_key, "deglex": _deglex_key, "degrevlex": _degrevlex_key}
 
 
 def weight_vector(order, n: int, base: int):
@@ -38,83 +27,56 @@ def weight_vector(order, n: int, base: int):
 
 
 class MonomialOrder:
-    """Total multiplicative well-order on exponent vectors.
+    """Total multiplicative well-order on exponent vectors, given by its
+    matrix: `rows(n)` gives the rows for n variables, built once per n.
+    `key(exps)` is the tuple of row values, so a bigger key is a bigger
+    monomial.  Orders are equal when their names are."""
 
-    Comparison goes through sort keys: bigger key = bigger monomial.
-    `rows(n)` gives the same order as a matrix: a < b iff the first row
-    whose value tells them apart is smaller on a.
-    """
+    __slots__ = ("name", "rows")
 
-    __slots__ = ("kind", "key")
-
-    KINDS = ("degrevlex", "lex", "deglex")
-
-    def __init__(self, kind: str):
-        if kind not in self.KINDS:
-            raise AlgebraError(f"unknown monomial order {kind!r}")
-        self.kind = kind
-        self.key = _KEYS[kind]
-
-    def rows(self, n: int):
-        unit = [[int(i == k) for i in range(n)] for k in range(n)]
-        if self.kind == "lex":
-            return unit
-        if self.kind == "deglex":
-            return [[1] * n] + unit[:-1]
-        return [[1] * n] + [[-e for e in row] for row in unit[:0:-1]]
-
-    def __eq__(self, other):
-        return isinstance(other, MonomialOrder) and other.kind == self.kind
-
-    def __hash__(self):
-        return hash(self.kind)
-
-    def __repr__(self):
-        return f"MonomialOrder({self.kind!r})"
-
-    @property
-    def name(self) -> str:
-        return self.kind
-
-
-class AuxBlockOrder:
-    """Eliminates variable 0: compares its exponent first, then the rest
-    under an inner order.  Used only for the intersection construction."""
-
-    __slots__ = ("inner",)
-
-    def __init__(self, inner: MonomialOrder):
-        self.inner = inner
+    def __init__(self, name: str, rows):
+        self.name = name
+        self.rows = lru_cache(maxsize=None)(rows)
 
     def key(self, exps):
-        return (exps[0], self.inner.key(exps[1:]))
-
-    def rows(self, n: int):
-        return [[1] + [0] * (n - 1)] + [[0] + r for r in self.inner.rows(n - 1)]
+        return tuple([sum(map(mul, row, exps)) for row in self.rows(len(exps))])
 
     def __eq__(self, other):
-        return isinstance(other, AuxBlockOrder) and other.inner == self.inner
+        return isinstance(other, MonomialOrder) and other.name == self.name
 
     def __hash__(self):
-        return hash(("aux", self.inner))
+        return hash(self.name)
 
-    @property
-    def name(self) -> str:
-        return f"eliminate-first+{self.inner.name}"
+    def __repr__(self):
+        return f"MonomialOrder({self.name!r})"
 
 
-DEGREVLEX = MonomialOrder("degrevlex")
-LEX = MonomialOrder("lex")
-DEGLEX = MonomialOrder("deglex")
+def _unit(n):
+    return [[int(i == k) for i in range(n)] for k in range(n)]
 
-_BY_NAME = {"degrevlex": DEGREVLEX, "lex": LEX, "deglex": DEGLEX}
+
+LEX = MonomialOrder("lex", _unit)
+DEGLEX = MonomialOrder("deglex", lambda n: [[1] * n] + _unit(n)[:-1])
+DEGREVLEX = MonomialOrder("degrevlex", lambda n: [[1] * n] + [
+    [-e for e in row] for row in _unit(n)[:0:-1]])
+
+ORDERS = {order.name: order for order in (DEGREVLEX, LEX, DEGLEX)}
 
 
 def order_by_name(name: str) -> MonomialOrder:
     try:
-        return _BY_NAME[name]
+        return ORDERS[name]
     except KeyError:
         raise AlgebraError(f"unknown monomial order {name!r}")
+
+
+@lru_cache(maxsize=None)
+def AuxBlockOrder(inner: MonomialOrder) -> MonomialOrder:
+    """Eliminates variable 0: its exponent is the first row, the rows of
+    `inner` on the other variables follow.  Used only for the
+    intersection construction."""
+    return MonomialOrder(f"eliminate-first+{inner.name}", lambda n: [
+        [1] + [0] * (n - 1)] + [[0] + row for row in inner.rows(n - 1)])
 
 
 class Overflow(Exception):

@@ -45,18 +45,6 @@ class PrimeField:
             raise NotPrimeError(f"characteristic must be prime, got {p}")
         self.p = p
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
     def inv(self, a: int) -> int:
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero in prime field")

@@ -28,6 +28,7 @@ CAVEAT = ("finite-q evidence only: a pass is consistent with "
           "dependence")
 
 DEFAULT_TOLERANCE = Fraction(1, 20)
+Q0_CAP_EXPONENT = 3
 
 
 def _nearest_int(r: Fraction) -> int:
@@ -113,13 +114,23 @@ def _stabilize(ratios):
     return None, False, None
 
 
+def _spread_lengths(K: Ideal, a: Ideal, q0: int, e_max: int) -> list:
+    """λ(K^[q·q0] / a^[q]·K^[q·q0]) for q = p^e, e = 0..e_max, with the
+    denominator built as (a·K^[q0])^[q]."""
+    p = K.ring.characteristic
+    Kq0 = K.bracket_power(q0)
+    aKq0 = a * Kq0
+    return [int(length_subquotient(Kq0.bracket_power(q), aKq0.bracket_power(q)))
+            for q in (p ** e for e in range(e_max + 1))]
+
+
 def star_spread_estimate(J: Ideal, a: Ideal | None = None,
-                         q0_exponent: int = 0, e_max: int = 3,
-                         q0_cap_exponent: int = 3) -> SpreadReport:
+                         q0_exponent: int = 0, e_max: int = 3) -> SpreadReport:
     """Estimate ℓ*(J) from subquotient lengths along e = 0..e_max.
 
     When the rounded ratio fails to stabilize, the q0 exponent doubles
-    (starting at 1 from 0) up to the cap and the table is recomputed.
+    (starting at 1 from 0) up to Q0_CAP_EXPONENT and the table is
+    recomputed.
     """
     ring = J.ring
     if J.is_unit():
@@ -143,21 +154,16 @@ def star_spread_estimate(J: Ideal, a: Ideal | None = None,
     while True:
         schedule.append(cur)
         q0 = p ** cur
-        Jq0 = J.bracket_power(q0)
-        aJq0 = a * Jq0  # N = a^[q]·J^[q·q0] = (a·J^[q0])^[q]
         round_ratios = []
-        for e in range(e_max + 1):
+        for e, lam in enumerate(_spread_lengths(J, a, q0, e_max)):
             q = p ** e
-            M = Jq0.bracket_power(q)
-            N = aJq0.bracket_power(q)
-            lam = length_subquotient(M, N)
-            ratio = Fraction(int(lam)) / (Fraction(q) ** d * ehk_a)
-            cells.append(SpreadCell(q0, e, q, int(lam), ratio))
+            ratio = Fraction(lam) / (Fraction(q) ** d * ehk_a)
+            cells.append(SpreadCell(q0, e, q, lam, ratio))
             round_ratios.append(ratio)
         estimate, stabilized, distance = _stabilize(round_ratios)
-        if stabilized or cur >= q0_cap_exponent:
+        if stabilized or cur >= Q0_CAP_EXPONENT:
             break
-        cur = 1 if cur == 0 else min(2 * cur, q0_cap_exponent)
+        cur = 1 if cur == 0 else min(2 * cur, Q0_CAP_EXPONENT)
     return SpreadReport(method="subquotient", J=J, a=a, dimension=d,
                         ehk_a=ehk_a, cells=tuple(cells),
                         q0_schedule=tuple(schedule), estimate=estimate,
@@ -271,17 +277,16 @@ def _identity_rows(pairs, exact, tolerance):
     return tuple(rows)
 
 
-def _finish(name, ring, pairs, tolerance, notes=()):
+def _finish(name, ring, pairs, notes=()):
     exact = not ring.relations
-    tol = None if exact else (tolerance or DEFAULT_TOLERANCE)
+    tol = None if exact else DEFAULT_TOLERANCE
     rows = _identity_rows(pairs, exact, tol)
     return IdentityReport(name=name, exact=exact, tolerance=tol, rows=rows,
                           passed=all(r.passed for r in rows), notes=tuple(notes))
 
 
 def check_product_identity(I: Ideal, J: Ideal, ell: int, e_list,
-                           e_max: int = 3,
-                           tolerance: Fraction | None = None) -> IdentityReport:
+                           e_max: int = 3) -> IdentityReport:
     """ℓ·e_HK(I) + q^d·e_HK(J) = e_HK(I·J^[q]), plus the q-difference forms.
 
     ell is the caller's value for ℓ*(J) (e.g. a spread estimate).  For each
@@ -309,12 +314,11 @@ def check_product_identity(I: Ideal, J: Ideal, ell: int, e_list,
                       (qpd - qd) * e_j, prod[qp] - prod[q]))
         pairs.append((f"scaled-difference[q={q},q'={qp}]",
                       (qpd - qd) * ell * e_i, qpd * prod[q] - qd * prod[qp]))
-    return _finish("product", ring, pairs, tolerance)
+    return _finish("product", ring, pairs)
 
 
 def check_self_product(J: Ideal, e_list, q0_exponent: int = 0,
-                       e_max: int = 3,
-                       tolerance: Fraction | None = None) -> IdentityReport:
+                       e_max: int = 3) -> IdentityReport:
     """e_HK(J·J^[q]) = (ℓ*(J) + q^d)·e_HK(J), with ℓ* from the estimator."""
     ring = J.ring
     _require_finite_colength(J, "J")
@@ -331,13 +335,13 @@ def check_self_product(J: Ideal, e_list, q0_exponent: int = 0,
         lhs = ehk_estimate(J * J.bracket_power(q), e_max=e_max).value
         rhs = (ell + Fraction(q) ** d) * e_j
         pairs.append((f"self-product[q={q}]", lhs, rhs))
-    return _finish("self-product", ring, pairs, tolerance,
+    return _finish("self-product", ring, pairs,
                    notes=(f"spread estimate {ell}",))
 
 
 def check_lemma33_additivity(I: Ideal, z: Polynomial, a: Ideal | None = None,
-                             q0_exponent: int = 0, e_max: int = 3,
-                             tolerance: Fraction | None = None) -> IdentityReport:
+                             q0_exponent: int = 0,
+                             e_max: int = 3) -> IdentityReport:
     """Adjoining a nonzerodivisor adds e_HK(a) to the normalized subquotient:
 
         λ((I,z)^[qq0] / a^[q](I,z)^[qq0]) / q^d
@@ -357,22 +361,14 @@ def check_lemma33_additivity(I: Ideal, z: Polynomial, a: Ideal | None = None,
     d = ring.dimension
     q0 = p ** q0_exponent
     ehk_a = ehk_estimate(a, e_max=e_max).value
-    Iz = Ideal(ring, I.gens + (z,))
-    # a^[q]·K^[q·q0] = (a·K^[q0])^[q] for K = (I, z) and K = I
-    a_iz = a * Iz.bracket_power(q0)
-    a_i = a * I.bracket_power(q0)
+    big = _spread_lengths(Ideal(ring, I.gens + (z,)), a, q0, e_max)
+    small = _spread_lengths(I, a, q0, e_max)
     pairs = []
-    for e in range(e_max + 1):
+    for e, (lam_big, lam_small) in enumerate(zip(big, small)):
         q = p ** e
-        qq0 = q * q0
-        big = Iz.bracket_power(qq0)
-        small = I.bracket_power(qq0)
-        lhs = Fraction(int(length_subquotient(big, a_iz.bracket_power(q))),
-                       q ** d)
-        rhs = ehk_a + Fraction(
-            int(length_subquotient(small, a_i.bracket_power(q))), q ** d)
-        pairs.append((f"additivity[q={q}]", lhs, rhs))
-    return _finish("lemma33-additivity", ring, pairs, tolerance)
+        pairs.append((f"additivity[q={q}]", Fraction(lam_big, q ** d),
+                      ehk_a + Fraction(lam_small, q ** d)))
+    return _finish("lemma33-additivity", ring, pairs)
 
 
 def _fresh_names(ring: RingSpec, s: int):
@@ -388,8 +384,7 @@ def _fresh_names(ring: RingSpec, s: int):
 
 
 def check_base_change(R: RingSpec, a: Ideal, s: int, e_list,
-                      e_max: int = 3,
-                      tolerance: Fraction | None = None) -> IdentityReport:
+                      e_max: int = 3) -> IdentityReport:
     """Extending to S = R[z_1..z_s]: (a) λ_S(S/(a^[q]S, z^[q])) factors as
     λ_S(S/(mS, z^[q]))·λ_R(R/a^[q]); (b) e_HK(aS + (z)) = e_HK(a)."""
     if s < 1:
@@ -415,7 +410,7 @@ def check_base_change(R: RingSpec, a: Ideal, s: int, e_list,
     # part (a) is an exact integer identity even over quotient rings (the
     # extension is free); only part (b) goes through estimated e_HK values
     exact = not R.relations
-    tol = None if exact else (tolerance or DEFAULT_TOLERANCE)
+    tol = None if exact else DEFAULT_TOLERANCE
     rows = _identity_rows(pairs, True, None)
     rows += _identity_rows([("extension-multiplicity", e_ext, e_base)],
                            exact, tol)

@@ -129,7 +129,7 @@ def test_order_kinds_disagree_where_expected():
     g = R.poly("x^2*z + x*y^2")  # same degree: degrevlex vs deglex differ
     assert g.leading_monomial(DEGLEX) == Monomial((2, 0, 1))
     assert g.leading_monomial(DEGREVLEX) == Monomial((1, 2, 0))
-    assert order_by_name("lex").kind == "lex"
+    assert order_by_name("lex").name == "lex"
     with pytest.raises(Exception):
         order_by_name("grlex")
 
@@ -372,13 +372,28 @@ def _finite_colength(lts, n):
                for i in range(n))
 
 
-def _random_exponent_sets(seed, trials):
-    """(n, exponent vectors) in 1-4 variables: pure powers of most
+def _subset_dimension(lts, n):
+    """The dimension of k[x_1..x_n]/(monomials lts): the size of the
+    largest set of variables that contains the support of no monomial,
+    found by trying every subset; the unit gives -1."""
+    supports = [frozenset(i for i, e in enumerate(m) if e) for m in lts]
+    if frozenset() in supports:
+        return -1
+    best = -1
+    for mask in range(1 << n):
+        subset = {i for i in range(n) if mask >> i & 1}
+        if len(subset) > best and not any(s <= subset for s in supports):
+            best = len(subset)
+    return best
+
+
+def _random_exponent_sets(seed, trials, max_vars=4):
+    """(n, exponent vectors) in 1..max_vars variables: pure powers of most
     variables, random mixed terms, repeats and multiples of earlier terms
     (non-minimal generators), now and then the unit or no term at all."""
     rng = random.Random(seed)
     for trial in range(trials):
-        n = trial % 4 + 1
+        n = trial % max_vars + 1
         lts = [tuple(rng.randrange(1, 7) if k == i else 0 for k in range(n))
                for i in range(n) if rng.random() < 0.85]
         lts += [tuple(rng.randrange(5) for _ in range(n))
@@ -415,6 +430,32 @@ def test_length_formula_matches_staircase_count():
             assert lam == INFINITE
             infinite += 1
     assert finite > 500 and infinite > 100
+
+
+def test_dimension_from_numerator_matches_subset_search():
+    """Monomial ideals in 1-5 variables, of every dimension from -1 (the
+    unit) to 5 (no generator): the pole order read off the numerator
+    equals the largest subset of variables meeting no support."""
+    dims = set()
+    for n, lts in _random_exponent_sets(13, 400, max_vars=5):
+        R = RingSpec(2, tuple(f"x{i}" for i in range(n)))
+        ideal = R.ideal(*[R.monomial(m) for m in lts])
+        dim = _subset_dimension(lts, n)
+        assert krull_dimension(ideal) == dim
+        dims.add(dim)
+    assert dims == set(range(-1, 6))
+
+
+@pytest.mark.parametrize("p, variables, relation, dim", [
+    (2, "x y", "x*y", 1),
+    (3, "x y z", "x^2 + y*z", 2),
+    (2, "x y z w", "x*y + z*w", 3),
+])
+def test_dimension_of_quotient_rings(p, variables, relation, dim):
+    R = RingSpec(p, tuple(variables.split())).quotient(relation)
+    lts = list(R.ideal().groebner_basis().leading)
+    assert krull_dimension(R.ideal()) == _subset_dimension(lts, R.nvars) == dim
+    assert R.dimension == dim
 
 
 def test_length_matches_staircase_count_on_bracket_powers_of_the_quadric():
@@ -870,6 +911,54 @@ def test_kernel_started_without_headroom_matches_the_oracles(monkeypatch):
             f, _seed_prep(gb.polys, order), order, _Budget(GuardConfig()))
         assert groebner.exact_quotient(f * gens[0], gens[0]) == f
     assert runs["attempts"] - runs["calls"] >= 10   # runs redone wider
+
+
+# The textbook sort keys, which the orders' matrices replaced: the oracle
+# for `order.key`, which (like `Packing` and `weight_vector`) reads rows.
+
+def _lex_key(exps):
+    return tuple(exps)
+
+
+def _deglex_key(exps):
+    return (sum(exps), tuple(exps))
+
+
+def _degrevlex_key(exps):
+    return (sum(exps), tuple([-e for e in reversed(exps)]))
+
+
+def _block_key(inner):
+    return lambda exps: (exps[0], inner(exps[1:]))
+
+
+TEXTBOOK_KEYS = {"lex": _lex_key, "deglex": _deglex_key,
+                 "degrevlex": _degrevlex_key,
+                 "eliminate-first+degrevlex": _block_key(_degrevlex_key)}
+
+
+@pytest.mark.parametrize("order", KERNEL_ORDERS, ids=_kernel_case_id)
+def test_order_key_sorts_like_textbook_key(order):
+    """Random exponents up to 10^6 in 1-5 variables, each with copies of
+    the same degree (a unit moved between two variables, the exponents
+    permuted): the matrix key sorts them as the textbook key does."""
+    rng = random.Random(5000 + KERNEL_ORDERS.index(order))
+    for n in range(1, 6):
+        monos = set()
+        for _ in range(200):
+            m = [rng.randrange(10**6 + 1) for _ in range(n)]
+            monos.add(tuple(m))
+            i, j = rng.randrange(n), rng.randrange(n)
+            if m[i]:
+                m[i] -= 1
+                m[j] += 1
+                monos.add(tuple(m))
+            rng.shuffle(m)
+            monos.add(tuple(m))
+        monos |= set(product(range(3), repeat=n))
+        monos = [Monomial(m) for m in monos]
+        assert (sorted(monos, key=order.key)
+                == sorted(monos, key=TEXTBOOK_KEYS[order.name]))
 
 
 @pytest.mark.parametrize("order", KERNEL_ORDERS, ids=_kernel_case_id)

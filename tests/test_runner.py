@@ -312,6 +312,22 @@ def test_cli_csv_matches_golden(name, capsys):
     assert capsys.readouterr().out == (GOLDEN / f"{name}.csv").read_text()
 
 
+@pytest.mark.parametrize("order", ["degrevlex", "lex", "deglex"])
+def test_cli_order_matches_golden(order, capsys):
+    """`gb` and `colon` under each --order, against bases written before
+    the orders became matrices."""
+    assert main(["run", str(GOLDEN / "orders.hks"), "--order", order,
+                 "--format", "csv"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"orders.{order}.csv").read_text()
+
+
+def test_cli_rejects_unknown_order(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(GOLDEN / "orders.hks"), "--order", "grlex"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'grlex'" in capsys.readouterr().err
+
+
 def test_ehk_past_the_exponent_cap_fails_at_the_default_guard():
     rep = run_script(parse_script(
         "char 3; vars x y z; quotient x^2 + y*z; ideal m = x, y, z; "

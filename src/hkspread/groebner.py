@@ -261,7 +261,7 @@ def _interreduce(reducers, packing, p, spend, fresh):
     return kept
 
 
-def buchberger_raw(gens, order=None, *, ring=None, guard=None) -> GroebnerBasis:
+def buchberger_raw(gens, order=None, *, ring=None) -> GroebnerBasis:
     """Reduced GB of exactly the given generators (relations NOT appended).
 
     Every basis element is kept monic as a packed reducer entry; the
@@ -284,7 +284,7 @@ def buchberger_raw(gens, order=None, *, ring=None, guard=None) -> GroebnerBasis:
     for g in gens:
         if g.ring != ring:
             raise RingMismatchError("generators from different rings")
-    guard = guard or active_guard()
+    guard = active_guard()
     gens = [g for g in gens if not g.is_zero()]
     e = max((g.max_exponent() for g in gens), default=0)
     _Budget(guard).check_exponent(e)
@@ -352,11 +352,11 @@ def _buchberger(gens, order, ring, packing, budget) -> GroebnerBasis:
         [packing.monomial(e[0]) for e in entries], (packing, entries))
 
 
-def buchberger(gens, order=None, *, ring=None, guard=None) -> GroebnerBasis:
+def buchberger(gens, order=None, *, ring=None) -> GroebnerBasis:
     """Reduced GB of (gens) + (ring relations); all downstream work in R."""
     gens = list(gens)
     ring = ring or _ring_of(gens)
-    return buchberger_raw(gens + list(ring.relations), order, ring=ring, guard=guard)
+    return buchberger_raw(gens + list(ring.relations), order, ring=ring)
 
 
 def _ring_of(gens):

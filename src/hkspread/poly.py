@@ -248,40 +248,16 @@ class RingSpec:
         return Polynomial(self, terms)
 
 
-class FrobeniusExponent:
-    """A power q = p^e of the characteristic."""
-
-    __slots__ = ("p", "e", "q")
-
-    def __init__(self, p: int, e: int):
-        if e < 0:
-            raise FrobeniusPowerError("exponent must be nonnegative")
-        self.p = p
-        self.e = e
-        self.q = p ** e
-
-    @classmethod
-    def from_q(cls, p: int, q: int) -> "FrobeniusExponent":
-        e = 0
+def as_q(ring: RingSpec, q) -> int:
+    """Return q if it is an int power p^e (e >= 0) of the characteristic."""
+    p = ring.field.p
+    if type(q) is int:
         v = 1
         while v < q:
             v *= p
-            e += 1
-        if v != q or q < 1:
-            raise FrobeniusPowerError(f"{q} is not a power of {p}")
-        return cls(p, e)
-
-    def __repr__(self):
-        return f"FrobeniusExponent(p={self.p}, e={self.e}, q={self.q})"
-
-
-def as_q(ring: RingSpec, q) -> int:
-    """Validate q (an int power of p, or a FrobeniusExponent) and return it."""
-    if isinstance(q, FrobeniusExponent):
-        if q.p != ring.field.p:
-            raise FrobeniusPowerError("exponent for a different characteristic")
-        return q.q
-    return FrobeniusExponent.from_q(ring.field.p, q).q
+        if v == q:
+            return q
+    raise FrobeniusPowerError(f"{q} is not a power of {p}")
 
 
 class Polynomial:

@@ -20,7 +20,6 @@ from .groebner import DEFAULT_GUARD, GuardConfig, use_guard
 from .ideals import chain_memo, ideal_colon
 from .lengths import ehk_estimate, length_quotient
 from .orders import order_by_name
-from .poly import FrobeniusExponent
 from .script import (
     VERBS,
     ColonCommand,
@@ -36,6 +35,7 @@ from .script import (
     SessionScript,
     SpreadCommand,
     SpreadHkCommand,
+    command_options,
     format_command,
 )
 from .spread import (
@@ -50,7 +50,6 @@ from .spread import (
 )
 
 SCHEMA_VERSION = 1
-DEFAULT_E_MAX = 3
 
 
 class RunConfig(NamedTuple):
@@ -122,14 +121,13 @@ def _estimate_dict(name, est, dimension):
 
 
 def _spread_dict(rep, j_name, a_name):
-    p = rep.J.ring.characteristic
     data = {
         "ideal": j_name,
         "a": a_name,
         "method": rep.method,
         "dimension": rep.dimension,
         "ehk_a": _frac(rep.ehk_a),
-        "q0_schedule": [p ** e for e in rep.q0_schedule],
+        "q0_schedule": list(rep.q0_schedule),
         "cells": [{"q0": c.q0, "e": c.e, "q": c.q, "length": c.length,
                    "ratio": _frac(c.ratio)} for c in rep.cells],
         "estimate": rep.estimate,
@@ -181,21 +179,15 @@ class _Session:
         self.ring = script.ring
         self.order = order_by_name(config.order)
         self.ideals = script.ideals()
-        self.p = self.ring.characteristic
 
-    def a_or_none(self, name):
-        return None if name is None else self.ideals[name]
-
-    def q0_exponent(self, q0_value):
-        q0 = 1 if q0_value is None else q0_value
-        return FrobeniusExponent.from_q(self.p, q0).e
-
-    def e_list(self, q_values):
-        return [FrobeniusExponent.from_q(self.p, q).e for q in q_values]
-
-
-def _e_max(cmd) -> int:
-    return DEFAULT_E_MAX if cmd.e_max is None else cmd.e_max
+    def options(self, cmd) -> dict:
+        """The options the command sets, as keyword arguments of its layer
+        function (an option left out takes that function's default), with
+        `a` bound to its ideal."""
+        opts = command_options(cmd)
+        if "a" in opts:
+            opts["a"] = self.ideals[opts["a"]]
+        return opts
 
 
 # command class -> f(session, command) giving the report data.  The entries
@@ -212,35 +204,27 @@ _DATA = {
         "basis": _basis(ideal_colon(s.ideals[c.left], s.ideals[c.right])
                         .groebner_basis(s.order))},
     EhkCommand: lambda s, c: _estimate_dict(
-        c.name, ehk_estimate(s.ideals[c.name], _e_max(c), c.method or "auto"),
+        c.name, ehk_estimate(s.ideals[c.name], **s.options(c)),
         s.ring.dimension),
     SpreadCommand: lambda s, c: _spread_dict(
-        star_spread_estimate(s.ideals[c.name], s.a_or_none(c.a),
-                             s.q0_exponent(c.q0), _e_max(c)),
+        star_spread_estimate(s.ideals[c.name], **s.options(c)),
         c.name, c.a or "m"),
     SpreadHkCommand: lambda s, c: _spread_dict(
-        star_spread_hk_difference(s.ideals[c.name], s.a_or_none(c.a),
-                                  s.q0_exponent(c.q0), _e_max(c)),
+        star_spread_hk_difference(s.ideals[c.name], **s.options(c)),
         c.name, c.a or "m"),
     IdentityProductCommand: lambda s, c: _identity_dict(
-        check_product_identity(s.ideals[c.left], s.ideals[c.right], c.ell,
-                               s.e_list(c.q), _e_max(c))),
+        check_product_identity(s.ideals[c.left], s.ideals[c.right],
+                               **s.options(c))),
     IdentitySelfCommand: lambda s, c: _identity_dict(
-        check_self_product(s.ideals[c.name], s.e_list(c.q),
-                           s.q0_exponent(c.q0), _e_max(c))),
+        check_self_product(s.ideals[c.name], **s.options(c))),
     IdentityLemma33Command: lambda s, c: _identity_dict(
-        check_lemma33_additivity(s.ideals[c.name], c.z, s.a_or_none(c.a),
-                                 s.q0_exponent(c.q0), _e_max(c))),
+        check_lemma33_additivity(s.ideals[c.name], **s.options(c))),
     IdentityBasechangeCommand: lambda s, c: _identity_dict(
-        check_base_change(s.ring, s.ideals[c.name], c.s, s.e_list(c.q),
-                          _e_max(c))),
+        check_base_change(s.ring, s.ideals[c.name], **s.options(c))),
     IdentityCorollaryCommand: lambda s, c: _identity_dict(
-        check_corollary_vanishing(s.ring, s.ideals[c.name],
-                                  s.q0_exponent(c.q0), _e_max(c))),
+        check_corollary_vanishing(s.ring, s.ideals[c.name], **s.options(c))),
     IndependentCommand: lambda s, c: _independence_dict(
-        star_independence_diagnostic(
-            s.ideals[c.name].gens,
-            2 if c.q0 is None else s.q0_exponent(c.q0), _e_max(c)),
+        star_independence_diagnostic(s.ideals[c.name].gens, **s.options(c)),
         c.name),
 }
 

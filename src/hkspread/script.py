@@ -32,8 +32,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import HomogeneityError, NotPrimeError, ScriptError
-from .poly import FrobeniusExponent, Polynomial, RingSpec
+from .errors import (FrobeniusPowerError, HomogeneityError, NotPrimeError,
+                     ScriptError)
+from .poly import Polynomial, RingSpec, as_q
 
 
 class Token(NamedTuple):
@@ -207,8 +208,7 @@ class SessionScript(NamedTuple):
 
     def ideals(self):
         from .ideals import Ideal
-        return {name: Ideal(self.ring, tuple(g for g in gens if not g.is_zero()))
-                for name, gens in self.bindings}
+        return {name: Ideal(self.ring, gens) for name, gens in self.bindings}
 
 
 def _same_class_eq(self, other):
@@ -392,8 +392,8 @@ class _Parser:
         tok = self.expect_int("power of the characteristic")
         value = int(tok.value)
         try:
-            FrobeniusExponent.from_q(ring.characteristic, value)
-        except Exception:
+            as_q(ring, value)
+        except FrobeniusPowerError:
             self.fail(
                 f"{value} is not a power of the characteristic "
                 f"{ring.characteristic}", tok)
@@ -522,15 +522,20 @@ def parse_polynomial(text: str, ring: RingSpec) -> Polynomial:
 # -- canonical printer --------------------------------------------------------
 
 
+def command_options(cmd) -> dict:
+    """The options the command sets, by name, in the order of its fields."""
+    n_names = COMMANDS[VERBS[type(cmd)]][1]
+    return {key: value for key, value in
+            zip(cmd._fields[n_names:], cmd[n_names:]) if value is not None}
+
+
 def format_command(cmd) -> str:
     verb = VERBS[type(cmd)]
-    n_names = COMMANDS[verb][1]
-    parts = [verb, *cmd[:n_names]]
-    for key, value in zip(cmd._fields[n_names:], cmd[n_names:]):
-        if value is not None:
-            if _OPTION_TYPES[key] == "qlist":
-                value = ",".join(str(q) for q in value)
-            parts.append(f"{key}={value}")
+    parts = [verb, *cmd[:COMMANDS[verb][1]]]
+    for key, value in command_options(cmd).items():
+        if _OPTION_TYPES[key] == "qlist":
+            value = ",".join(str(q) for q in value)
+        parts.append(f"{key}={value}")
     return " ".join(parts)
 
 

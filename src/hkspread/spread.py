@@ -2,11 +2,13 @@
 
 Two estimators target ℓ*(J): the subquotient form
     λ(J^[q·q0] / a^[q] J^[q·q0]) / (q^d · e_HK(a))
-sampled along e with q0 escalation, and the Hilbert-Kunz difference form
+sampled at q = p^e, e = 0..e_max, escalating q0 through the values 1, p,
+p², p³ until the ratios settle, and the Hilbert-Kunz difference form
     (e_HK(a·J^[q0]) − e_HK(J^[q0])) / e_HK(a)
 for finite-colength J.  The identity checkers verify the product,
 self-product, additivity, base-change, and vanishing relations that the
-estimators' convergence depends on.
+estimators' convergence depends on.  Every function here takes Frobenius
+powers as the values q and q0 themselves, never as exponents.
 
 Tight closure itself is never computed: the independence diagnostics are
 necessary-condition checks built on colon containments, and every report
@@ -21,7 +23,7 @@ from typing import NamedTuple
 from .errors import PreconditionError
 from .ideals import Ideal, ideal_colon, maximal_ideal
 from .lengths import ehk_estimate, length_quotient, length_subquotient
-from .poly import Polynomial, RingSpec
+from .poly import Polynomial, RingSpec, as_q
 
 CAVEAT = ("finite-q evidence only: a pass is consistent with "
           "star-independence but proves nothing; a unit colon proves "
@@ -102,6 +104,15 @@ def _require_finite_colength(I: Ideal, what: str):
         raise PreconditionError(f"{what} must have finite colength")
 
 
+def _normalizer(ring: RingSpec, a: Ideal | None, e_max: int):
+    """(a, e_HK(a)) for the normalizing ideal a, the maximal ideal when
+    None, after checking that a has finite colength."""
+    if a is None:
+        a = maximal_ideal(ring)
+    _require_finite_colength(a, "the normalizing ideal a")
+    return a, ehk_estimate(a, e_max=e_max).value
+
+
 def _stabilize(ratios):
     """First consecutive pair rounding to one integer, both within 1/4."""
     for i in range(len(ratios) - 1):
@@ -124,36 +135,34 @@ def _spread_lengths(K: Ideal, a: Ideal, q0: int, e_max: int) -> list:
             for q in (p ** e for e in range(e_max + 1))]
 
 
-def star_spread_estimate(J: Ideal, a: Ideal | None = None,
-                         q0_exponent: int = 0, e_max: int = 3) -> SpreadReport:
-    """Estimate ℓ*(J) from subquotient lengths along e = 0..e_max.
+def star_spread_estimate(J: Ideal, a: Ideal | None = None, q0: int = 1,
+                         e_max: int = 3) -> SpreadReport:
+    """Estimate ℓ*(J) from subquotient lengths at q = p^e, e = 0..e_max.
 
-    When the rounded ratio fails to stabilize, the q0 exponent doubles
-    (starting at 1 from 0) up to Q0_CAP_EXPONENT and the table is
-    recomputed.
+    When the rounded ratio fails to stabilize, q0 moves to its next level
+    (p after 1, otherwise q0² capped at p^Q0_CAP_EXPONENT) and the table
+    is recomputed there.
     """
     ring = J.ring
+    q0 = as_q(ring, q0)
     if J.is_unit():
         raise PreconditionError("spread needs a proper ideal")
     if ring.relations and e_max < 1:
         raise PreconditionError(
             "the normalizing e_HK(a) on a quotient ring needs e_max >= 1")
-    if a is None:
-        a = maximal_ideal(ring)
-    _require_finite_colength(a, "the normalizing ideal a")
+    if e_max < 1:
+        raise PreconditionError(
+            "each q0 level compares the cells e = 0 and e = 1, so spread "
+            "needs e_max >= 1")
+    a, ehk_a = _normalizer(ring, a, e_max)
     p = ring.characteristic
     d = ring.dimension
-    ehk_a = ehk_estimate(a, e_max=e_max).value
+    cap = p ** Q0_CAP_EXPONENT
 
     cells = []
     schedule = []
-    cur = q0_exponent
-    estimate = None
-    stabilized = False
-    distance = None
     while True:
-        schedule.append(cur)
-        q0 = p ** cur
+        schedule.append(q0)
         round_ratios = []
         for e, lam in enumerate(_spread_lengths(J, a, q0, e_max)):
             q = p ** e
@@ -161,9 +170,9 @@ def star_spread_estimate(J: Ideal, a: Ideal | None = None,
             cells.append(SpreadCell(q0, e, q, lam, ratio))
             round_ratios.append(ratio)
         estimate, stabilized, distance = _stabilize(round_ratios)
-        if stabilized or cur >= Q0_CAP_EXPONENT:
+        if stabilized or q0 >= cap:
             break
-        cur = 1 if cur == 0 else min(2 * cur, Q0_CAP_EXPONENT)
+        q0 = p if q0 == 1 else min(q0 * q0, cap)
     return SpreadReport(method="subquotient", J=J, a=a, dimension=d,
                         ehk_a=ehk_a, cells=tuple(cells),
                         q0_schedule=tuple(schedule), estimate=estimate,
@@ -171,21 +180,17 @@ def star_spread_estimate(J: Ideal, a: Ideal | None = None,
 
 
 def star_spread_hk_difference(J: Ideal, a: Ideal | None = None,
-                              q0_exponent: int = 0,
-                              e_max: int = 3) -> SpreadReport:
+                              q0: int = 1, e_max: int = 3) -> SpreadReport:
     """(e_HK(a·J^[q0]) − e_HK(J^[q0])) / e_HK(a), for finite-colength J."""
     ring = J.ring
+    q0 = as_q(ring, q0)
     if ring.relations and e_max < 1:
         raise PreconditionError(
             "the e_HK estimates of a, J^[q0] and a·J^[q0] on a quotient ring "
             "need e_max >= 1")
     _require_finite_colength(J, "J")
-    if a is None:
-        a = maximal_ideal(ring)
-    _require_finite_colength(a, "the normalizing ideal a")
-    q0 = ring.characteristic ** q0_exponent
+    a, e_a = _normalizer(ring, a, e_max)
     Jq0 = J.bracket_power(q0)
-    e_a = ehk_estimate(a, e_max=e_max).value
     e_j = ehk_estimate(Jq0, e_max=e_max).value
     e_aj = ehk_estimate(a * Jq0, e_max=e_max).value
     value = (e_aj - e_j) / e_a
@@ -194,7 +199,7 @@ def star_spread_hk_difference(J: Ideal, a: Ideal | None = None,
     good = dist < Fraction(1, 4)
     return SpreadReport(method="hk-difference", J=J, a=a,
                         dimension=ring.dimension, ehk_a=e_a, cells=(),
-                        q0_schedule=(q0_exponent,),
+                        q0_schedule=(q0,),
                         estimate=nearest if good else None, stabilized=good,
                         rounding_distance=dist if good else None,
                         value=value,
@@ -205,20 +210,27 @@ def star_spread_hk_difference(J: Ideal, a: Ideal | None = None,
 # -- colon-criterion diagnostics ---------------------------------------------
 
 
-def colon_criterion_diagnostic(I: Ideal, x: Polynomial,
-                               q0_exponent: int = 2,
+def _verdict(dependent: bool, consistent: bool) -> str:
+    if dependent:
+        return "dependent"
+    return "consistent" if consistent else "inconclusive"
+
+
+def colon_criterion_diagnostic(I: Ideal, x: Polynomial, q0: int | None = None,
                                e_max: int = 3) -> ColonCriterionReport:
-    """Containment survey of (I^[q] : x^q) in m^[q/q0] for q = p..p^e_max.
+    """Containment survey of (I^[q] : x^q) in m^[q/q0'] for q = p..p^e_max,
+    trying q0' = 1, p, p², .. up to min(q0, q); q0 defaults to p².
 
     A unit colon at any q certifies x^q ∈ I^[q] (dependence); otherwise the
-    least working q0 per q is recorded, or the row is inconclusive.
+    least working q0' per q is recorded, or the row is inconclusive.
     """
     ring = I.ring
+    p = ring.characteristic
+    q0 = p * p if q0 is None else as_q(ring, q0)
     if x.is_zero():
         return ColonCriterionReport(candidate=x, rows=(), verdict="dependent")
     if e_max < 1:
         raise PreconditionError("the colon survey needs e_max >= 1")
-    p = ring.characteristic
     m = maximal_ideal(ring)
     rows = []
     for e in range(1, e_max + 1):
@@ -229,22 +241,19 @@ def colon_criterion_diagnostic(I: Ideal, x: Polynomial,
             continue
         col_gens = col.groebner_basis().polys
         least = None
-        for ep in range(0, min(q0_exponent, e) + 1):
-            target = m.bracket_power(p ** (e - ep)).groebner_basis()
+        step = 1
+        while least is None and step <= min(q0, q):
+            target = m.bracket_power(q // step).groebner_basis()
             if all(target.contains(g) for g in col_gens):
-                least = p ** ep
-                break
+                least = step
+            step *= p
         rows.append(ColonRow(e, q, False, least, least is not None))
-    if any(r.unit_colon for r in rows):
-        verdict = "dependent"
-    elif all(r.contained for r in rows):
-        verdict = "consistent"
-    else:
-        verdict = "inconclusive"
+    verdict = _verdict(any(r.unit_colon for r in rows),
+                       all(r.contained for r in rows))
     return ColonCriterionReport(candidate=x, rows=tuple(rows), verdict=verdict)
 
 
-def star_independence_diagnostic(gens, q0_exponent: int = 2,
+def star_independence_diagnostic(gens, q0: int | None = None,
                                  e_max: int = 3) -> IndependenceReport:
     """Each generator against the ideal of the others, via the colon survey."""
     gens = tuple(gens)
@@ -254,13 +263,9 @@ def star_independence_diagnostic(gens, q0_exponent: int = 2,
     reports = []
     for i, f in enumerate(gens):
         others = Ideal(ring, gens[:i] + gens[i + 1:])
-        reports.append(colon_criterion_diagnostic(others, f, q0_exponent, e_max))
-    if any(r.verdict == "dependent" for r in reports):
-        verdict = "dependent"
-    elif all(r.verdict == "consistent" for r in reports):
-        verdict = "consistent"
-    else:
-        verdict = "inconclusive"
+        reports.append(colon_criterion_diagnostic(others, f, q0, e_max))
+    verdict = _verdict(any(r.verdict == "dependent" for r in reports),
+                       all(r.verdict == "consistent" for r in reports))
     return IndependenceReport(generators=gens, reports=tuple(reports),
                               verdict=verdict)
 
@@ -268,40 +273,36 @@ def star_independence_diagnostic(gens, q0_exponent: int = 2,
 # -- identity checkers --------------------------------------------------------
 
 
-def _identity_rows(pairs, exact, tolerance):
-    rows = []
-    for label, lhs, rhs in pairs:
-        residual = rhs - lhs
-        ok = residual == 0 if exact else abs(residual) <= tolerance
-        rows.append(IdentityRow(label, lhs, rhs, residual, ok))
-    return tuple(rows)
+def _identity_rows(pairs, bound):
+    return tuple(IdentityRow(label, lhs, rhs, rhs - lhs, abs(rhs - lhs) <= bound)
+                 for label, lhs, rhs in pairs)
 
 
-def _finish(name, ring, pairs, notes=()):
-    exact = not ring.relations
+def _finish(name, exact, pairs, exact_pairs=(), notes=()):
+    """The report on `exact_pairs`, whose sides must be equal, then on
+    `pairs`, equal too when `exact` and within DEFAULT_TOLERANCE if not."""
     tol = None if exact else DEFAULT_TOLERANCE
-    rows = _identity_rows(pairs, exact, tol)
+    rows = _identity_rows(exact_pairs, 0) + _identity_rows(pairs, tol or 0)
     return IdentityReport(name=name, exact=exact, tolerance=tol, rows=rows,
                           passed=all(r.passed for r in rows), notes=tuple(notes))
 
 
-def check_product_identity(I: Ideal, J: Ideal, ell: int, e_list,
+def check_product_identity(I: Ideal, J: Ideal, ell: int, q,
                            e_max: int = 3) -> IdentityReport:
     """ℓ·e_HK(I) + q^d·e_HK(J) = e_HK(I·J^[q]), plus the q-difference forms.
 
     ell is the caller's value for ℓ*(J) (e.g. a spread estimate).  For each
-    q = p^e the product form is checked; consecutive q < q' additionally
+    value in the list q the product form is checked; consecutive q < q' additionally
     check (q'^d − q^d)·e_HK(J) = e_HK(IJ^[q']) − e_HK(IJ^[q]) and
     (q'^d − q^d)·ℓ·e_HK(I) = q'^d·e_HK(IJ^[q]) − q^d·e_HK(IJ^[q']).
     """
     ring = I.ring
+    qs = [as_q(ring, v) for v in q]
     _require_finite_colength(I, "I")
     _require_finite_colength(J, "J")
-    p = ring.characteristic
     d = ring.dimension
     e_i = ehk_estimate(I, e_max=e_max).value
     e_j = ehk_estimate(J, e_max=e_max).value
-    qs = [p ** e for e in e_list]
     prod = {q: ehk_estimate(I * J.bracket_power(q), e_max=e_max).value
             for q in qs}
     pairs = []
@@ -314,53 +315,49 @@ def check_product_identity(I: Ideal, J: Ideal, ell: int, e_list,
                       (qpd - qd) * e_j, prod[qp] - prod[q]))
         pairs.append((f"scaled-difference[q={q},q'={qp}]",
                       (qpd - qd) * ell * e_i, qpd * prod[q] - qd * prod[qp]))
-    return _finish("product", ring, pairs)
+    return _finish("product", not ring.relations, pairs)
 
 
-def check_self_product(J: Ideal, e_list, q0_exponent: int = 0,
+def check_self_product(J: Ideal, q, q0: int = 1,
                        e_max: int = 3) -> IdentityReport:
-    """e_HK(J·J^[q]) = (ℓ*(J) + q^d)·e_HK(J), with ℓ* from the estimator."""
+    """e_HK(J·J^[q]) = (ℓ*(J) + q^d)·e_HK(J) for each value in the list q,
+    with ℓ* from the estimator."""
     ring = J.ring
+    qs = [as_q(ring, v) for v in q]
     _require_finite_colength(J, "J")
-    spread = star_spread_estimate(J, None, q0_exponent, e_max)
+    spread = star_spread_estimate(J, None, q0, e_max)
     if spread.estimate is None:
         raise PreconditionError("spread estimate did not stabilize")
     ell = spread.estimate
-    p = ring.characteristic
     d = ring.dimension
     e_j = ehk_estimate(J, e_max=e_max).value
     pairs = []
-    for e in e_list:
-        q = p ** e
+    for q in qs:
         lhs = ehk_estimate(J * J.bracket_power(q), e_max=e_max).value
         rhs = (ell + Fraction(q) ** d) * e_j
         pairs.append((f"self-product[q={q}]", lhs, rhs))
-    return _finish("self-product", ring, pairs,
+    return _finish("self-product", not ring.relations, pairs,
                    notes=(f"spread estimate {ell}",))
 
 
 def check_lemma33_additivity(I: Ideal, z: Polynomial, a: Ideal | None = None,
-                             q0_exponent: int = 0,
-                             e_max: int = 3) -> IdentityReport:
+                             q0: int = 1, e_max: int = 3) -> IdentityReport:
     """Adjoining a nonzerodivisor adds e_HK(a) to the normalized subquotient:
 
         λ((I,z)^[qq0] / a^[q](I,z)^[qq0]) / q^d
             = e_HK(a) + λ(I^[qq0] / a^[q] I^[qq0]) / q^d
     """
     ring = I.ring
+    q0 = as_q(ring, q0)
     if z.is_zero():
         raise PreconditionError("z must be nonzero")
     gb_i = I.groebner_basis()
     col = ideal_colon(I, Ideal(ring, (z,)))
     if not all(gb_i.contains(g) for g in col.gens):
         raise PreconditionError("z is a zerodivisor modulo the ideal")
-    if a is None:
-        a = maximal_ideal(ring)
-    _require_finite_colength(a, "the normalizing ideal a")
+    a, ehk_a = _normalizer(ring, a, e_max)
     p = ring.characteristic
     d = ring.dimension
-    q0 = p ** q0_exponent
-    ehk_a = ehk_estimate(a, e_max=e_max).value
     big = _spread_lengths(Ideal(ring, I.gens + (z,)), a, q0, e_max)
     small = _spread_lengths(I, a, q0, e_max)
     pairs = []
@@ -368,7 +365,7 @@ def check_lemma33_additivity(I: Ideal, z: Polynomial, a: Ideal | None = None,
         q = p ** e
         pairs.append((f"additivity[q={q}]", Fraction(lam_big, q ** d),
                       ehk_a + Fraction(lam_small, q ** d)))
-    return _finish("lemma33-additivity", ring, pairs)
+    return _finish("lemma33-additivity", not ring.relations, pairs)
 
 
 def _fresh_names(ring: RingSpec, s: int):
@@ -383,10 +380,12 @@ def _fresh_names(ring: RingSpec, s: int):
     return tuple(names)
 
 
-def check_base_change(R: RingSpec, a: Ideal, s: int, e_list,
+def check_base_change(R: RingSpec, a: Ideal, s: int, q,
                       e_max: int = 3) -> IdentityReport:
     """Extending to S = R[z_1..z_s]: (a) λ_S(S/(a^[q]S, z^[q])) factors as
-    λ_S(S/(mS, z^[q]))·λ_R(R/a^[q]); (b) e_HK(aS + (z)) = e_HK(a)."""
+    λ_S(S/(mS, z^[q]))·λ_R(R/a^[q]) for each value in the list q;
+    (b) e_HK(aS + (z)) = e_HK(a)."""
+    qs = [as_q(R, v) for v in q]
     if s < 1:
         raise PreconditionError("need at least one new variable")
     _require_finite_colength(a, "a")
@@ -395,10 +394,8 @@ def check_base_change(R: RingSpec, a: Ideal, s: int, e_list,
     zs = tuple(S.gen(n0 + i) for i in range(s))
     aS = a.extended_to(S)
     mS = maximal_ideal(R).extended_to(S)
-    p = R.characteristic
     pairs = []
-    for e in e_list:
-        q = p ** e
+    for q in qs:
         zq = tuple(z.qth_power(q) for z in zs)
         lhs = int(length_quotient(Ideal(S, aS.bracket_power(q).gens + zq)))
         lam_box = int(length_quotient(Ideal(S, mS.gens + zq)))
@@ -409,22 +406,19 @@ def check_base_change(R: RingSpec, a: Ideal, s: int, e_list,
     e_base = ehk_estimate(a, e_max=e_max).value
     # part (a) is an exact integer identity even over quotient rings (the
     # extension is free); only part (b) goes through estimated e_HK values
-    exact = not R.relations
-    tol = None if exact else DEFAULT_TOLERANCE
-    rows = _identity_rows(pairs, True, None)
-    rows += _identity_rows([("extension-multiplicity", e_ext, e_base)],
-                           exact, tol)
-    return IdentityReport(name="base-change", exact=exact, tolerance=tol,
-                          rows=rows, passed=all(r.passed for r in rows))
+    return _finish("base-change", not R.relations,
+                   [("extension-multiplicity", e_ext, e_base)],
+                   exact_pairs=pairs)
 
 
-def check_corollary_vanishing(R: RingSpec, I: Ideal, q0_exponent: int = 0,
+def check_corollary_vanishing(R: RingSpec, I: Ideal, q0: int = 1,
                               e_max: int = 3) -> IdentityReport:
     """With S = R[z] and z regular on S/I^[qq0]S, the quotient
 
         (m^[q] I^[qq0] S + (z^q) ∩ I^[qq0] S) / (mS, z)^[q] I^[qq0] S
 
     has length exactly 0 at every sampled q."""
+    q0 = as_q(R, q0)
     if I.is_unit():
         raise PreconditionError("vanishing check needs a proper ideal")
     S = R.adjoin_variables(_fresh_names(R, 1))
@@ -432,7 +426,6 @@ def check_corollary_vanishing(R: RingSpec, I: Ideal, q0_exponent: int = 0,
     mS = maximal_ideal(R).extended_to(S)
     mz = Ideal(S, mS.gens + (z,))
     p = R.characteristic
-    q0 = p ** q0_exponent
     # mS^[q]·I^[q·q0]S = (mS·I^[q0]S)^[q], and the same for (mS, z)
     Iq0S = I.bracket_power(q0).extended_to(S)
     m_i = mS * Iq0S
@@ -446,7 +439,4 @@ def check_corollary_vanishing(R: RingSpec, I: Ideal, q0_exponent: int = 0,
         denominator = mz_i.bracket_power(q)
         lam = length_subquotient(numerator, denominator)
         pairs.append((f"vanishing[q={q}]", Fraction(int(lam)), Fraction(0)))
-    rows = _identity_rows(pairs, True, None)
-    return IdentityReport(name="corollary-vanishing", exact=True,
-                          tolerance=None, rows=rows,
-                          passed=all(r.passed for r in rows))
+    return _finish("corollary-vanishing", True, pairs)

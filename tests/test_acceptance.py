@@ -65,8 +65,8 @@ def _c1():
     ]
     for J, mu in cases:
         rep = star_spread_estimate(J, maximal_ideal(J.ring),
-                                   q0_exponent=0, e_max=3)
-        assert rep.q0_schedule == (0,)
+                                   q0=1, e_max=3)
+        assert rep.q0_schedule == (1,)
         assert [c.e for c in rep.cells] == [0, 1, 2, 3]
         assert all(c.ratio == mu for c in rep.cells), (J, mu)
         assert rep.estimate == mu and rep.stabilized
@@ -90,7 +90,7 @@ def _c2():
     ]
     for J in primaries:
         sub = star_spread_estimate(J, maximal_ideal(J.ring),
-                                   q0_exponent=0, e_max=3)
+                                   q0=1, e_max=3)
         diff = star_spread_hk_difference(J)
         assert diff.value == sub.estimate, J
 
@@ -121,7 +121,7 @@ def _c3():
         assert oracle == (q + 1) ** 2 - (2 * q - 1) == q * q + 2
         est = ehk_estimate(m * m.bracket_power(q))
         assert est.value == oracle
-    rep = check_self_product(m, [1, 2, 3])
+    rep = check_self_product(m, [2, 4, 8])
     assert rep.exact and rep.passed
     rows = {r.label: r for r in rep.rows}
     for e in (1, 2, 3):
@@ -146,7 +146,7 @@ def _c4():
         (R.ideal("x^2", "y^3"), 6),
     ]
     for J, ehk_j in cases:
-        rep = check_product_identity(m, J, 2, [1, 2, 3])
+        rep = check_product_identity(m, J, 2, [2, 4, 8])
         assert rep.exact and rep.passed, J
         assert all(r.residual == 0 for r in rep.rows)
         rows = {r.label: r for r in rep.rows}
@@ -186,7 +186,7 @@ def test_criterion_05_additivity(capsys):
 def _c6():
     R = _r2()
     for a in (maximal_ideal(R), R.ideal("x^2", "y^3")):
-        rep = check_base_change(R, a, 1, [1, 2])
+        rep = check_base_change(R, a, 1, [2, 4])
         assert rep.exact and rep.passed, a
         rows = {r.label: r for r in rep.rows}
         for q in (2, 4):

@@ -859,10 +859,10 @@ def test_intermediate_exponents_past_the_packed_width(order, gens, monkeypatch):
     assert steps.count(steps[-1]) == budget.steps
     if order != LEX:
         assert str(gb.polys[0]) == "x^256 + y"
-        with pytest.raises(ResourceLimitError,
-                           match=r"^monomial exponent exceeds cap \(255\)$"):
-            groebner.buchberger_raw(gens, order, ring=R,
-                                    guard=GuardConfig(max_exponent=255))
+        with use_guard(GuardConfig(max_exponent=255)), pytest.raises(
+                ResourceLimitError,
+                match=r"^monomial exponent exceeds cap \(255\)$"):
+            groebner.buchberger_raw(gens, order, ring=R)
 
 
 def test_kernel_started_without_headroom_matches_the_oracles(monkeypatch):
@@ -1005,7 +1005,9 @@ def test_gb_step_budget_is_pinned():
     budget = _Budget(GuardConfig())
     _gm_buchberger(gens + list(R.relations), DEGREVLEX, budget)
     assert budget.steps == 60
-    assert len(buchberger(gens, ring=R, guard=GuardConfig(max_steps=60))) == 10
-    with pytest.raises(ResourceLimitError,
-                       match=r"^reduction step budget exceeded \(59\)$"):
-        buchberger(gens, ring=R, guard=GuardConfig(max_steps=59))
+    with use_guard(GuardConfig(max_steps=60)):
+        assert len(buchberger(gens, ring=R)) == 10
+    with use_guard(GuardConfig(max_steps=59)), pytest.raises(
+            ResourceLimitError,
+            match=r"^reduction step budget exceeded \(59\)$"):
+        buchberger(gens, ring=R)

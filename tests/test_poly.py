@@ -6,7 +6,6 @@ import pytest
 
 from hkspread import (
     AlgebraError,
-    FrobeniusExponent,
     FrobeniusPowerError,
     HomogeneityError,
     Monomial,
@@ -15,6 +14,7 @@ from hkspread import (
     RingMismatchError,
     RingSpec,
 )
+from hkspread.poly import as_q
 
 PRIMES = [2, 3, 5, 7, 11, 31, 97]
 
@@ -127,19 +127,26 @@ def test_qth_power_validates_q():
         x.qth_power(2)
     with pytest.raises(FrobeniusPowerError):
         x.qth_power(6)
-    assert x.qth_power(FrobeniusExponent(3, 2)) == x**9
+    assert x.qth_power(9) == x**9
     with pytest.raises(FrobeniusPowerError):
-        x.qth_power(FrobeniusExponent(2, 1))
+        x.qth_power(0)
 
 
-def test_frobenius_exponent_from_q():
-    fe = FrobeniusExponent.from_q(2, 8)
-    assert (fe.p, fe.e, fe.q) == (2, 3, 8)
-    assert FrobeniusExponent.from_q(3, 1).e == 0
-    with pytest.raises(FrobeniusPowerError):
-        FrobeniusExponent.from_q(2, 6)
-    with pytest.raises(FrobeniusPowerError):
-        FrobeniusExponent(2, -1)
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_as_q_accepts_exactly_the_powers_of_p(p):
+    R = RingSpec(p, ("x",))
+    powers = {p ** e for e in range(12)}
+    for q in range(-3, p ** 4 + 2):
+        if q in powers:
+            assert as_q(R, q) == q
+        else:
+            with pytest.raises(FrobeniusPowerError, match=f"^{q} is not a "
+                               f"power of {p}$"):
+                as_q(R, q)
+    assert as_q(R, p ** 40) == p ** 40
+    for bad in (p ** 40 + 1, float(p), True, "1", None):
+        with pytest.raises(FrobeniusPowerError):
+            as_q(R, bad)
 
 
 def test_ring_mismatch_raises():

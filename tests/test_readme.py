@@ -1,0 +1,34 @@
+"""The README's Python examples run as written and give the values their
+comments state."""
+
+import re
+from fractions import Fraction
+from pathlib import Path
+
+README = Path(__file__).parent.parent / "README.md"
+
+
+def _python_blocks():
+    return re.findall(r"^```python\n(.*?)^```$", README.read_text(),
+                      flags=re.S | re.M)
+
+
+def test_readme_python_examples():
+    blocks = _python_blocks()
+    assert len(blocks) == 2
+    ns = {}
+    for block in blocks:  # in order, sharing one namespace
+        exec(compile(block, str(README), "exec"), ns)
+
+    assert int(ns["length_quotient"](ns["J"])) == 6
+    assert ns["ehk_estimate"](ns["J"]).value == Fraction(6, 1)
+
+    rep = ns["rep"]
+    assert rep.estimate == 2
+    assert [c.ratio for c in rep.cells] == [Fraction(2)] * 4
+
+    chk = ns["chk"]
+    assert chk.passed
+    assert all(r.residual == 0 for r in chk.rows)
+
+    assert round(float(ns["est"].value), 3) == 1.503

@@ -155,6 +155,48 @@ def test_spread_hk_e_max_zero_on_quotient_ring_names_the_estimates():
         "need e_max >= 1")
 
 
+def test_spread_e_max_zero_on_a_polynomial_ring_names_the_two_cells():
+    """e_HK(a) on a polynomial ring needs no e >= 1, but a q0 level still
+    compares two cells; e_max = 0 gives one, so nothing could stabilize."""
+    rep = run_script(parse_script(
+        "char 2; vars x y; ideal m = x, y; spread m e_max=0"))
+    error = report_document(rep, include_timing=False)["results"][0]["error"]
+    assert error["type"] == "PreconditionError"
+    assert error["message"] == (
+        "each q0 level compares the cells e = 0 and e = 1, so spread needs "
+        "e_max >= 1")
+
+
+_F2 = "char 2; vars x y; ideal m = x, y; ideal J = x^2, y^3; "
+_CUBIC = "char 2; vars x y z; quotient x^3 + y^3 + z^3; ideal m = x, y, z; "
+
+
+@pytest.mark.parametrize("header,bare,explicit", [
+    (_F2, "spread J", "spread J q0=1 e_max=3"),
+    (_F2, "independent m", "independent m q0=4 e_max=3"),
+    (_F2, "ehk J", "ehk J e_max=3"),
+    # least q0 reaches 4 here, so a default other than p^2 would show
+    (_CUBIC, "independent m", "independent m q0=4 e_max=3"),
+])
+def test_left_out_options_take_the_function_defaults(header, bare, explicit):
+    bare_result, explicit_result = [
+        report_document(run_script(parse_script(header + cmd)),
+                        include_timing=False)["results"][0]
+        for cmd in (bare, explicit)]
+    assert bare_result["command"] == bare
+    assert explicit_result["command"] == explicit
+    assert bare_result["status"] == "ok"
+    assert bare_result["data"] == explicit_result["data"]
+
+
+def test_zero_generators_of_a_binding_are_dropped():
+    script = parse_script("char 2; vars x y; ideal J = 0, x, y - y; gb J")
+    assert [str(g) for g in script.ideals()["J"].gens] == ["x"]
+    data = report_document(run_script(script),
+                           include_timing=False)["results"][0]["data"]
+    assert data["basis"] == ["x"]
+
+
 def test_independent_e_max_zero_names_the_colon_survey():
     rep = run_script(parse_script(
         "char 2; vars x y; ideal m = x, y; independent m e_max=0"))

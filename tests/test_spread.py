@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from hkspread import (
+    FrobeniusPowerError,
     GuardConfig,
     Ideal,
     PreconditionError,
@@ -46,7 +47,7 @@ def test_spread_regular_ratios_are_the_generator_count(gens, mu):
     assert rep.estimate == mu
     assert rep.stabilized
     assert rep.rounding_distance == 0
-    assert rep.q0_schedule == (0,)
+    assert rep.q0_schedule == (1,)
     assert [c.ratio for c in rep.cells] == [Fraction(mu)] * 4
     assert [c.q for c in rep.cells] == [1, 2, 4, 8]
 
@@ -114,7 +115,7 @@ def test_spread_quadric_escalates_q0_and_finds_three():
     """On F_3[x,y,z]/(x^2+yz) the maximal ideal has e_HK = 3/2 < 2, so no
     2-generated (parameter) ideal can be a *-reduction; the spread is 3."""
     rep = star_spread_estimate(maximal_ideal(_a1()), e_max=2)
-    assert rep.q0_schedule == (0, 1)  # q0 = 1 failed to stabilize, 3 worked
+    assert rep.q0_schedule == (1, 3)  # q0 = 1 failed to stabilize, 3 worked
     assert rep.estimate == 3
     assert rep.stabilized
     assert len(rep.cells) == 6
@@ -122,10 +123,26 @@ def test_spread_quadric_escalates_q0_and_finds_three():
 
 def test_spread_report_q0_exponent_start():
     R = _r2()
-    rep = star_spread_estimate(R.ideal("x^2", "y^3"), q0_exponent=1)
-    assert rep.q0_schedule == (1,)
+    rep = star_spread_estimate(R.ideal("x^2", "y^3"), q0=2)
+    assert rep.q0_schedule == (2,)
     assert rep.estimate == 2
     assert [c.q0 for c in rep.cells] == [2, 2, 2, 2]
+
+
+@pytest.mark.parametrize("ring,gens,q0,schedule", [
+    ("cubic", ("y", "z"), 1, (1, 2, 4, 8)),
+    ("cubic", ("y", "z"), 4, (4, 8)),
+    ("quadric", ("x", "y", "z"), 9, (9, 27)),
+])
+def test_spread_q0_levels_escalate_by_value(ring, gens, q0, schedule):
+    """With e_max = 1 these levels never settle: q0 goes to p after 1,
+    then to q0² capped at p^3, and stops at the cap."""
+    R = (RingSpec(2, ("x", "y", "z")).quotient("x^3 + y^3 + z^3")
+         if ring == "cubic" else _a1())
+    rep = star_spread_estimate(R.ideal(*gens), q0=q0, e_max=1)
+    assert not rep.stabilized
+    assert rep.q0_schedule == schedule
+    assert [c.q0 for c in rep.cells] == [v for v in schedule for _ in (0, 1)]
 
 
 # -- colon criterion ----------------------------------------------------------
@@ -179,7 +196,7 @@ def test_product_identity_regular_pairs_exact():
     R = _r2()
     m = maximal_ideal(R)
     for gens, ell in ((("x", "y"), 2), (("x^2", "y^2"), 2), (("x^2", "y^3"), 2)):
-        rep = check_product_identity(m, R.ideal(*gens), ell, [1, 2, 3])
+        rep = check_product_identity(m, R.ideal(*gens), ell, [2, 4, 8])
         assert rep.exact and rep.passed
         assert all(r.residual == 0 for r in rep.rows)
         labels = [r.label for r in rep.rows]
@@ -190,7 +207,7 @@ def test_product_identity_regular_pairs_exact():
 
 def test_product_identity_single_q_values():
     R = _r2()
-    rep = check_product_identity(R.ideal("x^2", "y^2"), maximal_ideal(R), 2, [1])
+    rep = check_product_identity(R.ideal("x^2", "y^2"), maximal_ideal(R), 2, [2])
     row = rep.rows[0]
     assert (row.lhs, row.rhs) == (12, 12)  # 2·4 + 4·1 = e_HK(I·m^[2])
 
@@ -200,10 +217,10 @@ def test_product_identity_small_q_boundary():
     it fails at q = 2 (16 vs 14) and holds from q = 4 on."""
     R = _r2()
     I = R.ideal("x^2", "y^3")
-    rep = check_product_identity(I, maximal_ideal(R), 2, [1])
+    rep = check_product_identity(I, maximal_ideal(R), 2, [2])
     assert not rep.passed
     assert (rep.rows[0].lhs, rep.rows[0].rhs) == (16, 14)
-    rep = check_product_identity(I, maximal_ideal(R), 2, [2, 3])
+    rep = check_product_identity(I, maximal_ideal(R), 2, [4, 8])
     assert rep.passed
     assert [(r.lhs, r.rhs) for r in rep.rows
             if r.label.startswith("product")] == [(28, 28), (76, 76)]
@@ -212,21 +229,21 @@ def test_product_identity_small_q_boundary():
 def test_product_identity_precondition():
     R = _r2()
     with pytest.raises(PreconditionError):
-        check_product_identity(R.ideal("x"), maximal_ideal(R), 1, [1])
+        check_product_identity(R.ideal("x"), maximal_ideal(R), 1, [2])
 
 
 def test_self_product_values():
     R = _r2()
-    rep = check_self_product(maximal_ideal(R), [1, 2])
+    rep = check_self_product(maximal_ideal(R), [2, 4])
     assert rep.passed and rep.exact
     assert [(r.lhs, r.rhs) for r in rep.rows] == [(6, 6), (18, 18)]
     assert rep.notes == ("spread estimate 2",)
 
-    rep = check_self_product(R.ideal("x^2", "y^3"), [1])
+    rep = check_self_product(R.ideal("x^2", "y^3"), [2])
     assert rep.rows[0].lhs == 36
 
     R3 = RingSpec(3, ("x", "y"))
-    rep = check_self_product(maximal_ideal(R3), [1])
+    rep = check_self_product(maximal_ideal(R3), [3])
     assert rep.rows[0].lhs == 11
 
 
@@ -257,27 +274,27 @@ def test_lemma33_rejects_bad_z():
 
 def test_base_change_part_a_and_b():
     R = _r2()
-    rep = check_base_change(R, R.ideal("x^2", "y^3"), 1, [1, 2])
+    rep = check_base_change(R, R.ideal("x^2", "y^3"), 1, [2, 4])
     assert rep.exact and rep.passed
     by_label = {r.label: r for r in rep.rows}
     assert by_label["factorization[q=2]"].lhs == 48
     assert by_label["factorization[q=4]"].lhs == 384
     assert by_label["extension-multiplicity"].lhs == 6
-    rep = check_base_change(R, maximal_ideal(R), 1, [0])
+    rep = check_base_change(R, maximal_ideal(R), 1, [1])
     # q=1 row degenerates to λ(S/(aS, z)) = λ(R/a)
     assert rep.rows[0].lhs == rep.rows[0].rhs == 1
 
 
 def test_base_change_two_new_variables():
     R = _r2()
-    rep = check_base_change(R, maximal_ideal(R), 2, [1, 2])
+    rep = check_base_change(R, maximal_ideal(R), 2, [2, 4])
     assert rep.passed
     assert [r.lhs for r in rep.rows[:-1]] == [16, 256]  # (q^2)·λ(R/m^[q])
 
 
 def test_base_change_factorization_exact_on_quadric():
     Q = _a1()
-    rep = check_base_change(Q, maximal_ideal(Q), 1, [1])
+    rep = check_base_change(Q, maximal_ideal(Q), 1, [3])
     fact = [r for r in rep.rows if r.label.startswith("factorization")][0]
     assert fact.lhs == fact.rhs == 39  # 3·13, exact; the extension is free
     assert not rep.exact  # part (b) compares estimates with tolerance
@@ -296,7 +313,50 @@ def test_corollary_vanishing(igens):
 
 def test_corollary_vanishing_with_q0():
     R = _r2()
-    rep = check_corollary_vanishing(R, R.ideal("x", "y"), q0_exponent=1,
+    rep = check_corollary_vanishing(R, R.ideal("x", "y"), q0=2,
                                     e_max=2)
     assert rep.passed
     assert len(rep.rows) == 3
+
+
+# -- Frobenius powers are values ----------------------------------------------
+
+
+# spread function -> call with the given q0 on F_2[x, y]
+_Q0_CALLS = {
+    "spread": lambda R, q0: star_spread_estimate(R.ideal("x^2", "y^3"),
+                                                 q0=q0),
+    "spread_hk": lambda R, q0: star_spread_hk_difference(
+        R.ideal("x^2", "y^3"), q0=q0),
+    "self": lambda R, q0: check_self_product(maximal_ideal(R), [2], q0=q0),
+    "lemma33": lambda R, q0: check_lemma33_additivity(R.ideal("x"),
+                                                      R.gen(1), q0=q0),
+    "corollary": lambda R, q0: check_corollary_vanishing(R, R.ideal("x"),
+                                                         q0=q0),
+    "independent": lambda R, q0: star_independence_diagnostic(R.gens(),
+                                                              q0=q0),
+    "colon": lambda R, q0: colon_criterion_diagnostic(R.ideal("y"), R.gen(0),
+                                                      q0=q0),
+}
+
+# spread function -> call with the given list of q values on F_2[x, y]
+_Q_CALLS = {
+    "product": lambda R, q: check_product_identity(
+        maximal_ideal(R), R.ideal("x^2", "y^3"), 2, q),
+    "self": lambda R, q: check_self_product(maximal_ideal(R), q),
+    "basechange": lambda R, q: check_base_change(R, maximal_ideal(R), 1, q),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_Q0_CALLS))
+@pytest.mark.parametrize("q0", [3, 0])
+def test_spread_functions_reject_a_q0_not_a_power_of_p(name, q0):
+    with pytest.raises(FrobeniusPowerError,
+                       match=f"^{q0} is not a power of 2$"):
+        _Q0_CALLS[name](_r2(), q0)
+
+
+@pytest.mark.parametrize("name", sorted(_Q_CALLS))
+def test_spread_functions_reject_a_q_entry_not_a_power_of_p(name):
+    with pytest.raises(FrobeniusPowerError, match="^6 is not a power of 2$"):
+        _Q_CALLS[name](_r2(), [2, 6])

@@ -21,6 +21,10 @@ class HomogeneityError(AlgebraError):
     """A polynomial that must be homogeneous is not."""
 
 
+class UnitRelationError(AlgebraError):
+    """A quotient relation is a nonzero constant, so the ring would be zero."""
+
+
 class ContainmentError(AlgebraError):
     """Expected ideal containment does not hold."""
 

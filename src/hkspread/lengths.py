@@ -160,32 +160,27 @@ def ehk_estimate(a: Ideal, e_max: int = 3, method: str = "auto") -> HKEstimate:
     Exact shortcuts: a monomial ideal in a relation-free ring has
     e_HK = λ(R/a) (staircases dilate exactly), and in fact any
     finite-colength ideal of a relation-free ring does (the Frobenius is
-    flat, so λ(R/a^[q]) = q^d λ(R/a)).  Rings with relations are sampled
-    along e = 0..e_max and extrapolated.  `method` is auto, exact, fit or
-    last; the estimate names the rule it used (monomial-exact,
-    regular-exact, linear-fit or last-sample).
+    flat, so λ(R/a^[q]) = q^d λ(R/a)).  `method` is auto, fit or last:
+    auto takes that exact value on a relation-free ring and fits
+    elsewhere; fit and last sample e = 0..e_max and extrapolate.  The
+    estimate names the rule it used (monomial-exact, regular-exact,
+    linear-fit or last-sample).
     """
-    if method not in ("auto", "exact", "fit", "last"):
+    if method not in ("auto", "fit", "last"):
         raise PreconditionError(f"unknown estimation method {method!r}")
     ring = a.ring
-    relation_free = not ring.relations
-    monomial = relation_free and all(g.is_monomial() for g in a.gens)
-
-    if method == "exact" and not relation_free:
-        raise PreconditionError(
-            "exact method requires a relation-free ring; use fit or last")
-    if method == "auto":
-        method = "exact" if relation_free else "fit"
-
-    if method == "exact":
+    if method == "auto" and not ring.relations:
         lam = length_quotient(a)
         if not lam.is_finite:
             raise InfiniteLengthError("multiplicity needs finite colength")
+        monomial = all(g.is_monomial() for g in a.gens)
         sample = HKSample(0, 1, lam.value, Fraction(lam.value))
         return HKEstimate(value=Fraction(lam.value),
                           method="monomial-exact" if monomial else "regular-exact",
                           samples=(sample,),
                           error_bound=Fraction(0))
+    if method == "auto":
+        method = "fit"
 
     if method == "fit" and e_max < 1:
         raise PreconditionError("fit methods need e_max >= 1")

@@ -17,6 +17,7 @@ from .errors import (
     HomogeneityError,
     NotPrimeError,
     RingMismatchError,
+    UnitRelationError,
 )
 
 
@@ -91,7 +92,8 @@ def _valid_var_name(name: str) -> bool:
 
 
 class RingSpec:
-    """F_p[x_1..x_n] or a quotient of it by homogeneous relations.
+    """F_p[x_1..x_n] or a quotient of it by homogeneous relations of positive
+    degree.
 
     Relations may be handed in as polynomials of another RingSpec with the
     same characteristic; they are re-bound here by variable name, which is
@@ -122,6 +124,10 @@ class RingSpec:
             if not f.is_homogeneous():
                 raise HomogeneityError(
                     f"quotient relation {f} is not homogeneous")
+            if f.degree() == 0:
+                raise UnitRelationError(
+                    f"quotient relation {f} is a nonzero constant, so the "
+                    "ring would be zero")
             adopted.append(f)
         self.relations = tuple(adopted)
 

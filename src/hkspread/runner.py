@@ -20,24 +20,7 @@ from .groebner import DEFAULT_GUARD, GuardConfig, use_guard
 from .ideals import chain_memo, ideal_colon
 from .lengths import ehk_estimate, length_quotient
 from .orders import order_by_name
-from .script import (
-    VERBS,
-    ColonCommand,
-    EhkCommand,
-    GbCommand,
-    IdentityBasechangeCommand,
-    IdentityCorollaryCommand,
-    IdentityLemma33Command,
-    IdentityProductCommand,
-    IdentitySelfCommand,
-    IndependentCommand,
-    LengthCommand,
-    SessionScript,
-    SpreadCommand,
-    SpreadHkCommand,
-    command_options,
-    format_command,
-)
+from .script import SessionScript, format_command
 from .spread import (
     check_base_change,
     check_corollary_vanishing,
@@ -120,10 +103,10 @@ def _estimate_dict(name, est, dimension):
     }
 
 
-def _spread_dict(rep, j_name, a_name):
+def _spread_dict(rep, cmd):
     data = {
-        "ideal": j_name,
-        "a": a_name,
+        "ideal": cmd.names[0],
+        "a": dict(cmd.options).get("a", "m"),
         "method": rep.method,
         "dimension": rep.dimension,
         "ehk_a": _frac(rep.ehk_a),
@@ -184,48 +167,42 @@ class _Session:
         """The options the command sets, as keyword arguments of its layer
         function (an option left out takes that function's default), with
         `a` bound to its ideal."""
-        opts = command_options(cmd)
+        opts = dict(cmd.options)
         if "a" in opts:
             opts["a"] = self.ideals[opts["a"]]
         return opts
 
 
-# command class -> f(session, command) giving the report data.  The entries
-# look the layer functions up as module globals when they run, so a layer
-# rebound on this module after import is the one that gets called.
+# verb -> f(session, command, *its leading ideals) giving the report data.
+# The entries look the layer functions up as module globals when they run,
+# so a layer rebound on this module after import is the one that gets called.
 _DATA = {
-    GbCommand: lambda s, c: {
-        "ideal": c.name, "order": s.order.name,
-        "basis": _basis(s.ideals[c.name].groebner_basis(s.order))},
-    LengthCommand: lambda s, c: {
-        "ideal": c.name, **_length_dict(length_quotient(s.ideals[c.name]))},
-    ColonCommand: lambda s, c: {
-        "left": c.left, "right": c.right,
-        "basis": _basis(ideal_colon(s.ideals[c.left], s.ideals[c.right])
-                        .groebner_basis(s.order))},
-    EhkCommand: lambda s, c: _estimate_dict(
-        c.name, ehk_estimate(s.ideals[c.name], **s.options(c)),
-        s.ring.dimension),
-    SpreadCommand: lambda s, c: _spread_dict(
-        star_spread_estimate(s.ideals[c.name], **s.options(c)),
-        c.name, c.a or "m"),
-    SpreadHkCommand: lambda s, c: _spread_dict(
-        star_spread_hk_difference(s.ideals[c.name], **s.options(c)),
-        c.name, c.a or "m"),
-    IdentityProductCommand: lambda s, c: _identity_dict(
-        check_product_identity(s.ideals[c.left], s.ideals[c.right],
-                               **s.options(c))),
-    IdentitySelfCommand: lambda s, c: _identity_dict(
-        check_self_product(s.ideals[c.name], **s.options(c))),
-    IdentityLemma33Command: lambda s, c: _identity_dict(
-        check_lemma33_additivity(s.ideals[c.name], **s.options(c))),
-    IdentityBasechangeCommand: lambda s, c: _identity_dict(
-        check_base_change(s.ring, s.ideals[c.name], **s.options(c))),
-    IdentityCorollaryCommand: lambda s, c: _identity_dict(
-        check_corollary_vanishing(s.ring, s.ideals[c.name], **s.options(c))),
-    IndependentCommand: lambda s, c: _independence_dict(
-        star_independence_diagnostic(s.ideals[c.name].gens, **s.options(c)),
-        c.name),
+    "gb": lambda s, c, J: {
+        "ideal": c.names[0], "order": s.order.name,
+        "basis": _basis(J.groebner_basis(s.order))},
+    "length": lambda s, c, J: {
+        "ideal": c.names[0], **_length_dict(length_quotient(J))},
+    "colon": lambda s, c, I, J: {
+        "left": c.names[0], "right": c.names[1],
+        "basis": _basis(ideal_colon(I, J).groebner_basis(s.order))},
+    "ehk": lambda s, c, J: _estimate_dict(
+        c.names[0], ehk_estimate(J, **s.options(c)), s.ring.dimension),
+    "spread": lambda s, c, J: _spread_dict(
+        star_spread_estimate(J, **s.options(c)), c),
+    "spread_hk": lambda s, c, J: _spread_dict(
+        star_spread_hk_difference(J, **s.options(c)), c),
+    "identity product": lambda s, c, I, J: _identity_dict(
+        check_product_identity(I, J, **s.options(c))),
+    "identity self": lambda s, c, J: _identity_dict(
+        check_self_product(J, **s.options(c))),
+    "identity lemma33": lambda s, c, J: _identity_dict(
+        check_lemma33_additivity(J, **s.options(c))),
+    "identity basechange": lambda s, c, J: _identity_dict(
+        check_base_change(s.ring, J, **s.options(c))),
+    "identity corollary": lambda s, c, J: _identity_dict(
+        check_corollary_vanishing(s.ring, J, **s.options(c))),
+    "independent": lambda s, c, J: _independence_dict(
+        star_independence_diagnostic(J.gens, **s.options(c)), c.names[0]),
 }
 
 
@@ -242,8 +219,9 @@ def run_script(script: SessionScript, config: RunConfig | None = None) -> Report
             echo = format_command(cmd)
             t0 = time.perf_counter()
             try:
-                kind = VERBS[type(cmd)].split()[0]  # first word of the verb
-                data = _DATA[type(cmd)](session, cmd)
+                kind = cmd.verb.split()[0]
+                data = _DATA[cmd.verb](session, cmd, *(
+                    session.ideals[name] for name in cmd.names))
                 result = CommandResult(echo, kind, "ok", data=data)
                 if kind == "identity" and not data["pass"]:
                     report.ok = False

@@ -9,7 +9,7 @@ Grammar (statements separated by ';' or newline, '#' comments):
     gb <name>
     length <name>
     colon <name> <name>
-    ehk <name> [e_max=N] [method=fit|last|exact]
+    ehk <name> [e_max=N] [method=fit|last]
     spread <name> [a=<name>] [q0=N] [e_max=N]
     spread_hk <name> [a=<name>] [q0=N] [e_max=N]
     identity product <I> <J> ell=N q=N[,N...] [e_max=N]
@@ -22,10 +22,12 @@ Grammar (statements separated by ';' or newline, '#' comments):
 Polynomials are infix with '^' and '*'; implicit multiplication is not
 allowed.  q and q0 take power-of-p values (not exponents).
 
-Each command parses to a NamedTuple listed in COMMANDS: its `_fields` are
-the leading ideal names and then the options, and an option is required
-when it is not in `_field_defaults`.  Commands and scripts equal only
-records of their own class.
+Each command parses to one `Command(verb, names, options)` record.  Its
+verb's row in COMMANDS, (number of leading ideal names, required options,
+other options), says what the parser reads after the verb; `options` holds
+the (name, value) pairs the script set, in the row's order, whatever order
+they were typed in, and the printer writes them back in that order.
+Commands and scripts equal only records of their own class.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import (FrobeniusPowerError, HomogeneityError, NotPrimeError,
-                     ScriptError)
+                     ScriptError, UnitRelationError)
 from .poly import Polynomial, RingSpec, as_q
 
 
@@ -94,97 +96,30 @@ def tokenize(text: str):
 # -- command AST --------------------------------------------------------------
 
 
-class GbCommand(NamedTuple):
-    name: str
+class Command(NamedTuple):
+    """One parsed command: its verb, its leading ideal names and the options
+    it sets, as (name, value) pairs in the order of its COMMANDS row."""
+
+    verb: str
+    names: tuple
+    options: tuple = ()
 
 
-class LengthCommand(NamedTuple):
-    name: str
-
-
-class ColonCommand(NamedTuple):
-    left: str
-    right: str
-
-
-class EhkCommand(NamedTuple):
-    name: str
-    e_max: int | None = None
-    method: str | None = None
-
-
-class SpreadCommand(NamedTuple):
-    name: str
-    a: str | None = None
-    q0: int | None = None
-    e_max: int | None = None
-
-
-class SpreadHkCommand(NamedTuple):
-    name: str
-    a: str | None = None
-    q0: int | None = None
-    e_max: int | None = None
-
-
-class IdentityProductCommand(NamedTuple):
-    left: str
-    right: str
-    ell: int
-    q: tuple
-    e_max: int | None = None
-
-
-class IdentitySelfCommand(NamedTuple):
-    name: str
-    q: tuple
-    q0: int | None = None
-    e_max: int | None = None
-
-
-class IdentityLemma33Command(NamedTuple):
-    name: str
-    z: Polynomial
-    a: str | None = None
-    q0: int | None = None
-    e_max: int | None = None
-
-
-class IdentityBasechangeCommand(NamedTuple):
-    name: str
-    s: int
-    q: tuple
-    e_max: int | None = None
-
-
-class IdentityCorollaryCommand(NamedTuple):
-    name: str
-    q0: int | None = None
-    e_max: int | None = None
-
-
-class IndependentCommand(NamedTuple):
-    name: str
-    q0: int | None = None
-    e_max: int | None = None
-
-
-# verb -> (command class, number of leading ideal names).  The class's
-# _fields after the ideal names are the command's options, in the order the
-# printer writes them; a field not in _field_defaults is a required option.
+# verb -> (number of leading ideal names, required options, other options).
+# A command prints its required options and then the others, in this order.
 COMMANDS = {
-    "gb": (GbCommand, 1),
-    "length": (LengthCommand, 1),
-    "colon": (ColonCommand, 2),
-    "ehk": (EhkCommand, 1),
-    "spread": (SpreadCommand, 1),
-    "spread_hk": (SpreadHkCommand, 1),
-    "identity product": (IdentityProductCommand, 2),
-    "identity self": (IdentitySelfCommand, 1),
-    "identity lemma33": (IdentityLemma33Command, 1),
-    "identity basechange": (IdentityBasechangeCommand, 1),
-    "identity corollary": (IdentityCorollaryCommand, 1),
-    "independent": (IndependentCommand, 1),
+    "gb": (1, (), ()),
+    "length": (1, (), ()),
+    "colon": (2, (), ()),
+    "ehk": (1, (), ("e_max", "method")),
+    "spread": (1, (), ("a", "q0", "e_max")),
+    "spread_hk": (1, (), ("a", "q0", "e_max")),
+    "identity product": (2, ("ell", "q"), ("e_max",)),
+    "identity self": (1, ("q",), ("q0", "e_max")),
+    "identity lemma33": (1, ("z",), ("a", "q0", "e_max")),
+    "identity basechange": (1, ("s", "q"), ("e_max",)),
+    "identity corollary": (1, (), ("q0", "e_max")),
+    "independent": (1, (), ("q0", "e_max")),
 }
 
 # option name -> type; each name has one type in every command.  ideal is a
@@ -193,12 +128,14 @@ _OPTION_TYPES = {"a": "ideal", "e_max": "int", "ell": "int",
                  "method": "method", "q": "qlist", "q0": "qvalue",
                  "s": "int", "z": "poly"}
 
-VERBS = {cls: verb for verb, (cls, _) in COMMANDS.items()}
-
 # first words that only start two-word verbs, such as "identity"
 _GROUPS = {verb.split()[0] for verb in COMMANDS if " " in verb}
 
-_METHODS = ("fit", "last", "exact")
+_METHODS = ("fit", "last")
+
+# deepest parenthesis nesting a polynomial may use; the parser recurses once
+# per level, so this keeps it far from the interpreter's recursion limit
+_MAX_NESTING = 100
 
 
 class SessionScript(NamedTuple):
@@ -220,8 +157,8 @@ def _same_class_ne(self, other):
 
 
 # A NamedTuple equals every tuple with equal items; a command or script
-# equals only one of its own class, so `gb J` and `length J` differ.
-for _cls in (*VERBS, SessionScript):
+# equals only one of its own class.
+for _cls in (Command, SessionScript):
     _cls.__eq__, _cls.__ne__ = _same_class_eq, _same_class_ne
 
 
@@ -232,6 +169,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = tokenize(text)
         self.pos = 0
+        self.depth = 0  # parentheses open around the current position
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -305,17 +243,17 @@ class _Parser:
                 return result
 
     def parse_poly_factor(self, ring) -> Polynomial:
-        tok = self.peek()
-        if tok.kind == "SYM" and tok.value == "-":
+        negate = False
+        while self.peek().kind == "SYM" and self.peek().value == "-":
             self.advance()
-            return -self.parse_poly_factor(ring)
-        base = self.parse_poly_atom(ring)
+            negate = not negate
+        result = self.parse_poly_atom(ring)
         tok = self.peek()
         if tok.kind == "SYM" and tok.value == "^":
             self.advance()
             exp = self.expect_int("exponent")
-            return base ** int(exp.value)
-        return base
+            result = result ** int(exp.value)
+        return -result if negate else result
 
     def parse_poly_atom(self, ring) -> Polynomial:
         tok = self.peek()
@@ -328,9 +266,14 @@ class _Parser:
             self.advance()
             return ring.gen(ring.variables.index(tok.value))
         if tok.kind == "SYM" and tok.value == "(":
+            if self.depth == _MAX_NESTING:
+                self.fail(f"parentheses nested deeper than {_MAX_NESTING}",
+                          tok)
             self.advance()
+            self.depth += 1
             inner = self.parse_poly(ring)
             self.expect_sym(")")
+            self.depth -= 1
             return inner
         self.fail("expected a polynomial")
 
@@ -365,8 +308,8 @@ class _Parser:
             elif kind == "method":
                 tok = self.expect_ident()
                 if tok.value not in _METHODS:
-                    self.fail("method must be fit, last, or exact, "
-                              f"got {tok.value!r}", tok)
+                    self.fail(f"method must be fit or last, got {tok.value!r}",
+                              tok)
                 seen[key] = tok.value
             elif kind == "qvalue":
                 seen[key] = self.parse_q_value(ring)
@@ -435,7 +378,7 @@ def parse_script(text: str) -> SessionScript:
 
     p.skip_separators()
     while p.peek().kind == "IDENT" and p.peek().value == "quotient":
-        kw = p.advance()
+        p.advance()
         rel_start = p.peek()
         rel = p.parse_poly(ring)
         p.end_statement()
@@ -444,6 +387,9 @@ def parse_script(text: str) -> SessionScript:
         except HomogeneityError:
             raise ScriptError("quotient relation must be homogeneous",
                               rel_start.line, rel_start.col)
+        except UnitRelationError:
+            raise ScriptError("quotient relation must not be a nonzero "
+                              "constant", rel_start.line, rel_start.col)
         p.skip_separators()
 
     bindings = []
@@ -489,19 +435,20 @@ def parse_script(text: str) -> SessionScript:
                 verb = f"{word} {verb_tok.value}"
                 if verb not in COMMANDS:
                     p.fail(f"unknown {word} kind {verb_tok.value!r}", verb_tok)
-            cls, n_names = COMMANDS[verb]
-            options = cls._fields[n_names:]
+            n_names, required, others = COMMANDS[verb]
             names = []
             for _ in range(n_names):
                 if p.looks_like_option():
                     p.fail("expected ideal name")
                 names.append(require_bound(p.expect_ident("ideal name")))
-            opts = p.parse_options(ring, options, bound)
-            for key in options:
-                if key not in cls._field_defaults and key not in opts:
+            opts = p.parse_options(ring, required + others, bound)
+            for key in required:
+                if key not in opts:
                     p.fail(f"missing required option {key!r}", verb_tok)
             p.end_statement()
-            commands.append(cls(*names, **opts))
+            commands.append(Command(verb, tuple(names), tuple(
+                (key, opts[key]) for key in required + others
+                if key in opts)))
         p.skip_separators()
 
     return SessionScript(ring=ring, bindings=tuple(bindings),
@@ -522,17 +469,9 @@ def parse_polynomial(text: str, ring: RingSpec) -> Polynomial:
 # -- canonical printer --------------------------------------------------------
 
 
-def command_options(cmd) -> dict:
-    """The options the command sets, by name, in the order of its fields."""
-    n_names = COMMANDS[VERBS[type(cmd)]][1]
-    return {key: value for key, value in
-            zip(cmd._fields[n_names:], cmd[n_names:]) if value is not None}
-
-
-def format_command(cmd) -> str:
-    verb = VERBS[type(cmd)]
-    parts = [verb, *cmd[:COMMANDS[verb][1]]]
-    for key, value in command_options(cmd).items():
+def format_command(cmd: Command) -> str:
+    parts = [cmd.verb, *cmd.names]
+    for key, value in cmd.options:
         if _OPTION_TYPES[key] == "qlist":
             value = ",".join(str(q) for q in value)
         parts.append(f"{key}={value}")

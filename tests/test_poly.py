@@ -13,6 +13,7 @@ from hkspread import (
     PrimeField,
     RingMismatchError,
     RingSpec,
+    UnitRelationError,
 )
 from hkspread.poly import as_q
 
@@ -69,6 +70,18 @@ def test_quotient_relation_must_be_homogeneous():
     Q = R.quotient(x**2 + x * y)
     assert len(Q.relations) == 1
     assert Q.dimension == 1
+
+
+def test_quotient_relation_must_not_be_a_nonzero_constant():
+    """A unit relation would make the zero ring, of dimension -1."""
+    R = RingSpec(3, ("x", "y"))
+    for rel in ("1", "2", "-1"):
+        with pytest.raises(UnitRelationError, match="nonzero constant"):
+            R.quotient(rel)
+    with pytest.raises(UnitRelationError):
+        RingSpec(3, ("x", "y"), (R.constant(2),))
+    # 3 is zero in F_3, and a zero relation is dropped
+    assert R.quotient("3").relations == ()
 
 
 def _random_poly(rng, ring, nterms=4, max_exp=3):

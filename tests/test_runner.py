@@ -22,6 +22,7 @@ from hkspread import (
 from hkspread import ideals
 from hkspread.cli import main
 from hkspread.runner import error_document, report_document
+from hkspread.script import COMMANDS
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -189,6 +190,31 @@ def test_left_out_options_take_the_function_defaults(header, bare, explicit):
     assert bare_result["data"] == explicit_result["data"]
 
 
+# one value for each option name, read by every verb that takes it
+_OPTION_VALUES = {"a": "m", "e_max": "1", "ell": "1", "method": "last",
+                  "q": "3", "q0": "3", "s": "1", "z": "y"}
+
+
+def test_every_option_of_every_verb_reaches_its_driver():
+    """Each verb runs with all of its COMMANDS options set; a name the
+    driver does not take would escape `run_script` as a TypeError."""
+    lines = []
+    for verb, (n_names, required, others) in COMMANDS.items():
+        names = ("m", "J")[:n_names]
+        options = [f"{key}={_OPTION_VALUES[key]}" for key in required + others]
+        lines.append(" ".join([verb, *names, *options]))
+    script = parse_script(
+        "char 3; vars x y z; quotient x^2 + y*z; ideal m = x, y, z; "
+        "ideal J = y, z\n" + "\n".join(lines))
+    results = report_document(run_script(script),
+                              include_timing=False)["results"]
+    assert [r["command"] for r in results] == lines
+    for result in results:
+        if result["status"] != "ok":
+            assert issubclass(getattr(hkspread, result["error"]["type"]),
+                              hkspread.AlgebraError), result
+
+
 def test_zero_generators_of_a_binding_are_dropped():
     script = parse_script("char 2; vars x y; ideal J = 0, x, y - y; gb J")
     assert [str(g) for g in script.ideals()["J"].gens] == ["x"]
@@ -281,6 +307,19 @@ def test_cli_exit_codes(scripts, capsys):
     assert err_doc["error"]["message"] == "characteristic must be prime"
     assert main(["run", str(scripts["missing"])]) == 2
     assert "no such script file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("char 3; vars x y; quotient 1; ideal m = x, y; ehk m e_max=1",
+     "quotient relation must not be a nonzero constant"),
+    ("char 2; vars x; ideal J = " + "(" * 1000 + "x" + ")" * 1000,
+     "parentheses nested deeper than 100"),
+])
+def test_cli_rejected_scripts_exit_2(tmp_path, capsys, text, message):
+    path = tmp_path / "script.hks"
+    path.write_text(text)
+    assert main(["run", str(path)]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["message"] == message
 
 
 @pytest.mark.parametrize("kind", ["directory", "not_utf8", "no_permission"])

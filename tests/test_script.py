@@ -9,14 +9,7 @@ from hkspread import (
     parse_script,
     print_script,
 )
-from hkspread.script import (
-    EhkCommand,
-    GbCommand,
-    IdentityProductCommand,
-    LengthCommand,
-    SpreadCommand,
-    format_command,
-)
+from hkspread.script import COMMANDS, Command, format_command
 
 
 def test_parse_minimal_session():
@@ -25,7 +18,7 @@ def test_parse_minimal_session():
     assert script.ring.variables == ("x", "y")
     assert [name for name, _ in script.bindings] == ["J"]
     assert script.bindings[0][1] == (script.ring.gen(0), script.ring.gen(1))
-    assert script.commands == (SpreadCommand("J"),)
+    assert script.commands == (Command("spread", ("J",)),)
 
 
 def test_parse_quotient_session():
@@ -34,7 +27,7 @@ def test_parse_quotient_session():
         "ehk a e_max=3;")
     assert len(script.ring.relations) == 1
     assert str(script.ring.relations[0]) == "x^2 + y*z"
-    assert script.commands == (EhkCommand("a", e_max=3),)
+    assert script.commands == (Command("ehk", ("a",), (("e_max", 3),)),)
 
 
 def test_parse_full_option_surface():
@@ -55,18 +48,15 @@ identity basechange m s=2 q=2,4
 identity corollary J q0=2
 independent m q0=4 e_max=2
 """)
-    kinds = [type(c).__name__ for c in script.commands]
-    assert kinds == [
-        "GbCommand", "LengthCommand", "ColonCommand", "EhkCommand",
-        "SpreadCommand", "SpreadHkCommand", "IdentityProductCommand",
-        "IdentitySelfCommand", "IdentityLemma33Command",
-        "IdentityBasechangeCommand", "IdentityCorollaryCommand",
-        "IndependentCommand",
-    ]
+    assert [c.verb for c in script.commands] == list(COMMANDS)
     spread = script.commands[4]
-    assert (spread.a, spread.q0, spread.e_max) == ("m", 2, 2)
+    assert spread == Command("spread", ("J",),
+                             (("a", "m"), ("q0", 2), ("e_max", 2)))
     prod = script.commands[6]
-    assert prod == IdentityProductCommand("m", "J", 2, (2, 4), 2)
+    assert prod == Command("identity product", ("m", "J"),
+                           (("ell", 2), ("q", (2, 4)), ("e_max", 2)))
+    lemma = script.commands[8]
+    assert lemma.options == (("z", script.ring.gen(1)), ("a", "m"))
 
 
 def _error(text):
@@ -111,6 +101,44 @@ def test_parse_errors():
     assert "unexpected character" in _error("char 2; vars x; ideal J = x @").message
 
 
+@pytest.mark.parametrize("relation", ["1", "2"])
+def test_constant_relation_is_a_parse_error(relation):
+    err = _error(f"char 3; vars x y; quotient {relation}; ideal m = x, y; "
+                 "ehk m e_max=1; identity basechange m s=1 q=3")
+    assert err.message == "quotient relation must not be a nonzero constant"
+    assert (err.line, err.column) == (1, 28)
+
+
+def _nested(depth):
+    return "(" * depth + "x" + ")" * depth
+
+
+def test_deep_parentheses_are_a_parse_error():
+    R = RingSpec(2, ("x",))
+    head = "char 2; vars x; ideal J = "  # 26 columns
+    err = _error(head + _nested(1000))
+    assert err.message == "parentheses nested deeper than 100"
+    assert (err.line, err.column) == (1, 27 + 100)
+    with pytest.raises(ScriptError) as info:
+        parse_polynomial(_nested(1000), R)
+    assert (info.value.message, info.value.column) == (
+        "parentheses nested deeper than 100", 101)
+    assert parse_polynomial(_nested(50), R) == R.gen(0)
+    assert parse_polynomial(_nested(100), R) == R.gen(0)
+    script = parse_script(head + _nested(50) + "; gb J")
+    assert script.bindings[0][1] == (script.ring.gen(0),)
+
+
+def test_long_runs_of_unary_minus_parse():
+    R = RingSpec(3, ("x",))
+    x = R.gen(0)
+    assert parse_polynomial("-" * 3000 + "x", R) == x
+    assert parse_polynomial("-" * 3001 + "x^2", R) == -(x ** 2)
+    assert parse_polynomial("x - -" + "-" * 2998 + "x", R) == x + x
+    script = parse_script("char 3; vars x; ideal J = " + "-" * 3000 + "x")
+    assert script.bindings[0][1] == (script.ring.gen(0),)
+
+
 def test_parse_polynomial_api():
     R = RingSpec(5, ("x", "y"))
     f = parse_polynomial("3*x^2*y + 4", R)
@@ -124,11 +152,11 @@ def test_parse_polynomial_api():
 
 
 def test_commands_equal_only_their_own_class():
-    assert GbCommand("J") == GbCommand("J")
-    assert GbCommand("J") != LengthCommand("J")
-    assert not GbCommand("J") == LengthCommand("J")
-    assert GbCommand("J") != ("J",)
-    assert hash(GbCommand("J")) == hash(GbCommand("J"))
+    gb_j, length_j = Command("gb", ("J",)), Command("length", ("J",))
+    assert gb_j == Command("gb", ("J",))
+    assert gb_j != length_j and not gb_j == length_j
+    assert gb_j != ("gb", ("J",), ()) and not gb_j == ("gb", ("J",), ())
+    assert hash(gb_j) == hash(Command("gb", ("J",)))
     head = "char 2; vars x y; ideal J = x, y; "
     gb, length = parse_script(head + "gb J"), parse_script(head + "length J")
     assert gb != length and not gb == length
@@ -137,21 +165,35 @@ def test_commands_equal_only_their_own_class():
 
 
 def test_commands_refuse_assignment():
-    cmd = EhkCommand("J", e_max=2)
+    cmd = Command("ehk", ("J",), (("e_max", 2),))
     with pytest.raises(AttributeError):
-        cmd.e_max = 3
+        cmd.options = ()
     with pytest.raises(AttributeError):
-        cmd.name = "m"
-    assert cmd == EhkCommand("J", 2, None)
+        cmd.names = ("m",)
+    with pytest.raises(TypeError):
+        cmd.options[0] = ("e_max", 3)
+    assert cmd == Command("ehk", ("J",), (("e_max", 2),))
 
 
 def test_format_command_canonical():
-    assert format_command(GbCommand("J")) == "gb J"
-    assert format_command(EhkCommand("J", None, "fit")) == "ehk J method=fit"
-    assert format_command(SpreadCommand("J", "m", 2, None)) == "spread J a=m q0=2"
+    assert format_command(Command("gb", ("J",))) == "gb J"
     assert format_command(
-        IdentityProductCommand("I", "J", 2, (2, 4), None)
+        Command("ehk", ("J",), (("method", "fit"),))) == "ehk J method=fit"
+    assert format_command(Command(
+        "spread", ("J",), (("a", "m"), ("q0", 2)))) == "spread J a=m q0=2"
+    assert format_command(Command(
+        "identity product", ("I", "J"), (("ell", 2), ("q", (2, 4))))
     ) == "identity product I J ell=2 q=2,4"
+    # options print in their COMMANDS order, whatever order they were typed
+    head = "char 2; vars x y; ideal J = x, y; ideal m = x, y; "
+    for typed, printed in [
+            ("spread J e_max=2 q0=2", "spread J q0=2 e_max=2"),
+            ("identity product J m e_max=1 q=2 ell=1",
+             "identity product J m ell=1 q=2 e_max=1"),
+            ("identity lemma33 J e_max=1 a=m z=x",
+             "identity lemma33 J z=x a=m e_max=1")]:
+        cmd, = parse_script(head + typed).commands
+        assert format_command(cmd) == printed
 
 
 def test_print_parse_round_trip():
@@ -173,7 +215,7 @@ identity corollary J q0=2
 independent m
 """
     script = parse_script(text)
-    assert len({type(c) for c in script.commands}) == 12
+    assert {c.verb for c in script.commands} == set(COMMANDS)
     printed = print_script(script)
     assert parse_script(printed) == script
     # printing is idempotent
@@ -201,8 +243,8 @@ _HEAD = "char 2; vars x y; ideal J = x; ideal m = x, y; "  # 47 columns
     ("colon J K", "unknown ideal 'K'", 56),
     ("spread J a=K", "unknown ideal 'K'", 59),
     ("identity lemma33 J z=y a=K", "unknown ideal 'K'", 73),
-    ("ehk J method=magic",
-     "method must be fit, last, or exact, got 'magic'", 61),
+    ("ehk J method=magic", "method must be fit or last, got 'magic'", 61),
+    ("ehk J method=exact", "method must be fit or last, got 'exact'", 61),
     ("identity triple J", "unknown identity kind 'triple'", 57),
     ("identity", "expected identity kind", 56),
     ("frobnicate J", "unknown command 'frobnicate'", 48),

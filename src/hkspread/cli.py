@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .errors import ScriptError
-from .groebner import DEFAULT_GUARD
+from .groebner import DEFAULT_GUARD, GuardConfig, use_guard
 from .orders import ORDERS
 from .runner import RunConfig, error_document, report_csv, report_json, run_script
 from .script import parse_script
@@ -57,7 +57,8 @@ def build_parser() -> argparse.ArgumentParser:
                      default="degrevlex",
                      help="monomial order for printed bases (default degrevlex)")
     run.add_argument("--max-gb-steps", type=_budget, default=None, metavar="N",
-                     help="reduction-step budget per basis computation "
+                     help="reduction-step budget per basis computation, "
+                          "and for the script's polynomial products "
                           "(env HKSPREAD_MAX_GB_STEPS)")
     run.add_argument("--max-exponent", type=_budget, default=None, metavar="N",
                      help="largest exponent allowed in any Frobenius power, "
@@ -93,8 +94,9 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
 
-    try:
-        script = parse_script(text)
+    try:   # under the run's guard: the script's products spend its steps
+        with use_guard(GuardConfig(max_steps=max_steps, max_exponent=max_exponent)):
+            script = parse_script(text)
     except ScriptError as exc:
         print(json.dumps(error_document(exc), indent=2))
         return 2

@@ -22,7 +22,14 @@ guard bit raises `Overflow`; the run is redone twice as wide.
 The guard is spent once per reduction step, so a step budget counts
 reductions, not terms, pairs or heap operations: the reductions of the
 S-polynomials of the pairs that survive the criteria, then those of the
-interreduction.  The packing does not change which steps are taken.
+interreduction.  The packing does not change which steps are taken, and
+the attempts redone wider spend from one budget.
+
+No basis is computed twice.  `reduced_basis` turns polynomials that are
+already a GB (an elimination's t-free part, the quotients of a colon) into
+the reduced GB without a pair phase, and each GroebnerBasis memoises its
+Hilbert numerator (`GroebnerBasis.numerator`) for every length and
+dimension read off it.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from itertools import product
 from math import comb
+from operator import mul
 from typing import NamedTuple
 
 from .errors import AlgebraError, InfiniteLengthError, ResourceLimitError, RingMismatchError
@@ -70,18 +78,27 @@ def use_guard(guard: GuardConfig):
 
 
 class _Budget:
-    __slots__ = ("guard", "steps", "layer")
+    """`steps` counts the current attempt; `limit` is what the guard's
+    max_steps leaves it after the attempts before (`restart`)."""
+
+    __slots__ = ("guard", "steps", "layer", "limit")
 
     def __init__(self, guard: GuardConfig, layer: str = "reduction"):
         self.guard = guard
         self.steps = 0
         self.layer = layer
+        self.limit = guard.max_steps
 
     def spend(self, n: int = 1):
         self.steps += n
-        if self.steps > self.guard.max_steps:
+        if self.steps > self.limit:
             raise ResourceLimitError(
                 f"{self.layer} step budget exceeded ({self.guard.max_steps})")
+
+    def restart(self):
+        """Start an attempt redone wider: the steps spent stay spent."""
+        self.limit -= self.steps
+        self.steps = 0
 
     def check_exponent(self, e: int):
         if e > self.guard.max_exponent:
@@ -91,7 +108,8 @@ class _Budget:
 
 def _widened(order, n, e, run, width=0):
     """run(packing) with headroom for exponents up to e, at least `width`
-    wide; on overflow, run again twice as wide, with a fresh step budget."""
+    wide; on overflow, run again twice as wide.  A metered `run` restarts
+    one budget (`_Budget.restart`), so the guard bounds all attempts."""
     width = max(width, (2 * n * e).bit_length() + 1)
     while True:
         try:
@@ -145,7 +163,7 @@ def _reduce_full(terms: dict, reducers, packing, p: int, spend,
 class GroebnerBasis:
     """Reduced basis: monic, interreduced, canonical for (ideal, order)."""
 
-    __slots__ = ("ring", "order", "polys", "leading", "_packed")
+    __slots__ = ("ring", "order", "polys", "leading", "_packed", "_hilbert")
 
     def __init__(self, ring, order, polys, leading, packed):
         self.ring = ring
@@ -153,6 +171,7 @@ class GroebnerBasis:
         self.polys = tuple(polys)
         self.leading = tuple(leading)
         self._packed = packed   # (packing, reducer entries), see `reduce`
+        self._hilbert = None   # the memo of `numerator`
 
     def __iter__(self):
         return iter(self.polys)
@@ -166,27 +185,42 @@ class GroebnerBasis:
     def is_unit(self) -> bool:
         return any(m.degree() == 0 for m in self.leading)
 
+    def numerator(self) -> dict:
+        """`hilbert_numerator` of the leading terms, computed once; the
+        dict is shared, so callers read it and never change it."""
+        K = self._hilbert
+        if K is None:
+            K = self._hilbert = _numerator(self.leading)
+        return K
+
     def reduce(self, f: Polynomial) -> Polynomial:
+        nf = self._remainder(f)
+        return f if nf is None else nf[0].polynomial(self.ring, nf[1].items())
+
+    def contains(self, f: Polynomial) -> bool:
+        nf = self._remainder(f)
+        return f.is_zero() if nf is None else not nf[1]
+
+    def _remainder(self, f):
+        """(packing, f's packed normal form), or None for the zero ideal."""
         if f.ring != self.ring:
             raise RingMismatchError("polynomial from a different ring")
         if not self.polys:
-            return f
+            return None
+        budget = _Budget(active_guard())
 
         def run(packing):
+            budget.restart()
             packed = self._packed
             if packed[0] is not packing:   # two threads may both rebuild it
                 packed = self._packed = (packing, [
                     packing.reducer(packing.terms(g), packing.pack(lm))
                     for g, lm in zip(self.polys, self.leading)])
-            return packing.polynomial(self.ring, _reduce_full(
-                packing.terms(f), packed[1], packing, self.ring.field.p,
-                _Budget(active_guard()).spend).items())
+            return packing, _reduce_full(packing.terms(f), packed[1], packing,
+                                         self.ring.field.p, budget.spend)
 
         return _widened(self.order, self.ring.nvars, f.max_exponent(), run,
                         self._packed[0].width)
-
-    def contains(self, f: Polynomial) -> bool:
-        return self.reduce(f).is_zero()
 
     def __eq__(self, other):
         if not isinstance(other, GroebnerBasis):
@@ -206,15 +240,15 @@ def exact_quotient(h: Polynomial, g: Polynomial) -> Polynomial:
     """h/g in the ambient polynomial ring, in one pass: the steps of h's
     normal form against g alone are the quotient's terms.  Unmetered, as
     exact division always was; AlgebraError when g does not divide h."""
-    ring, e = h.ring, max(h.max_exponent(), g.max_exponent())
+    ring, p, e = h.ring, h.ring.field.p, max(h.max_exponent(), g.max_exponent())
     inv = ring.field.inv(g.terms[g.leading_monomial(DEGREVLEX)])
 
     def run(packing):
         monic, quotient = packing.terms(g.scale(inv)), []
         if _reduce_full(packing.terms(h), [packing.reducer(monic, min(monic))],
-                        packing, ring.field.p, lambda: None, quotient):
+                        packing, p, lambda: None, quotient):
             raise AlgebraError("exact division failed")
-        return packing.polynomial(ring, [(u, c * inv) for u, c in quotient])
+        return packing.polynomial(ring, [(u, c * inv % p) for u, c in quotient])
 
     return _widened(DEGREVLEX, ring.nvars, e, run)
 
@@ -246,14 +280,21 @@ def _interreduce(reducers, packing, p, spend, fresh):
     g, lead = packing.guard, [r[0] for r in reducers]
     minimal = []
     for i in sorted(range(len(lead)), key=lead.__getitem__, reverse=True):
-        if not any(((lead[i] | g) - lead[j]) & g == g for j in minimal):
+        x = lead[i] | g
+        for j in minimal:
+            if (x - lead[j]) & g == g:
+                break
+        else:
             minimal.append(i)
     kept = []
     for idx, i in enumerate(minimal):
-        lm, _, tail = entry = reducers[i]
-        smaller = minimal[:idx]
-        divisors = [lead[j] for j in smaller if j > i or i < fresh]
-        if any(((m | g) - d) & g == g for m, _ in tail for d in divisors):
+        lm, top, tail = entry = reducers[i]
+        smaller, t = minimal[:idx], top | g
+        # a lead that divides a tail term divides top, the terms' maxima
+        divisors = [d for j in smaller if j > i or i < fresh
+                    for d in [lead[j]] if (t - d) & g == g]
+        if divisors and any(((m | g) - d) & g == g
+                            for m, _ in tail for d in divisors):
             entry = packing.reducer(_reduce_full(
                 dict([(lm, 1)] + tail), [reducers[j] for j in smaller],
                 packing, p, spend), lm)
@@ -284,53 +325,59 @@ def buchberger_raw(gens, order=None, *, ring=None) -> GroebnerBasis:
     for g in gens:
         if g.ring != ring:
             raise RingMismatchError("generators from different rings")
-    guard = active_guard()
+    budget = _Budget(active_guard())
     gens = [g for g in gens if not g.is_zero()]
     e = max((g.max_exponent() for g in gens), default=0)
-    _Budget(guard).check_exponent(e)
-    return _widened(order, ring.nvars, e, lambda packing: _buchberger(
-        gens, order, ring, packing, _Budget(guard)))
+    budget.check_exponent(e)
+
+    def run(packing):
+        budget.restart()
+        return _buchberger(gens, order, ring, packing, budget)
+
+    return _widened(order, ring.nvars, e, run)
 
 
 def _buchberger(gens, order, ring, packing, budget) -> GroebnerBasis:
-    field, p, g = ring.field, ring.field.p, packing.guard
+    p, g, w, low = ring.field.p, packing.guard, packing.width, packing.low
+    coeffs, shifts, field = packing.coeffs, packing.shifts, packing.field
     reducers, lead, active = [], [], []
     heap = []   # (−lcm, i, j, lcm exponents) of the queued pairs, i < j
 
     def append(entry):
-        lm, t, lcm = entry[0], len(lead), packing.lcm
+        lm, t = entry[0], len(lead)
         reducers.append(entry)
         lead.append(lm)
+        # the exponents of lcm(lm, b) for every lead b (`Packing.lcm`)
+        lcms = [(lm ^ (lm ^ b) & (s - (s >> w))) & low
+                for b in lead for s in [((b | g) - lm) & g]]
         # criterion B on the queued pairs; the pairs it drops leave the heap
         kept = [e for e in heap if not (
-            ((e[3] | g) - lm) & g == g and lcm(lm, lead[e[1]]) != e[3]
-            and lcm(lm, lead[e[2]]) != e[3])]
+            ((e[3] | g) - lm) & g == g and lcms[e[1]] != e[3]
+            and lcms[e[2]] != e[3])]
         if len(kept) != len(heap):
             heap[:] = kept
             heapq.heapify(heap)
         # criteria M and F and the product criterion on the new pairs, by
         # packed lcm exponents (a proper divisor is a smaller int), coprime
         # pairs of an lcm first: test each against the lcms kept before it
-        new = sorted((d, d != (lead[i] + lm) & packing.low, i)
-                     for i in active for d in [lcm(lm, lead[i])])
         minimal = []
-        for d, useful, i in new:
-            if any(((d | g) - m) & g == g for m in minimal):
-                continue
-            minimal.append(d)
-            if useful:
-                heapq.heappush(heap, (-packing.pack(packing.monomial(d)), i, t, d))
+        for d, useful, i in sorted([(lcms[i], lcms[i] != (lead[i] + lm) & low, i)
+                                    for i in active]):
+            x = d | g
+            for m in minimal:
+                if (x - m) & g == g:
+                    break
+            else:
+                minimal.append(d)
+                if useful:   # the key is the lcm packed with its rank
+                    heapq.heappush(heap, (-sum(map(mul, coeffs, [
+                        d >> s & field for s in shifts])), i, t, d))
         active[:] = [i for i in active if ((lead[i] | g) - lm) & g != g]
         active.append(t)
 
-    def monic_entry(terms, lm):
-        inv = field.inv(terms[lm])
-        return packing.reducer(terms if inv == 1 else {
-            x: c * inv % p for x, c in terms.items()}, lm)
-
     for f in gens:
         terms = packing.terms(f)
-        append(monic_entry(terms, min(terms)))
+        append(_monic_entry(terms, min(terms), packing, p))
     fresh = len(lead)
 
     while heap:
@@ -338,7 +385,7 @@ def _buchberger(gens, order, ring, packing, budget) -> GroebnerBasis:
         nf = _reduce_full(_s_terms(reducers[i], reducers[j], -key, packing, p),
                           reducers, packing, p, budget.spend)
         if nf:
-            entry = monic_entry(nf, next(iter(nf)))
+            entry = _monic_entry(nf, next(iter(nf)), packing, p)
             if packing.field > budget.guard.max_exponent:
                 budget.check_exponent(max(packing.monomial(entry[1])))
             if len(lead) + 1 > budget.guard.max_basis:
@@ -346,10 +393,47 @@ def _buchberger(gens, order, ring, packing, budget) -> GroebnerBasis:
                     f"basis size budget exceeded ({budget.guard.max_basis})")
             append(entry)
 
-    entries = _interreduce(reducers, packing, p, budget.spend, fresh)
-    return GroebnerBasis(
-        ring, order, [packing.polynomial(ring, [(e[0], 1)] + e[2]) for e in entries],
-        [packing.monomial(e[0]) for e in entries], (packing, entries))
+    return _basis(ring, order, packing,
+                  _interreduce(reducers, packing, p, budget.spend, fresh))
+
+
+def _monic_entry(terms, lm, packing, p):
+    """The monic reducer entry of the packed term map `terms`, lead `lm`."""
+    inv = pow(terms[lm], -1, p)
+    return packing.reducer(terms if inv == 1 else {
+        x: c * inv % p for x, c in terms.items()}, lm)
+
+
+def _basis(ring, order, packing, entries, polys=None) -> GroebnerBasis:
+    """The GroebnerBasis of reduced reducer entries sorted by lead; its
+    polynomials are built from them unless given."""
+    if polys is None:
+        polys = [packing.polynomial(ring, [(e[0], 1)] + e[2]) for e in entries]
+    return GroebnerBasis(ring, order, polys,
+                         [packing.monomial(e[0]) for e in entries],
+                         (packing, entries))
+
+
+def reduced_basis(polys, ring, reduced=False) -> GroebnerBasis:
+    """The reduced DEGREVLEX GB of the ideal generated by `polys`, which
+    already are a DEGREVLEX GB of it: made monic and interreduced, with no
+    pair phase.  `reduced` polys already are the reduced GB, sorted by
+    lead, and are kept as they are.  Metered like Buchberger."""
+    budget, p = _Budget(active_guard()), ring.field.p
+    e = max((f.max_exponent() for f in polys), default=0)
+
+    def run(packing):
+        budget.restart()
+        entries = []
+        for f in polys:
+            terms = packing.terms(f)
+            entries.append(_monic_entry(terms, min(terms), packing, p))
+        if reduced:
+            return _basis(ring, DEGREVLEX, packing, entries, polys)
+        return _basis(ring, DEGREVLEX, packing, _interreduce(
+            entries, packing, p, budget.spend, len(entries)))
+
+    return _widened(DEGREVLEX, ring.nvars, e, run)
 
 
 def buchberger(gens, order=None, *, ring=None) -> GroebnerBasis:
@@ -386,7 +470,7 @@ def krull_dimension(I) -> int:
     (K = 0) gives -1."""
     G = _as_gb(I)
     n = G.ring.nvars
-    K = _numerator(G.leading)
+    K = G.numerator()
     if not K:
         return -1
     return n - next(k for k, a in enumerate(taylor_at_one(K, n)) if a)
@@ -427,8 +511,9 @@ def hilbert_numerator(I) -> dict:
     K(t)/(1−t)^n is the generating function by degree of the standard
     monomials of I's DEGREVLEX GB (n variables).  The unit ideal gives {}
     and no leading terms give {0: 1}.  The dict has one entry per term, so
-    its size follows the leading terms, not their degrees."""
-    return _numerator(_as_gb(I).leading)
+    its size follows the leading terms, not their degrees; it is the GB's
+    memo, to be read and never changed."""
+    return _as_gb(I).numerator()
 
 
 def taylor_at_one(K: dict, n: int) -> list:

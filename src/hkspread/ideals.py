@@ -16,6 +16,11 @@ Inside a session (`chain_memo`, set by `run_script`) chains are looked up
 by (ring, reduced GB of the base) instead, so equal ideals built by
 different commands share every level.  The memo is a `ContextVar`, like
 the guard: nothing is shared across sessions or threads.
+
+Intersections and colons run one elimination each, and their results keep
+the basis it yields as their DEGREVLEX GB: the t-free part of the reduced
+elimination basis is the intersection's reduced GB, and its quotients by
+g are a GB of the colon by g, only interreduced (`reduced_basis`).
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from .groebner import (
     buchberger_raw,
     exact_quotient,
     krull_dimension,
+    reduced_basis,
 )
 from .orders import DEGREVLEX, AuxBlockOrder
 from .poly import Monomial, Polynomial, RingSpec, as_q
@@ -228,23 +234,27 @@ def _aux_ring(ring: RingSpec):
     return ext
 
 
-def _drop_aux(f: Polynomial, ring: RingSpec) -> Polynomial:
-    return Polynomial(ring, {Monomial(tuple(m)[1:]): c
-                             for m, c in f.terms.items()})
-
-
 def _intersect_ambient(ring: RingSpec, gens_a, gens_b):
-    """Generators of (gens_a) ∩ (gens_b) in the ambient polynomial ring,
-    via t·A + (1−t)·B and elimination of t."""
+    """The reduced DEGREVLEX GB of (gens_a) ∩ (gens_b) in the ambient
+    polynomial ring, sorted by lead: the t-free part of the reduced GB of
+    t·A + (1−t)·B under the order eliminating t (elimination theorem)."""
     ext = _aux_ring(ring)
     t = ext.gen(0)
     one_minus_t = ext.one - t
     lifted = [t * ext.adopt(f) for f in gens_a]
     lifted += [one_minus_t * ext.adopt(g) for g in gens_b]
-    order = AuxBlockOrder(DEGREVLEX)
-    G = buchberger_raw(lifted, order, ring=ext)
-    kept = [f for f in G.polys if all(m[0] == 0 for m in f.terms)]
-    return [_drop_aux(f, ring) for f in kept]
+    G = buchberger_raw(lifted, AuxBlockOrder(DEGREVLEX), ring=ext)
+    return [Polynomial._trusted(ring, {Monomial(m[1:]): c for m, c in f.terms.items()})
+            for f in G.polys if all(m[0] == 0 for m in f.terms)]
+
+
+def _with_basis(ring: RingSpec, gens, reduced: bool) -> Ideal:
+    """Ideal(ring, gens) whose DEGREVLEX GB is read off gens, a GB of the
+    ideal they generate with the relations (`reduced_basis`): the one that
+    Buchberger on gens plus the relations would return."""
+    ideal = Ideal(ring, tuple(gens))
+    ideal._gb[DEGREVLEX] = reduced_basis(ideal.gens, ring, reduced)
+    return ideal
 
 
 def ideal_colon(I: Ideal, J: Ideal) -> Ideal:
@@ -252,32 +262,37 @@ def ideal_colon(I: Ideal, J: Ideal) -> Ideal:
 
     In a quotient ring the computation runs on ambient preimages: the
     relations are appended to I (they vanish in R) before dividing by the
-    single generator, which happens in the ambient polynomial ring.
+    single generator, which happens in the ambient polynomial ring.  The
+    quotients h/g of the GB of (I + relations) ∩ (g) are a GB of
+    (I + relations) : g, as LT(g·f) = LT(g)·LT(f); it contains the
+    relations, so interreducing them gives its reduced GB in R.
     """
     if I.ring != J.ring:
         raise RingMismatchError("ideals in different rings")
     ring = I.ring
     if not J.gens:
         return Ideal(ring, (ring.one,))
-    parts = []
     ambient_i = list(I.gens) + list(ring.relations)
-    for g in J.gens:
-        meet = _intersect_ambient(ring, ambient_i, [g])
-        parts.append(Ideal(ring, tuple(exact_quotient(h, g) for h in meet)))
-    result = parts[0]
+    parts = [[exact_quotient(h, g) for h in _intersect_ambient(ring, ambient_i, [g])]
+             for g in J.gens]
+    if len(parts) == 1:
+        return _with_basis(ring, parts[0], reduced=False)
+    result = Ideal(ring, tuple(parts[0]))
     for part in parts[1:]:
-        result = ideal_intersection(result, part)
+        result = ideal_intersection(result, Ideal(ring, tuple(part)))
     return result
 
 
 def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
+    """I ∩ J, with the relations appended to both sides: the ambient
+    intersection then contains them, so its reduced GB is the result's."""
     if I.ring != J.ring:
         raise RingMismatchError("ideals in different rings")
     ring = I.ring
     gens = _intersect_ambient(ring,
                               list(I.gens) + list(ring.relations),
                               list(J.gens) + list(ring.relations))
-    return Ideal(ring, tuple(gens))
+    return _with_basis(ring, gens, reduced=True)
 
 
 def min_gens(I: Ideal) -> int:

@@ -111,8 +111,8 @@ class Packing:
     def terms(self, f):
         return {sum(map(mul, self.coeffs, m)): c for m, c in f.terms.items()}
 
-    def polynomial(self, ring, terms):
-        return Polynomial(ring, {self.monomial(x): c for x, c in terms})
+    def polynomial(self, ring, terms):   # coefficients in [0, p), zeros left out
+        return Polynomial._trusted(ring, {self.monomial(x): c for x, c in terms if c})
 
     def lcm(self, a, b):   # the exponents of lcm(a, b), without the rank
         g = self.guard

@@ -251,7 +251,7 @@ class RingSpec:
             for src, e in enumerate(mono):
                 exps[position[src]] = e
             terms[Monomial(exps)] = c
-        return Polynomial(self, terms)
+        return Polynomial._trusted(self, terms)
 
 
 def as_q(ring: RingSpec, q) -> int:
@@ -264,6 +264,12 @@ def as_q(ring: RingSpec, q) -> int:
         if v == q:
             return q
     raise FrobeniusPowerError(f"{q} is not a power of {p}")
+
+
+def _product(a, b, check):
+    if check is not None:
+        check(a, b)
+    return a * b
 
 
 class Polynomial:
@@ -286,6 +292,13 @@ class Polynomial:
             clean[mono] = c
         self.ring = ring
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, ring: RingSpec, terms: dict) -> "Polynomial":
+        """`terms` unchecked: Monomials of the ring, coefficients in [1, p)."""
+        f = object.__new__(cls)
+        f.ring, f.terms = ring, terms
+        return f
 
     # -- predicates ---------------------------------------------------------
 
@@ -332,13 +345,13 @@ class Polynomial:
                 terms[mono] = v
             else:
                 terms.pop(mono, None)
-        return Polynomial(self.ring, terms)
+        return Polynomial._trusted(self.ring, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
         p = self.ring.field.p
-        return Polynomial(self.ring, {m: (-c) % p for m, c in self.terms.items()})
+        return Polynomial._trusted(self.ring, {m: (-c) % p for m, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -366,21 +379,35 @@ class Polynomial:
                     terms[m] = v
                 else:
                     terms.pop(m, None)
-        return Polynomial(self.ring, terms)
+        return Polynomial._trusted(self.ring, terms)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        return self.power(n)
+
+    def power(self, n: int, check=None) -> "Polynomial":
+        """f^n from the base-p digits of n, leading digit first: f^(p·m + d)
+        = (f^m)^[p]·f^d is exact in characteristic p, so f^(Σ d_i·p^i) =
+        Π (f^[p^i])^(d_i), and each f^d (d < p) is taken by squaring: O(log n)
+        products in all.  `check(a, b)`, if given, is called before each
+        product a·b."""
         if n < 0:
             raise AlgebraError("negative polynomial power")
-        result = self.ring.one
-        base = self
+        p, digits = self.ring.field.p, []
         while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
+            n, d = divmod(n, p)
+            digits.append(d)
+        result = self.ring.one
+        for d in reversed(digits):
+            result = result.qth_power(p)
+            if d:
+                factor = self
+                for bit in bin(d)[3:]:
+                    factor = _product(factor, factor, check)
+                    if bit == "1":
+                        factor = _product(factor, self, check)
+                result = _product(result, factor, check)
         return result
 
     def scale(self, c: int) -> "Polynomial":
@@ -391,8 +418,8 @@ class Polynomial:
         """Frobenius power f^q: exponents scaled by q, coefficients to the q."""
         q = as_q(self.ring, q)
         p = self.ring.field.p
-        return Polynomial(self.ring,
-                          {m.scaled(q): pow(c, q, p) for m, c in self.terms.items()})
+        return Polynomial._trusted(self.ring, {
+            m.scaled(q): pow(c, q, p) for m, c in self.terms.items()})
 
     # -- leading data -------------------------------------------------------
 

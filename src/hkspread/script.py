@@ -20,7 +20,9 @@ Grammar (statements separated by ';' or newline, '#' comments):
     independent <name> [q0=N] [e_max=N]
 
 Polynomials are infix with '^' and '*'; implicit multiplication is not
-allowed.  q and q0 take power-of-p values (not exponents).
+allowed.  Their products spend the active guard's step budget, one step
+per term pair (`_Parser.spend_product`).  q and q0 take power-of-p values
+(not exponents).
 
 Each command parses to one `Command(verb, names, options)` record.  Its
 verb's row in COMMANDS, (number of leading ideal names, required options,
@@ -36,6 +38,7 @@ from typing import NamedTuple
 
 from .errors import (FrobeniusPowerError, HomogeneityError, NotPrimeError,
                      ScriptError, UnitRelationError)
+from .groebner import active_guard
 from .poly import Polynomial, RingSpec, as_q
 
 
@@ -170,6 +173,8 @@ class _Parser:
         self.tokens = tokenize(text)
         self.pos = 0
         self.depth = 0  # parentheses open around the current position
+        self.pairs = 0  # term pairs of the products taken so far
+        self.max_pairs = active_guard().max_steps
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -221,6 +226,17 @@ class _Parser:
 
     # polynomial expressions --------------------------------------------
 
+    def spend_product(self, a, b, tok):
+        """Count a·b's term pairs against the guard's step budget before
+        a·b is formed: a ScriptError at `tok` once the script's products
+        together pass it.  A product by one term is free: it adds none."""
+        if len(a.terms) < 2 or len(b.terms) < 2:
+            return
+        self.pairs += len(a.terms) * len(b.terms)
+        if self.pairs > self.max_pairs:
+            self.fail("polynomial arithmetic step budget exceeded "
+                      f"({self.max_pairs})", tok)
+
     def parse_poly(self, ring: RingSpec) -> Polynomial:
         result = self.parse_poly_term(ring)
         while True:
@@ -238,7 +254,9 @@ class _Parser:
             tok = self.peek()
             if tok.kind == "SYM" and tok.value == "*":
                 self.advance()
-                result = result * self.parse_poly_factor(ring)
+                rhs = self.parse_poly_factor(ring)
+                self.spend_product(result, rhs, tok)
+                result = result * rhs
             else:
                 return result
 
@@ -252,7 +270,8 @@ class _Parser:
         if tok.kind == "SYM" and tok.value == "^":
             self.advance()
             exp = self.expect_int("exponent")
-            result = result ** int(exp.value)
+            result = result.power(int(exp.value), lambda a, b: self.spend_product(
+                a, b, tok))
         return -result if negate else result
 
     def parse_poly_atom(self, ring) -> Polynomial:

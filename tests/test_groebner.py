@@ -829,8 +829,9 @@ def test_intermediate_exponents_past_the_packed_width(order, gens, monkeypatch):
     """Eliminating t with t − x^16 carries x^16 up to x^256 while reducing
     t^16 + y, past the fields that the generators' exponents call for (the
     lex ideal overflows as well): the run overflows once, is redone twice
-    as wide, and returns the oracles' basis and steps.  Under a cap below
-    256 the new element x^256 + y is refused instead."""
+    as wide, and returns the oracles' basis and steps.  Both attempts
+    spend from one budget, so the steps of the first stay spent.  Under a
+    cap below 256 the new element x^256 + y is refused instead."""
     R = RingSpec(3, ("t", "x", "y"))
     gens = [R.poly(g) for g in gens]
     widths = []
@@ -856,7 +857,10 @@ def test_intermediate_exponents_past_the_packed_width(order, gens, monkeypatch):
         gb = groebner.buchberger_raw(gens, order, ring=R)
     assert len(widths) == 2 and widths[1] == 2 * widths[0]
     assert [f.terms_key() for f in gb.polys] == expected
-    assert steps.count(steps[-1]) == budget.steps
+    used = steps[-1]
+    assert used.steps == budget.steps
+    assert set(steps) == {used} and len(steps) > budget.steps
+    assert len(steps) == used.guard.max_steps - used.limit + used.steps
     if order != LEX:
         assert str(gb.polys[0]) == "x^256 + y"
         with use_guard(GuardConfig(max_exponent=255)), pytest.raises(
@@ -911,6 +915,107 @@ def test_kernel_started_without_headroom_matches_the_oracles(monkeypatch):
             f, _seed_prep(gb.polys, order), order, _Budget(GuardConfig()))
         assert groebner.exact_quotient(f * gens[0], gens[0]) == f
     assert runs["attempts"] - runs["calls"] >= 10   # runs redone wider
+
+
+def _interreduce_tail_first(reducers, packing, p, spend, fresh):
+    """`_interreduce` as it was before it tested each element's `top`:
+    every tail term against every smaller kept lead."""
+    g, lead = packing.guard, [r[0] for r in reducers]
+    minimal = []
+    for i in sorted(range(len(lead)), key=lead.__getitem__, reverse=True):
+        if not any(((lead[i] | g) - lead[j]) & g == g for j in minimal):
+            minimal.append(i)
+    kept = []
+    for idx, i in enumerate(minimal):
+        lm, _, tail = entry = reducers[i]
+        smaller = minimal[:idx]
+        divisors = [lead[j] for j in smaller if j > i or i < fresh]
+        if any(((m | g) - d) & g == g for m, _ in tail for d in divisors):
+            entry = packing.reducer(_reduce_full(
+                dict([(lm, 1)] + tail), [reducers[j] for j in smaller],
+                packing, p, spend), lm)
+        kept.append(entry)
+    return kept
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_top_first_interreduce_matches_tail_first_rule(p, monkeypatch):
+    """On the bases of random Buchberger runs in every kernel order and of
+    random colons (whose quotients are interreduced with no pair phase),
+    testing `top` first keeps the same entries and takes the same steps
+    as testing every tail term."""
+    interreduce = groebner._interreduce
+    seen = {"calls": 0, "reduced": 0}
+
+    def checked(reducers, packing, p, spend, fresh):
+        budget = spend.__self__
+        before = budget.steps
+        entries = interreduce(reducers, packing, p, spend, fresh)
+        reference = _Budget(GuardConfig())
+        assert entries == _interreduce_tail_first(
+            reducers, packing, p, reference.spend, fresh)
+        assert budget.steps - before == reference.steps
+        seen["calls"] += 1
+        seen["reduced"] += reference.steps > 0
+        return entries
+
+    monkeypatch.setattr(groebner, "_interreduce", checked)
+    rng = random.Random(7000 + p)
+    R = RingSpec(p, ("t", "x", "y", "z"))
+    Q = RingSpec(p, ("x", "y", "z")).quotient("x*y + z^2")
+    for case in range(24):
+        gens = [_nonzero_poly(rng, R, rng.randrange(2, 4), 2)
+                for _ in range(rng.randrange(2, 5))]
+        with use_guard(GuardConfig(max_steps=400)):
+            try:
+                groebner.buchberger_raw(gens, KERNEL_ORDERS[case % 4], ring=R)
+                Q.ideal(*[_nonzero_poly(rng, Q, 3, 2) for _ in range(2)]).colon(
+                    _nonzero_poly(rng, Q, 2, 1))
+            except ResourceLimitError:
+                continue
+    assert seen["calls"] >= 40 and seen["reduced"] >= 5
+
+
+def test_step_budget_spans_the_widened_reruns(monkeypatch):
+    """Started with no headroom, Buchberger overflows and is redone wider;
+    every attempt spends from one budget, so a cap of the
+    summed steps suffices and one step less raises, although the last
+    attempt alone takes fewer.  A budget of --max-gb-steps N bounds the
+    whole computation of a basis, whatever its reruns."""
+    widened = groebner._widened
+    attempts = []
+
+    def narrow(order, n, e, run, width=0):
+        def counted(packing):
+            attempts.append(packing.width)
+            return run(packing)
+        return widened(order, n, 0, counted, max(width, e.bit_length()))
+
+    spent = []
+    spend = _Budget.spend
+
+    def counting(self, n=1):
+        spent.append(n)
+        spend(self, n)
+
+    monkeypatch.setattr(groebner, "_widened", narrow)
+    monkeypatch.setattr(_Budget, "spend", counting)
+    R = RingSpec(3, ("t", "x", "y"))
+    order = AuxBlockOrder(DEGREVLEX)
+    gens = [R.poly("t^16 + y"), R.poly("t - x^16")]
+    last = _Budget(GuardConfig())
+    expected = _gm_buchberger(gens, order, last)
+    spent.clear()
+    gb = groebner.buchberger_raw(gens, order, ring=R)
+    total = sum(spent)
+    assert [f.terms_key() for f in gb.polys] == expected
+    assert len(attempts) >= 2 and total > last.steps
+    with use_guard(GuardConfig(max_steps=total)):
+        assert groebner.buchberger_raw(gens, order, ring=R) == gb
+    with use_guard(GuardConfig(max_steps=total - 1)), pytest.raises(
+            ResourceLimitError,
+            match=rf"^reduction step budget exceeded \({total - 1}\)$"):
+        groebner.buchberger_raw(gens, order, ring=R)
 
 
 # The textbook sort keys, which the orders' matrices replaced: the oracle

@@ -24,6 +24,7 @@ from hkspread import (
 )
 
 from hkspread.groebner import exact_quotient
+from hkspread.poly import Polynomial
 from tests.test_poly import _random_poly
 
 
@@ -163,6 +164,62 @@ def test_colon_undoes_product():
         I = R.ideal("x^3", "x*y", "y^4")
         prod = Ideal(R, tuple(f * g for f in I.gens))
         assert ideal_colon(prod, R.ideal(g)) == I
+
+
+def _random_homogeneous(rng, ring, degree, nterms):
+    terms = {}
+    for _ in range(nterms):
+        exps = [0] * ring.nvars
+        for _ in range(degree):
+            exps[rng.randrange(ring.nvars)] += 1
+        terms[Monomial(exps)] = rng.randrange(1, ring.characteristic)
+    return Polynomial(ring, terms)
+
+
+def _random_gens(rng, ring, count, homogeneous):
+    gens = []
+    while len(gens) < count:
+        f = (_random_homogeneous(rng, ring, rng.randrange(1, 4), rng.randrange(1, 4))
+             if homogeneous else
+             _random_poly(rng, ring, nterms=rng.randrange(1, 4), max_exp=2))
+        if not f.is_zero():
+            gens.append(f)
+    return gens
+
+
+_SEEDED_RINGS = [RingSpec(p, names).quotient(rel) for p in (2, 3, 5)
+                 for names, rel in ((("x", "y"), "x^2 + x*y"),
+                                    (("x", "y", "z"), "x*y + z^2"),
+                                    (("x", "y", "z", "w"), "x*y + z*w"))]
+
+
+@pytest.mark.parametrize("ring", _SEEDED_RINGS, ids=str)
+def test_colon_and_intersection_bases_equal_buchberger(ring):
+    """The DEGREVLEX GBs that colons and intersections read off their
+    elimination (no pair phase) are what Buchberger returns on the
+    result's generators plus the relations, on random homogeneous and
+    inhomogeneous ideals; they reduce and test membership alike."""
+    rng = random.Random(1300 + 10 * ring.characteristic + ring.nvars)
+    cases = 0
+    for case in range(16):
+        homogeneous = case % 2 == 0
+        I = Ideal(ring, tuple(_random_gens(rng, ring, rng.randrange(1, 4), homogeneous)))
+        J = Ideal(ring, tuple(_random_gens(rng, ring, rng.randrange(1, 3), homogeneous)))
+        try:
+            with use_guard(GuardConfig(max_steps=3000)):
+                results = [ideal_colon(I, J), ideal_intersection(I, J)]
+        except ResourceLimitError:
+            continue
+        cases += 1
+        f = _random_poly(rng, ring, nterms=4, max_exp=3)
+        for result in results:
+            seeded = result._gb[DEGREVLEX]
+            expected = buchberger(result.gens, ring=ring)
+            assert seeded == expected
+            assert seeded.leading == expected.leading
+            assert seeded.reduce(f) == expected.reduce(f)
+            assert all(seeded.contains(g) for g in expected.polys)
+    assert cases >= 10
 
 
 def test_membership_and_containment():

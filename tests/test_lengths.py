@@ -20,11 +20,15 @@ from hkspread import (
     hilbert_numerator,
     hk_function,
     ideal_colon,
+    krull_dimension,
     length_quotient,
     length_subquotient,
     maximal_ideal,
+    min_gens,
     use_guard,
 )
+from hkspread import groebner
+from tests.test_ideals import _random_gens
 from tests.test_poly import _random_poly
 
 
@@ -373,3 +377,33 @@ def test_ehk_infinite_colength():
     R = _r2()
     with pytest.raises(InfiniteLengthError):
         ehk_estimate(R.ideal("x"))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_numerator_memo_is_the_numerator_and_is_never_changed(p):
+    """Each GB computes its Hilbert numerator once: the memo equals
+    `_numerator` of its leads, and it is the same dict, with the same
+    entries, after length_subquotient, krull_dimension and min_gens have
+    read it (from both ideals of the subquotient)."""
+    rng = random.Random(4400 + p)
+    R = RingSpec(p, ("x", "y", "z")).quotient("x*y + z^2")
+    m = maximal_ideal(R)
+    for _ in range(12):
+        I = Ideal(R, tuple(_random_gens(rng, R, rng.randrange(1, 4), True)))
+        if I.is_unit():
+            continue
+        mI = m * I
+        memos = []
+        for ideal in (I, mI):
+            G = ideal.groebner_basis()
+            K = hilbert_numerator(ideal)
+            assert K == groebner._numerator(G.leading)
+            assert hilbert_numerator(ideal) is K is G.numerator()
+            memos.append((ideal, G, K, dict(K)))
+        length_subquotient(I, mI)
+        krull_dimension(I)
+        krull_dimension(mI)
+        min_gens(I)
+        for ideal, G, K, before in memos:
+            assert ideal.groebner_basis() is G
+            assert G.numerator() is K and K == before

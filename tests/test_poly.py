@@ -15,7 +15,7 @@ from hkspread import (
     RingSpec,
     UnitRelationError,
 )
-from hkspread.poly import as_q
+from hkspread.poly import Polynomial, as_q
 
 PRIMES = [2, 3, 5, 7, 11, 31, 97]
 
@@ -120,6 +120,47 @@ def test_qth_power_is_repeated_multiplication(p, e):
     for _ in range(10):
         f = _random_poly(rng, R, nterms=3, max_exp=2)
         assert f.qth_power(q) == f**q
+
+
+def _power_by_squaring(f, n):
+    """f^n by binary powering, as `Polynomial.__pow__` computed it before
+    it read the base-p digits of n."""
+    result, base = f.ring.one, f
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
+def test_power_by_base_p_digits_matches_squaring(p, monkeypatch):
+    """f^n from the base-p digits of n equals binary powering for n up to
+    40 (and x·y at n = p^2 − 1), checks each product before taking it,
+    and takes O(log n) of them whatever p."""
+    rng = random.Random(700 + p)
+    R = RingSpec(p, ("x", "y", "z"))
+    multiply = Polynomial.__mul__
+    for n in list(range(41)) + [p * p - 1]:
+        f = (_random_poly(rng, R, nterms=rng.randrange(1, 4), max_exp=2)
+             if n <= 40 else R.poly("x*y"))
+        expected = _power_by_squaring(f, n)
+        checked, taken = [], []
+
+        def counted(a, b):
+            taken.append((a, b))
+            return multiply(a, b)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Polynomial, "__mul__", counted)
+            got = f.power(n, lambda a, b: checked.append((a, b)))
+        assert got == expected == f**n
+        assert checked == taken
+        assert len(taken) <= 3 * max(n, 1).bit_length()
+    with pytest.raises(AlgebraError, match="negative polynomial power"):
+        R.gen(0) ** -1
 
 
 def test_freshman_dream_examples():

@@ -314,12 +314,28 @@ def test_cli_exit_codes(scripts, capsys):
      "quotient relation must not be a nonzero constant"),
     ("char 2; vars x; ideal J = " + "(" * 1000 + "x" + ")" * 1000,
      "parentheses nested deeper than 100"),
+    ("char 2; vars x y z; ideal J = (x+y+z+1)^65535; gb J",
+     "polynomial arithmetic step budget exceeded (500000)"),
 ])
 def test_cli_rejected_scripts_exit_2(tmp_path, capsys, text, message):
     path = tmp_path / "script.hks"
     path.write_text(text)
     assert main(["run", str(path)]) == 2
     assert json.loads(capsys.readouterr().out)["error"]["message"] == message
+
+
+def test_cli_parses_under_the_run_guard(tmp_path, capsys, monkeypatch):
+    """--max-gb-steps and HKSPREAD_MAX_GB_STEPS reach the parser: the
+    products of (x+y)^3 take 4 + 6 term pairs."""
+    path = tmp_path / "script.hks"
+    path.write_text("char 5; vars x y; ideal J = (x+y)^3; gb J")
+    assert main(["run", str(path), "--max-gb-steps", "10"]) == 0
+    capsys.readouterr()
+    assert main(["run", str(path), "--max-gb-steps", "9"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["message"] == (
+        "polynomial arithmetic step budget exceeded (9)")
+    monkeypatch.setenv("HKSPREAD_MAX_GB_STEPS", "9")
+    assert main(["run", str(path)]) == 2
 
 
 @pytest.mark.parametrize("kind", ["directory", "not_utf8", "no_permission"])

@@ -3,11 +3,13 @@
 import pytest
 
 from hkspread import (
+    GuardConfig,
     RingSpec,
     ScriptError,
     parse_polynomial,
     parse_script,
     print_script,
+    use_guard,
 )
 from hkspread.script import COMMANDS, Command, format_command
 
@@ -127,6 +129,38 @@ def test_deep_parentheses_are_a_parse_error():
     assert parse_polynomial(_nested(100), R) == R.gen(0)
     script = parse_script(head + _nested(50) + "; gb J")
     assert script.bindings[0][1] == (script.ring.gen(0),)
+
+
+def test_large_powers_parse_through_frobenius_digits():
+    """(x+y+z+1)^1000 in characteristic 3: 1000 = 3^6 + 3^5 + 3^3 + 1, so
+    the power is a product of four Frobenius powers of four terms each,
+    256 terms in all, parsed in milliseconds."""
+    R = RingSpec(3, ("x", "y", "z"))
+    f = R.poly("x + y + z + 1")
+    got = parse_polynomial("(x+y+z+1)^1000", R)
+    assert len(got.terms) == 256
+    assert got == f.qth_power(729) * f.qth_power(243) * f.qth_power(27) * f
+
+
+def test_script_products_spend_the_step_budget():
+    """Every product the parser takes counts its term pairs against the
+    guard's step budget before it is formed: (x+y+z+1)^65535 in
+    characteristic 2 would have 4^16 terms, and stops at its '^' with a
+    ScriptError; a small budget stops a small power, and '*' counts.
+    (x+y)^2 takes 2·2 term pairs, (x+y)^3 then 3·2 more."""
+    err = _error("char 2; vars x y z; ideal J = (x+y+z+1)^65535; gb J")
+    assert err.message == "polynomial arithmetic step budget exceeded (500000)"
+    assert (err.line, err.column) == (1, 40)
+    R = RingSpec(5, ("x", "y"))
+    with use_guard(GuardConfig(max_steps=6)):
+        assert parse_polynomial("(x+y)^2", R) == R.poly("x^2 + 2*x*y + y^2")
+        with pytest.raises(ScriptError) as info:
+            parse_polynomial("(x+y)^3", R)
+        assert (info.value.message, info.value.column) == (
+            "polynomial arithmetic step budget exceeded (6)", 6)
+        with pytest.raises(ScriptError) as info:
+            parse_polynomial("(x+y)^2*(x+y)", R)
+        assert info.value.column == 8
 
 
 def test_long_runs_of_unary_minus_parse():

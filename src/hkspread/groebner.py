@@ -27,9 +27,16 @@ the attempts redone wider spend from one budget.
 
 No basis is computed twice.  `reduced_basis` turns polynomials that are
 already a GB (an elimination's t-free part, the quotients of a colon) into
-the reduced GB without a pair phase, and each GroebnerBasis memoises its
-Hilbert numerator (`GroebnerBasis.numerator`) for every length and
-dimension read off it.
+the reduced GB without a pair phase.  Each GroebnerBasis memoises its
+Hilbert numerator (`numerator`), read by every length and dimension, and
+the basis of the ideal's p-th bracket power (`frobenius`), so a chain of
+Frobenius powers lives on the basis it starts from.  A session
+(`basis_memo`, set by `run_script`) keeps one memo of bases: `buchberger`
+looks its generators up, up to order and scaling, before it runs, and
+each basis it returns and each chain level is interned by (order, value),
+so equal ideals built by different commands share one basis and through
+it one numerator and one chain.  The memo is a ContextVar, like the guard: nothing is shared
+across sessions or threads.
 """
 
 from __future__ import annotations
@@ -75,6 +82,27 @@ def use_guard(guard: GuardConfig):
         yield guard
     finally:
         _GUARD.reset(token)
+
+
+# (ring, order, text of the set of monic generators) -> their basis, and
+# each basis -> the one basis of its value; None outside `basis_memo`.  The
+# text is exact and far smaller than the polynomials, held all session.
+_BASES = ContextVar("hkspread_bases", default=None)
+
+
+@contextmanager
+def basis_memo():
+    """Share bases between the ideals of one session."""
+    token = _BASES.set({})
+    try:
+        yield
+    finally:
+        _BASES.reset(token)
+
+
+def _interned(gb: "GroebnerBasis") -> "GroebnerBasis":
+    memo = _BASES.get()
+    return gb if memo is None else memo.setdefault(gb, gb)
 
 
 class _Budget:
@@ -163,7 +191,8 @@ def _reduce_full(terms: dict, reducers, packing, p: int, spend,
 class GroebnerBasis:
     """Reduced basis: monic, interreduced, canonical for (ideal, order)."""
 
-    __slots__ = ("ring", "order", "polys", "leading", "_packed", "_hilbert")
+    __slots__ = ("ring", "order", "polys", "leading", "_packed", "_hilbert",
+                 "_frobenius")
 
     def __init__(self, ring, order, polys, leading, packed):
         self.ring = ring
@@ -172,6 +201,7 @@ class GroebnerBasis:
         self.leading = tuple(leading)
         self._packed = packed   # (packing, reducer entries), see `reduce`
         self._hilbert = None   # the memo of `numerator`
+        self._frobenius = None   # the memo of `frobenius`
 
     def __iter__(self):
         return iter(self.polys)
@@ -192,6 +222,21 @@ class GroebnerBasis:
         if K is None:
             K = self._hilbert = _numerator(self.leading)
         return K
+
+    def frobenius(self) -> "GroebnerBasis":
+        """The reduced DEGREVLEX GB of the ideal's p-th bracket power,
+        computed once by Buchberger from this basis raised to the p-th power
+        and reduced modulo the relation GB, plus the relations: exact in
+        characteristic p, as (g + h)^p = g^p + h^p and the relation ideal
+        holds the p-th powers of its elements.  It skips `buchberger`'s
+        lookup, whose key would only keep these new generators alive."""
+        if self._frobenius is None:
+            ring = self.ring
+            relations = buchberger((), ring=ring)
+            self._frobenius = _interned(buchberger_raw([relations.reduce(
+                g.qth_power(ring.field.p)) for g in self.polys]
+                + list(ring.relations), ring=ring))
+        return self._frobenius
 
     def reduce(self, f: Polynomial) -> Polynomial:
         nf = self._remainder(f)
@@ -225,12 +270,12 @@ class GroebnerBasis:
     def __eq__(self, other):
         if not isinstance(other, GroebnerBasis):
             return NotImplemented
-        return (self.ring == other.ring
+        return (self.ring == other.ring and self.order == other.order
                 and tuple(f.terms_key() for f in self.polys)
                 == tuple(f.terms_key() for f in other.polys))
 
     def __hash__(self):
-        return hash(tuple(f.terms_key() for f in self.polys))
+        return hash((self.order, tuple(f.terms_key() for f in self.polys)))
 
     def __repr__(self):
         return "GroebnerBasis{" + ", ".join(str(f) for f in self.polys) + "}"
@@ -437,10 +482,21 @@ def reduced_basis(polys, ring, reduced=False) -> GroebnerBasis:
 
 
 def buchberger(gens, order=None, *, ring=None) -> GroebnerBasis:
-    """Reduced GB of (gens) + (ring relations); all downstream work in R."""
+    """Reduced GB of (gens) + (ring relations); all downstream work in R.
+    In a session (`basis_memo`) generators seen before, up to order and
+    scaling, return the basis they gave then without a run."""
     gens = list(gens)
     ring = ring or _ring_of(gens)
-    return buchberger_raw(gens + list(ring.relations), order, ring=ring)
+    order = order or DEGREVLEX
+    memo = _BASES.get()
+    if memo is None:
+        return buchberger_raw(gens + list(ring.relations), order, ring=ring)
+    key = (ring, order, repr(sorted({g.monic(order).terms_key() for g in gens})))
+    gb = memo.get(key)
+    if gb is None:
+        gb = memo[key] = _interned(
+            buchberger_raw(gens + list(ring.relations), order, ring=ring))
+    return gb
 
 
 def _ring_of(gens):

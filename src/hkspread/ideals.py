@@ -1,21 +1,13 @@
 """Ideal-level algebra: sums, products, Frobenius (bracket) powers,
 colons, intersections, and minimal generator counts.
 
-Bracket powers are built as Frobenius chains.  I^[q] keeps the generators
-g^q of I's generators, but its DEGREVLEX GB is level q of I's chain: level
-pq is computed from the reduced GB of level q, each element raised to the
-p-th power and reduced modulo the ring's relation GB.  That is exact in
-characteristic p: (g + h)^p = g^p + h^p, and the relation ideal contains
-the p-th powers of its elements, so these generate I^[pq] plus the
-relations.  Buchberger then starts from a basis that is already nearly
-reduced, and each level costs about one basis raised to the p-th power
-instead of reductions that grow with q.
-
-A base ideal keeps its own chain, and its bracket powers point into it.
-Inside a session (`chain_memo`, set by `run_script`) chains are looked up
-by (ring, reduced GB of the base) instead, so equal ideals built by
-different commands share every level.  The memo is a `ContextVar`, like
-the guard: nothing is shared across sessions or threads.
+Bracket powers are Frobenius chains that live on the bases: I^[q] keeps
+the generators g^q but records only (GB of I, q), and its DEGREVLEX GB is
+`GroebnerBasis.frobenius()` of that basis taken log_p(q) times, each level
+built once from the one before.  A level costs about one basis raised to
+the p-th power, not reductions that grow with q.  Inside a session
+(`groebner.basis_memo`, set by `run_script`) equal ideals get one basis
+object, so they share every level.
 
 Intersections and colons run one elimination each, and their results keep
 the basis it yields as their DEGREVLEX GB: the t-free part of the reduced
@@ -25,9 +17,6 @@ g are a GB of the colon by g, only interreduced (`reduced_basis`).
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from contextvars import ContextVar
-
 from .errors import (
     AlgebraError,
     HomogeneityError,
@@ -36,7 +25,6 @@ from .errors import (
     RingMismatchError,
 )
 from .groebner import (
-    GroebnerBasis,
     active_guard,
     buchberger,
     buchberger_raw,
@@ -56,7 +44,7 @@ class Ideal:
     of the ambient polynomial ring.
     """
 
-    __slots__ = ("ring", "gens", "_gb", "_chain")
+    __slots__ = ("ring", "gens", "_gb", "_base")
 
     def __init__(self, ring: RingSpec, gens=()):
         self.ring = ring
@@ -70,7 +58,7 @@ class Ideal:
                 clean.append(g)
         self.gens = tuple(clean)
         self._gb = {}
-        self._chain = None  # (_Chain, q) when this ideal is level q of it
+        self._base = None  # (a DEGREVLEX GB of I, q) when this is I^[q]
 
     # -- canonical form -----------------------------------------------------
 
@@ -78,9 +66,10 @@ class Ideal:
         order = order or DEGREVLEX
         gb = self._gb.get(order)
         if gb is None:
-            chain, q = self._chain or (None, 1)
-            if q > 1 and order == DEGREVLEX:
-                gb = chain.basis(q)
+            if self._base and order == DEGREVLEX:
+                gb, q = self._base
+                while q > 1:
+                    gb, q = gb.frobenius(), q // self.ring.characteristic
             else:
                 gb = buchberger(self.gens, order, ring=self.ring)
             self._gb[order] = gb
@@ -145,15 +134,9 @@ class Ideal:
                     f"bracket power exponent exceeds cap ({guard.max_exponent})")
         if q == 1:
             return self
-        if self._chain is None:
-            gb = self.groebner_basis()
-            memo = _CHAINS.get()
-            chain = _Chain(gb) if memo is None else memo.setdefault(
-                (self.ring, gb), _Chain(gb))
-            self._chain = (chain, 1)
-        chain, q0 = self._chain
+        base, q0 = self._base or (self.groebner_basis(), 1)
         power = Ideal(self.ring, tuple(g.qth_power(q) for g in self.gens))
-        power._chain = (chain, q0 * q)
+        power._base = (base, q0 * q)
         return power
 
     def colon(self, other) -> "Ideal":
@@ -177,45 +160,6 @@ class Ideal:
 
     def __repr__(self):
         return "Ideal(" + ", ".join(str(g) for g in self.gens) + ")"
-
-
-# The session's chain memo: (ring, reduced DEGREVLEX GB of a base ideal) ->
-# its _Chain.  None outside a session.
-_CHAINS = ContextVar("hkspread_chains", default=None)
-
-
-@contextmanager
-def chain_memo():
-    """Share Frobenius chains between the ideals of one session."""
-    token = _CHAINS.set({})
-    try:
-        yield
-    finally:
-        _CHAINS.reset(token)
-
-
-class _Chain:
-    """Reduced DEGREVLEX GBs {q: GB(I^[q])} of one base ideal I."""
-
-    __slots__ = ("ring", "bases", "relations")
-
-    def __init__(self, base: GroebnerBasis):
-        self.ring = base.ring
-        self.bases = {1: base}
-        self.relations = None
-
-    def basis(self, q: int) -> GroebnerBasis:
-        gb = self.bases.get(q)
-        if gb is None:
-            ring = self.ring
-            p = ring.characteristic
-            prev = self.basis(q // p)
-            if self.relations is None:
-                self.relations = Ideal(ring, ()).groebner_basis()
-            gb = buchberger([self.relations.reduce(g.qth_power(p))
-                             for g in prev.polys], DEGREVLEX, ring=ring)
-            self.bases[q] = gb
-        return gb
 
 
 def maximal_ideal(ring: RingSpec) -> Ideal:

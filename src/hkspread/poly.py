@@ -21,18 +21,36 @@ from .errors import (
 )
 
 
+# Miller-Rabin to the first 13 prime bases decides primality exactly below
+# PRIME_LIMIT (Sorenson and Webster, Math. Comp. 86, 2017: psi_13).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin to `_PRIME_BASES`, exact below
+    PRIME_LIMIT; from there on it raises NotPrimeError, as these bases no
+    longer decide primality."""
+    if n >= PRIME_LIMIT:
+        raise NotPrimeError(f"characteristic {n} is too large: the primality "
+                            f"test is exact only below {PRIME_LIMIT}")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for a in _PRIME_BASES:
+        if n % a == 0:
+            return n == a
+    s = ((n - 1) & -(n - 1)).bit_length() - 1   # n - 1 = d·2^s, d odd
+    d = (n - 1) >> s
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -87,7 +105,7 @@ class Monomial(tuple):
         return not any(map(mul, self, other))
 
 
-def _valid_var_name(name: str) -> bool:
+def valid_var_name(name: str) -> bool:
     return name.isidentifier() and not keyword.iskeyword(name)
 
 
@@ -109,7 +127,7 @@ class RingSpec:
         if not variables:
             raise AlgebraError("at least one variable is required")
         for v in variables:
-            if not _valid_var_name(v):
+            if not valid_var_name(v):
                 raise AlgebraError(f"invalid variable name {v!r}")
         if len(set(variables)) != len(variables):
             raise AlgebraError("duplicate variable names")

@@ -16,8 +16,8 @@ from typing import NamedTuple
 
 from . import __version__
 from .errors import AlgebraError
-from .groebner import DEFAULT_GUARD, GuardConfig, use_guard
-from .ideals import chain_memo, ideal_colon
+from .groebner import DEFAULT_GUARD, GuardConfig, basis_memo, use_guard
+from .ideals import ideal_colon
 from .lengths import ehk_estimate, length_quotient
 from .orders import order_by_name
 from .script import SessionScript, format_command
@@ -213,7 +213,7 @@ def run_script(script: SessionScript, config: RunConfig | None = None) -> Report
                         max_exponent=config.max_exponent)
     report = Report(config=config, ring=script.ring, bindings=script.bindings)
     start = time.perf_counter()
-    with use_guard(guard), chain_memo():
+    with use_guard(guard), basis_memo():
         session = _Session(script, config)
         for cmd in script.commands:
             echo = format_command(cmd)

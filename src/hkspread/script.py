@@ -39,7 +39,7 @@ from typing import NamedTuple
 from .errors import (FrobeniusPowerError, HomogeneityError, NotPrimeError,
                      ScriptError, UnitRelationError)
 from .groebner import active_guard
-from .poly import Polynomial, RingSpec, as_q
+from .poly import PRIME_LIMIT, Polynomial, RingSpec, as_q, valid_var_name
 
 
 class Token(NamedTuple):
@@ -72,10 +72,10 @@ def tokenize(text: str):
         if ch == "#":
             while i < n and text[i] != "\n":
                 i += 1
-        elif ch.isdigit():
+        elif "0" <= ch <= "9":   # ASCII only: str.isdigit takes '²' and '３'
             start = i
             startcol = col
-            while i < n and text[i].isdigit():
+            while i < n and "0" <= text[i] <= "9":
                 i += 1
                 col += 1
             tokens.append(Token("INT", text[start:i], line, startcol))
@@ -380,20 +380,22 @@ def parse_script(text: str) -> SessionScript:
     if not (tok.kind == "IDENT" and tok.value == "vars"):
         p.fail("expected a 'vars' declaration")
     p.advance()
-    names = []
-    name_tok = p.expect_ident("variable name")
-    names.append(name_tok.value)
+    name_toks = [p.expect_ident("variable name")]
     while p.peek().kind == "IDENT":
-        names.append(p.advance().value)
+        name_toks.append(p.advance())
     p.end_statement()
+    for tok in name_toks:
+        if not valid_var_name(tok.value):
+            p.fail(f"invalid variable name {tok.value!r}", tok)
+    names = [tok.value for tok in name_toks]
     if len(set(names)) != len(names):
-        raise ScriptError("duplicate variable name", name_tok.line, name_tok.col)
+        p.fail("duplicate variable name", name_toks[0])
 
     try:
         ring = RingSpec(characteristic, tuple(names))
-    except NotPrimeError:
-        raise ScriptError("characteristic must be prime",
-                          char_tok.line, char_tok.col)
+    except NotPrimeError as exc:
+        p.fail("characteristic must be prime" if characteristic < PRIME_LIMIT
+               else str(exc), char_tok)
 
     p.skip_separators()
     while p.peek().kind == "IDENT" and p.peek().value == "quotient":

@@ -134,6 +134,19 @@ def test_order_kinds_disagree_where_expected():
         order_by_name("grlex")
 
 
+def test_basis_equality_includes_the_order():
+    """x^2 + y^3 is its own reduced GB under LEX and under DEGREVLEX, with
+    leads x^2 and y^3: the two bases differ, and so do their hashes."""
+    R = RingSpec(3, ("x", "y"))
+    lex, drl = (buchberger([R.poly("x^2 + y^3")], order, ring=R)
+                for order in (LEX, DEGREVLEX))
+    assert lex.polys == drl.polys
+    assert lex.leading == (Monomial((2, 0)),)
+    assert drl.leading == (Monomial((0, 3)),)
+    assert lex != drl
+    assert hash(lex) != hash(drl)
+
+
 def test_krull_dimension():
     R = RingSpec(2, ("x", "y", "z"))
     x, y, z = R.gens()

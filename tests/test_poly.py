@@ -15,7 +15,7 @@ from hkspread import (
     RingSpec,
     UnitRelationError,
 )
-from hkspread.poly import Polynomial, as_q
+from hkspread.poly import PRIME_LIMIT, Polynomial, as_q, is_prime
 
 PRIMES = [2, 3, 5, 7, 11, 31, 97]
 
@@ -49,6 +49,30 @@ def test_not_prime_rejected(n):
         PrimeField(n)
     with pytest.raises(NotPrimeError):
         RingSpec(n, ("x",))
+
+
+def _prime_by_trial_division(n):
+    return n >= 2 and all(n % f for f in range(2, int(n**0.5) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(10**5) if is_prime(n)] == [
+        n for n in range(10**5) if _prime_by_trial_division(n)]
+
+
+def test_is_prime_on_large_and_pseudoprime_inputs():
+    assert is_prime(2**61 - 1)
+    assert is_prime(10**14 + 31)
+    # 151·751·28351 is a strong pseudoprime to the bases 2, 3, 5 and 7
+    assert not is_prime(3215031751)
+    assert not is_prime(1_000_003 * (2**61 - 1))
+    assert is_prime(PRIME_LIMIT - 168)   # the largest prime it decides
+    # the limit, 1287836182261·2575672364521, is a strong pseudoprime to
+    # every base the test uses
+    with pytest.raises(NotPrimeError, match="too large"):
+        is_prime(PRIME_LIMIT)
+    with pytest.raises(NotPrimeError, match="too large"):
+        RingSpec(2**89 - 1, ("x",))
 
 
 def test_ring_spec_validation():

@@ -11,15 +11,22 @@ import pytest
 
 import hkspread
 from hkspread import (
+    DEGREVLEX,
+    LEX,
+    Ideal,
     Report,
+    RingSpec,
     RunConfig,
     ScriptError,
+    buchberger,
+    maximal_ideal,
     parse_script,
     report_csv,
     report_json,
     run_script,
 )
-from hkspread import ideals
+from hkspread import groebner
+from hkspread.groebner import GroebnerBasis, basis_memo
 from hkspread.cli import main
 from hkspread.runner import error_document, report_document
 from hkspread.script import COMMANDS
@@ -309,19 +316,39 @@ def test_cli_exit_codes(scripts, capsys):
     assert "no such script file" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text, message", [
+@pytest.mark.parametrize("text, message, column", [
     ("char 3; vars x y; quotient 1; ideal m = x, y; ehk m e_max=1",
-     "quotient relation must not be a nonzero constant"),
+     "quotient relation must not be a nonzero constant", 28),
     ("char 2; vars x; ideal J = " + "(" * 1000 + "x" + ")" * 1000,
-     "parentheses nested deeper than 100"),
+     "parentheses nested deeper than 100", 127),
     ("char 2; vars x y z; ideal J = (x+y+z+1)^65535; gb J",
-     "polynomial arithmetic step budget exceeded (500000)"),
+     "polynomial arithmetic step budget exceeded (500000)", 40),
+    # str.isdigit takes these, and int() reads '３' as 3 but fails on '²'
+    ("char 3; vars x; ideal J = x^\u00b2", "unexpected character '\u00b2'", 29),
+    ("char \uff13; vars x; ideal J = x", "unexpected character '\uff13'", 6),
+    ("char 3; vars x if; ideal J = x", "invalid variable name 'if'", 16),
+    ("char 3; vars x\u00b2; ideal J = x", "invalid variable name 'x\u00b2'", 14),
+    ("char 3317044064679887385961981; vars x",
+     "characteristic 3317044064679887385961981 is too large: the primality "
+     "test is exact only below 3317044064679887385961981", 6),
 ])
-def test_cli_rejected_scripts_exit_2(tmp_path, capsys, text, message):
+def test_cli_rejected_scripts_exit_2(tmp_path, capsys, text, message, column):
     path = tmp_path / "script.hks"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     assert main(["run", str(path)]) == 2
-    assert json.loads(capsys.readouterr().out)["error"]["message"] == message
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == {"type": "ScriptError", "message": message,
+                     "line": 1, "column": column}
+
+
+def test_cli_accepts_a_61_bit_characteristic(tmp_path, capsys):
+    """2^61 - 1 is prime; trial division took minutes to say so."""
+    path = tmp_path / "script.hks"
+    path.write_text("char 2305843009213693951; vars x; ideal J = x; length J")
+    assert main(["run", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["ring"]["characteristic"] == 2**61 - 1
+    assert doc["results"][0]["data"]["value"] == 1
 
 
 def test_cli_parses_under_the_run_guard(tmp_path, capsys, monkeypatch):
@@ -440,20 +467,21 @@ _QUADRIC_SESSION = parse_script(
 
 
 def _record_new_levels(monkeypatch, on_new=None):
-    """Patch `_Chain.basis` to list, per thread, every level GB it builds."""
+    """Patch `GroebnerBasis.frobenius` to list, per thread, every level GB
+    it builds."""
     made = {}
-    basis = ideals._Chain.basis
+    frobenius = GroebnerBasis.frobenius
 
-    def recording(chain, q):
-        new = q not in chain.bases
-        result = basis(chain, q)
+    def recording(gb):
+        new = gb._frobenius is None
+        result = frobenius(gb)
         if new:
             made.setdefault(threading.get_ident(), []).append(result)
             if on_new is not None:
                 on_new()
         return result
 
-    monkeypatch.setattr(ideals._Chain, "basis", recording)
+    monkeypatch.setattr(GroebnerBasis, "frobenius", recording)
     return made
 
 
@@ -465,12 +493,12 @@ def test_session_builds_each_level_of_m_once(monkeypatch):
     assert run_script(_QUADRIC_SESSION).ok
     (levels,) = made.values()
     # ehk takes m^[3] and m^[9], and so does the spread's normalizer, which
-    # builds its own maximal ideal: it finds them in the session's memo
+    # builds its own maximal ideal: it finds m's basis in the session's memo
     assert sum(lv in m_powers for lv in levels) == 2
-    assert ideals._CHAINS.get() is None
+    assert groebner._BASES.get() is None
 
 
-def test_chain_memo_is_per_session_and_per_thread(monkeypatch):
+def test_basis_memo_is_per_session_and_per_thread(monkeypatch):
     barrier = threading.Barrier(2, timeout=10)
     held = set()
 
@@ -486,7 +514,7 @@ def test_chain_memo_is_per_session_and_per_thread(monkeypatch):
 
     def session():
         reports.append(run_script(_QUADRIC_SESSION))
-        memo_after.append(ideals._CHAINS.get())
+        memo_after.append(groebner._BASES.get())
 
     workers = [threading.Thread(target=session) for _ in range(2)]
     for w in workers:
@@ -500,7 +528,44 @@ def test_chain_memo_is_per_session_and_per_thread(monkeypatch):
     # both sessions build the same levels, and none is shared
     assert len(first) == len(second) > 0
     assert not {id(lv) for lv in first} & {id(lv) for lv in second}
-    assert ideals._CHAINS.get() is None
+    assert groebner._BASES.get() is None
+
+
+def test_session_memo_shares_the_basis_of_equal_generator_sets():
+    """A script's `m = 2*y, x, z` and the maximal ideal `spread` builds have
+    the same generators up to order and scaling: in one session they get one basis
+    object, and with it one numerator and one Frobenius chain.  Outside a
+    session each ideal computes its own."""
+    script = parse_script(
+        "char 3; vars x y z; quotient x^2 + y*z; ideal m = 2*y, x, z")
+    ring = script.ring
+
+    def bases():
+        m, maximal = script.ideals()["m"], maximal_ideal(ring)
+        return [(I.groebner_basis(), I.bracket_power(3).groebner_basis())
+                for I in (m, maximal)]
+
+    with basis_memo():
+        (gb, level), (gb2, level2) = bases()
+        assert gb is gb2 and level is level2
+    (gb, level), (gb2, level2) = bases()
+    assert gb == gb2 and level == level2
+    assert gb is not gb2 and level is not level2
+
+
+def test_session_memo_keeps_the_orders_apart():
+    """The LEX and DEGREVLEX bases of (x^2 + y^3) are equal as polynomial
+    lists; within one session each order still keeps its own."""
+    ring = RingSpec(3, ("x", "y"))
+    f = ring.poly("x^2 + y^3")
+    with basis_memo():
+        I = Ideal(ring, (f,))
+        lex, drl = I.groebner_basis(LEX), I.groebner_basis(DEGREVLEX)
+        assert lex.order == LEX and drl.order == DEGREVLEX
+        assert lex is not drl
+        assert Ideal(ring, (2 * f,)).groebner_basis(LEX) is lex
+        assert Ideal(ring, (2 * f,)).groebner_basis() is drl
+        assert buchberger([f], LEX, ring=ring) is lex
 
 
 def test_cli_env_override_and_flag_precedence(scripts, capsys, monkeypatch):

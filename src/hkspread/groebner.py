@@ -1,15 +1,17 @@
-"""Buchberger's algorithm, reduced Groebner bases, normal forms, and the
-combinatorial consequences used everywhere else: membership and sparse
-Hilbert-series numerators of leading-term ideals, with the Krull
-dimension read off them (standard-monomial enumeration is kept as an
-oracle for tests).  The
-numerators count standard monomials by degree, so every length is read
-off them; they measure I itself, not only its leading-term ideal, when
-the GB's order is degree-compatible, as DEGREVLEX is.
+"""The Groebner kernel: Buchberger's algorithm on exactly the generators
+it is given (`buchberger_raw`), reduced Groebner bases with their normal
+forms and membership (`GroebnerBasis.reduce`/`contains`), and what is
+read off a basis: the sparse Hilbert-series numerator of its leading
+terms (`GroebnerBasis.numerator`), the Krull dimension, and the standard
+monomials (kept as an oracle for tests).  The numerators count standard
+monomials by degree, so every length is read off them; they measure the
+ideal itself, not only its leading-term ideal, when the GB's order is
+degree-compatible, as DEGREVLEX is.
 
-Quotient rings are handled by appending the ring's relations to every
-generator list (see `buchberger`), so all computation happens in the
-ambient polynomial ring.
+Everything here works in the ambient polynomial ring on polynomials and
+bases; nothing takes an ideal or a session.  `Ideal.groebner_basis`
+(ideals.py) appends the ring's relations to the generators, and each
+ring computes its relation basis once (`RingSpec.relation_basis`).
 
 Buchberger, normal forms, S-polynomials and the interreduction run on
 packed monomials (`orders.Packing`; Bachmann-Schoenemann, ISSAC 1998):
@@ -30,13 +32,7 @@ already a GB (an elimination's t-free part, the quotients of a colon) into
 the reduced GB without a pair phase.  Each GroebnerBasis memoises its
 Hilbert numerator (`numerator`), read by every length and dimension, and
 the basis of the ideal's p-th bracket power (`frobenius`), so a chain of
-Frobenius powers lives on the basis it starts from.  A session
-(`basis_memo`, set by `run_script`) keeps one memo of bases: `buchberger`
-looks its generators up, up to order and scaling, before it runs, and
-each basis it returns and each chain level is interned by (order, value),
-so equal ideals built by different commands share one basis and through
-it one numerator and one chain.  The memo is a ContextVar, like the guard: nothing is shared
-across sessions or threads.
+Frobenius powers lives on the basis it starts from.
 """
 
 from __future__ import annotations
@@ -82,27 +78,6 @@ def use_guard(guard: GuardConfig):
         yield guard
     finally:
         _GUARD.reset(token)
-
-
-# (ring, order, text of the set of monic generators) -> their basis, and
-# each basis -> the one basis of its value; None outside `basis_memo`.  The
-# text is exact and far smaller than the polynomials, held all session.
-_BASES = ContextVar("hkspread_bases", default=None)
-
-
-@contextmanager
-def basis_memo():
-    """Share bases between the ideals of one session."""
-    token = _BASES.set({})
-    try:
-        yield
-    finally:
-        _BASES.reset(token)
-
-
-def _interned(gb: "GroebnerBasis") -> "GroebnerBasis":
-    memo = _BASES.get()
-    return gb if memo is None else memo.setdefault(gb, gb)
 
 
 class _Budget:
@@ -192,7 +167,7 @@ class GroebnerBasis:
     """Reduced basis: monic, interreduced, canonical for (ideal, order)."""
 
     __slots__ = ("ring", "order", "polys", "leading", "_packed", "_hilbert",
-                 "_frobenius")
+                 "_frobenius", "_hash")
 
     def __init__(self, ring, order, polys, leading, packed):
         self.ring = ring
@@ -201,7 +176,8 @@ class GroebnerBasis:
         self.leading = tuple(leading)
         self._packed = packed   # (packing, reducer entries), see `reduce`
         self._hilbert = None   # the memo of `numerator`
-        self._frobenius = None   # the memo of `frobenius`
+        self._frobenius = None   # the memo of `frobenius`, or its interned copy
+        self._hash = None
 
     def __iter__(self):
         return iter(self.polys)
@@ -216,8 +192,12 @@ class GroebnerBasis:
         return any(m.degree() == 0 for m in self.leading)
 
     def numerator(self) -> dict:
-        """`hilbert_numerator` of the leading terms, computed once; the
-        dict is shared, so callers read it and never change it."""
+        """K(t) as {degree: coefficient}, zero coefficients left out, where
+        K(t)/(1−t)^n is the generating function by degree of the standard
+        monomials (n variables).  The unit ideal gives {} and no leading
+        terms give {0: 1}.  One entry per term, so its size follows the
+        leading terms, not their degrees.  Computed once; the dict is
+        shared, so callers read it and never change it."""
         K = self._hilbert
         if K is None:
             K = self._hilbert = _numerator(self.leading)
@@ -226,16 +206,15 @@ class GroebnerBasis:
     def frobenius(self) -> "GroebnerBasis":
         """The reduced DEGREVLEX GB of the ideal's p-th bracket power,
         computed once by Buchberger from this basis raised to the p-th power
-        and reduced modulo the relation GB, plus the relations: exact in
-        characteristic p, as (g + h)^p = g^p + h^p and the relation ideal
-        holds the p-th powers of its elements.  It skips `buchberger`'s
-        lookup, whose key would only keep these new generators alive."""
+        and reduced modulo the ring's relation basis, plus the relations:
+        exact in characteristic p, as (g + h)^p = g^p + h^p and the
+        relation ideal holds the p-th powers of its elements."""
         if self._frobenius is None:
             ring = self.ring
-            relations = buchberger((), ring=ring)
-            self._frobenius = _interned(buchberger_raw([relations.reduce(
+            relations = ring.relation_basis()
+            self._frobenius = buchberger_raw([relations.reduce(
                 g.qth_power(ring.field.p)) for g in self.polys]
-                + list(ring.relations), ring=ring))
+                + list(ring.relations), ring=ring)
         return self._frobenius
 
     def reduce(self, f: Polynomial) -> Polynomial:
@@ -274,8 +253,11 @@ class GroebnerBasis:
                 and tuple(f.terms_key() for f in self.polys)
                 == tuple(f.terms_key() for f in other.polys))
 
-    def __hash__(self):
-        return hash((self.order, tuple(f.terms_key() for f in self.polys)))
+    def __hash__(self):   # memoised: a chain walk interns every level again
+        if self._hash is None:
+            self._hash = hash((self.order,
+                               tuple(f.terms_key() for f in self.polys)))
+        return self._hash
 
     def __repr__(self):
         return "GroebnerBasis{" + ", ".join(str(f) for f in self.polys) + "}"
@@ -383,7 +365,7 @@ def buchberger_raw(gens, order=None, *, ring=None) -> GroebnerBasis:
 
 
 def _buchberger(gens, order, ring, packing, budget) -> GroebnerBasis:
-    p, g, w, low = ring.field.p, packing.guard, packing.width, packing.low
+    p, g, low = ring.field.p, packing.guard, packing.low
     coeffs, shifts, field = packing.coeffs, packing.shifts, packing.field
     reducers, lead, active = [], [], []
     heap = []   # (−lcm, i, j, lcm exponents) of the queued pairs, i < j
@@ -392,9 +374,7 @@ def _buchberger(gens, order, ring, packing, budget) -> GroebnerBasis:
         lm, t = entry[0], len(lead)
         reducers.append(entry)
         lead.append(lm)
-        # the exponents of lcm(lm, b) for every lead b (`Packing.lcm`)
-        lcms = [(lm ^ (lm ^ b) & (s - (s >> w))) & low
-                for b in lead for s in [((b | g) - lm) & g]]
+        lcms = packing.lcms(lm, lead)
         # criterion B on the queued pairs; the pairs it drops leave the heap
         kept = [e for e in heap if not (
             ((e[3] | g) - lm) & g == g and lcms[e[1]] != e[3]
@@ -481,50 +461,17 @@ def reduced_basis(polys, ring, reduced=False) -> GroebnerBasis:
     return _widened(DEGREVLEX, ring.nvars, e, run)
 
 
-def buchberger(gens, order=None, *, ring=None) -> GroebnerBasis:
-    """Reduced GB of (gens) + (ring relations); all downstream work in R.
-    In a session (`basis_memo`) generators seen before, up to order and
-    scaling, return the basis they gave then without a run."""
-    gens = list(gens)
-    ring = ring or _ring_of(gens)
-    order = order or DEGREVLEX
-    memo = _BASES.get()
-    if memo is None:
-        return buchberger_raw(gens + list(ring.relations), order, ring=ring)
-    key = (ring, order, repr(sorted({g.monic(order).terms_key() for g in gens})))
-    gb = memo.get(key)
-    if gb is None:
-        gb = memo[key] = _interned(
-            buchberger_raw(gens + list(ring.relations), order, ring=ring))
-    return gb
-
-
 def _ring_of(gens):
     if not gens:
         raise AlgebraError("cannot infer the ring from an empty generator list")
     return gens[0].ring
 
 
-def _as_gb(obj, order=None) -> GroebnerBasis:
-    if isinstance(obj, GroebnerBasis):
-        return obj
-    return obj.groebner_basis(order)
-
-
-def normal_form(f: Polynomial, G) -> Polynomial:
-    return _as_gb(G).reduce(f)
-
-
-def is_member(f: Polynomial, I) -> bool:
-    return _as_gb(I).contains(f)
-
-
-def krull_dimension(I) -> int:
-    """Dimension of R/I, the order of the pole of K(t)/(1−t)^n at t = 1
-    for K the Hilbert numerator of I's leading terms: n minus the number
-    of leading Taylor coefficients of K at 1 that vanish.  The unit ideal
+def krull_dimension(G: GroebnerBasis) -> int:
+    """Dimension of the quotient by G's ideal, the order of the pole of
+    K(t)/(1−t)^n at t = 1 for K = G.numerator(): n minus the number of
+    leading Taylor coefficients of K at 1 that vanish.  The unit ideal
     (K = 0) gives -1."""
-    G = _as_gb(I)
     n = G.ring.nvars
     K = G.numerator()
     if not K:
@@ -532,13 +479,12 @@ def krull_dimension(I) -> int:
     return n - next(k for k, a in enumerate(taylor_at_one(K, n)) if a)
 
 
-def standard_monomials(I, order=None):
-    """Iterator over monomials outside the leading-term ideal, one guard step
-    per point of the exponent box (per variable, the smallest pure power
-    among the leading terms).  Raises InfiniteLengthError when their count
-    is infinite.  Lengths read `hilbert_numerator` instead; this walk is
-    the oracle it is tested against."""
-    G = _as_gb(I, order)
+def standard_monomials(G: GroebnerBasis):
+    """Iterator over monomials outside G's leading-term ideal, one guard
+    step per point of the exponent box (per variable, the smallest pure
+    power among the leading terms).  Raises InfiniteLengthError when their
+    count is infinite.  Lengths read `GroebnerBasis.numerator` instead;
+    this walk is the oracle it is tested against."""
     lts = G.leading
     if any(m.degree() == 0 for m in lts):
         return iter(())
@@ -560,16 +506,6 @@ def _staircase(bounds, lts, budget):
         mono = Monomial(exps)
         if not any(lt.divides(mono) for lt in lts):
             yield mono
-
-
-def hilbert_numerator(I) -> dict:
-    """K(t) as {degree: coefficient}, zero coefficients left out, where
-    K(t)/(1−t)^n is the generating function by degree of the standard
-    monomials of I's DEGREVLEX GB (n variables).  The unit ideal gives {}
-    and no leading terms give {0: 1}.  The dict has one entry per term, so
-    its size follows the leading terms, not their degrees; it is the GB's
-    memo, to be read and never changed."""
-    return _as_gb(I).numerator()
 
 
 def taylor_at_one(K: dict, n: int) -> list:

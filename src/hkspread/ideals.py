@@ -1,13 +1,21 @@
-"""Ideal-level algebra: sums, products, Frobenius (bracket) powers,
-colons, intersections, and minimal generator counts.
+"""Ideal-level algebra: the one way from an ideal of R = F_p[x]/(relations)
+to its reduced basis (`Ideal.groebner_basis`), sums, products, Frobenius
+(bracket) powers, colons, intersections, and minimal generator counts.
+
+An ideal's basis comes from Buchberger on the generators plus the
+relations (`groebner.buchberger_raw`) or, for a bracket power, from a
+Frobenius chain, and it is kept on the ideal.  Inside a session
+(`basis_memo`, set by `run_script`) the generator set is looked up first,
+up to order and scaling, and every basis and chain level is interned by
+(order, value), so equal ideals built by different commands share one
+basis and through it one numerator and one chain.  The memo is a
+ContextVar, like the guard: nothing is shared across sessions or threads.
 
 Bracket powers are Frobenius chains that live on the bases: I^[q] keeps
 the generators g^q but records only (GB of I, q), and its DEGREVLEX GB is
 `GroebnerBasis.frobenius()` of that basis taken log_p(q) times, each level
 built once from the one before.  A level costs about one basis raised to
-the p-th power, not reductions that grow with q.  Inside a session
-(`groebner.basis_memo`, set by `run_script`) equal ideals get one basis
-object, so they share every level.
+the p-th power, not reductions that grow with q.
 
 Intersections and colons run one elimination each, and their results keep
 the basis it yields as their DEGREVLEX GB: the t-free part of the reduced
@@ -17,6 +25,9 @@ g are a GB of the colon by g, only interreduced (`reduced_basis`).
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
+
 from .errors import (
     AlgebraError,
     HomogeneityError,
@@ -25,8 +36,8 @@ from .errors import (
     RingMismatchError,
 )
 from .groebner import (
+    GroebnerBasis,
     active_guard,
-    buchberger,
     buchberger_raw,
     exact_quotient,
     krull_dimension,
@@ -36,12 +47,33 @@ from .orders import DEGREVLEX, AuxBlockOrder
 from .poly import Monomial, Polynomial, RingSpec, as_q
 
 
+# (ring, order, text of the set of monic generators) -> their basis, and
+# each basis -> the one basis of its value; None outside `basis_memo`.  The
+# text is exact and far smaller than the polynomials, held all session.
+_BASES = ContextVar("hkspread_bases", default=None)
+
+
+@contextmanager
+def basis_memo():
+    """Share bases between the ideals of one session."""
+    token = _BASES.set({})
+    try:
+        yield
+    finally:
+        _BASES.reset(token)
+
+
+def _interned(gb: GroebnerBasis) -> GroebnerBasis:
+    memo = _BASES.get()
+    return gb if memo is None else memo.setdefault(gb, gb)
+
+
 class Ideal:
     """Generator list bound to a ring, with lazily cached reduced GBs.
 
-    The ring's quotient relations are appended automatically whenever a GB
-    is computed, so membership, dimension, and lengths are those of R, not
-    of the ambient polynomial ring.
+    The ring's quotient relations are appended to the generators whenever a
+    GB is computed, so membership, dimension, and lengths are those of R,
+    not of the ambient polynomial ring.
     """
 
     __slots__ = ("ring", "gens", "_gb", "_base")
@@ -62,17 +94,39 @@ class Ideal:
 
     # -- canonical form -----------------------------------------------------
 
-    def groebner_basis(self, order=None):
+    def groebner_basis(self, order=None) -> GroebnerBasis:
+        """The reduced GB under `order` (DEGREVLEX by default) of the
+        generators plus the relations, computed once per ideal and, in a
+        session, once per generator set (see the module docstring)."""
         order = order or DEGREVLEX
         gb = self._gb.get(order)
         if gb is None:
             if self._base and order == DEGREVLEX:
                 gb, q = self._base
+                p = self.ring.characteristic
                 while q > 1:
-                    gb, q = gb.frobenius(), q // self.ring.characteristic
+                    # the level's memo keeps the session's one basis of its
+                    # value, not the equal copy that frobenius() built
+                    level = gb._frobenius = _interned(gb.frobenius())
+                    gb, q = level, q // p
             else:
-                gb = buchberger(self.gens, order, ring=self.ring)
+                gb = self._lookup(order)
             self._gb[order] = gb
+        return gb
+
+    def _lookup(self, order) -> GroebnerBasis:
+        """Buchberger on the generators plus the relations, unless the
+        session's memo knows the generator set; interned in a session."""
+        ring, memo = self.ring, _BASES.get()
+        if memo is not None:
+            key = (ring, order, repr(sorted(
+                {g.monic(order).terms_key() for g in self.gens})))
+            gb = memo.get(key)
+            if gb is not None:
+                return gb
+        gb = buchberger_raw(self.gens + ring.relations, order, ring=ring)
+        if memo is not None:
+            gb = memo[key] = memo.setdefault(gb, gb)
         return gb
 
     def __contains__(self, f) -> bool:
@@ -104,10 +158,10 @@ class Ideal:
         return not self.is_unit()
 
     def is_zero_dimensional(self) -> bool:
-        return krull_dimension(self) <= 0
+        return self.dimension() <= 0
 
     def dimension(self) -> int:
-        return krull_dimension(self)
+        return krull_dimension(self.groebner_basis())
 
     # -- algebra ------------------------------------------------------------
 

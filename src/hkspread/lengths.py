@@ -1,9 +1,10 @@
 """Lengths read off sparse Hilbert-series numerators: colengths λ(R/I)
 and subquotient lengths λ(M/N) by one formula (no colon is computed,
 no monomial is visited), Hilbert-Kunz functions, and multiplicity
-estimation with exact rational arithmetic.  Every length rests on
-DEGREVLEX GBs: the order is degree-compatible, which is what makes the
-numerators give lengths for inhomogeneous ideals too."""
+estimation with exact rational arithmetic.  Every numerator is the memo
+`I.groebner_basis().numerator()` of a DEGREVLEX GB: the order is
+degree-compatible, which is what makes the numerators give lengths for
+inhomogeneous ideals too."""
 
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import ContainmentError, InfiniteLengthError, PreconditionError
-from .groebner import hilbert_numerator, taylor_at_one
+from .groebner import taylor_at_one
 from .ideals import Ideal
 
 
@@ -67,7 +68,7 @@ def _length(D: dict, n: int) -> LengthValue:
 def length_quotient(I: Ideal) -> LengthValue:
     """λ(R/I): the number of standard monomials, K_I/(1−t)^n at t = 1, or
     the infinite value."""
-    return _length(hilbert_numerator(I), I.ring.nvars)
+    return _length(I.groebner_basis().numerator(), I.ring.nvars)
 
 
 def length_subquotient(M: Ideal, N: Ideal) -> LengthValue:
@@ -83,8 +84,8 @@ def length_subquotient(M: Ideal, N: Ideal) -> LengthValue:
     """
     if not M.contains_ideal(N):
         raise ContainmentError("second ideal is not contained in the first")
-    diff = Counter(hilbert_numerator(N))
-    diff.subtract(hilbert_numerator(M))
+    diff = Counter(N.groebner_basis().numerator())
+    diff.subtract(M.groebner_basis().numerator())
     return _length(diff, M.ring.nvars)
 
 

@@ -114,10 +114,13 @@ class Packing:
     def polynomial(self, ring, terms):   # coefficients in [0, p), zeros left out
         return Polynomial._trusted(ring, {self.monomial(x): c for x, c in terms if c})
 
-    def lcm(self, a, b):   # the exponents of lcm(a, b), without the rank
-        g = self.guard
-        t = ((b | g) - a) & g
-        return (a ^ (a ^ b) & (t - (t >> self.width))) & self.low
+    def lcms(self, a, leads):
+        """The exponents of lcm(a, b), without the rank, for each b in
+        `leads`: the guard bits that the test "a divides b" leaves mark the
+        fields where b is at least a, and those fields are taken from b."""
+        g, w, low = self.guard, self.width, self.low
+        return [(a ^ (a ^ b) & (t - (t >> w))) & low
+                for b in leads for t in [((b | g) - a) & g]]
 
     def reducer(self, terms: dict, lead: int):
         g, w, top = self.guard, self.width, 0

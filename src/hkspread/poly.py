@@ -119,7 +119,8 @@ class RingSpec:
     quotient) and polynomial-extension base change possible.
     """
 
-    __slots__ = ("field", "variables", "relations", "_dimension", "_hash")
+    __slots__ = ("field", "variables", "relations", "_dimension", "_hash",
+                 "_relation_basis")
 
     def __init__(self, characteristic, variables, relations=()):
         self.field = PrimeField(characteristic)
@@ -134,6 +135,7 @@ class RingSpec:
         self.variables = variables
         self._dimension = None
         self._hash = None
+        self._relation_basis = None
         adopted = []
         for rel in relations:
             f = self.adopt(rel)
@@ -161,15 +163,20 @@ class RingSpec:
 
     @property
     def dimension(self) -> int:
-        """Krull dimension, computed once from the relation ideal."""
+        """Krull dimension, computed once from the relation basis."""
         if self._dimension is None:
-            if not self.relations:
-                self._dimension = self.nvars
-            else:
-                from .groebner import krull_dimension
-                from .ideals import Ideal
-                self._dimension = krull_dimension(Ideal(self, ()))
+            from .groebner import krull_dimension
+            self._dimension = (krull_dimension(self.relation_basis())
+                               if self.relations else self.nvars)
         return self._dimension
+
+    def relation_basis(self):
+        """The reduced DEGREVLEX Groebner basis of the relations, the basis
+        of the zero ideal of the ring, computed once."""
+        if self._relation_basis is None:
+            from .groebner import buchberger_raw
+            self._relation_basis = buchberger_raw(self.relations, ring=self)
+        return self._relation_basis
 
     def __eq__(self, other):
         if self is other:

@@ -106,9 +106,12 @@ def _require_finite_colength(I: Ideal, what: str):
 
 def _normalizer(ring: RingSpec, a: Ideal | None, e_max: int):
     """(a, e_HK(a)) for the normalizing ideal a, the maximal ideal when
-    None, after checking that a has finite colength."""
+    None, after checking that a is proper (the unit ideal has e_HK = 0,
+    which every estimate divides by) and has finite colength."""
     if a is None:
         a = maximal_ideal(ring)
+    if a.is_unit():
+        raise PreconditionError("the normalizing ideal a must be proper")
     _require_finite_colength(a, "the normalizing ideal a")
     return a, ehk_estimate(a, e_max=e_max).value
 

@@ -6,6 +6,7 @@ import pytest
 
 from hkspread import (
     DEGREVLEX,
+    LEX,
     AlgebraError,
     GuardConfig,
     HomogeneityError,
@@ -15,15 +16,16 @@ from hkspread import (
     ResourceLimitError,
     RingMismatchError,
     RingSpec,
-    buchberger,
     ideal_colon,
     ideal_intersection,
+    length_quotient,
     maximal_ideal,
     min_gens,
     use_guard,
 )
 
 from hkspread.groebner import exact_quotient
+from hkspread.ideals import basis_memo
 from hkspread.poly import Polynomial
 from tests.test_poly import _random_poly
 
@@ -214,7 +216,7 @@ def test_colon_and_intersection_bases_equal_buchberger(ring):
         f = _random_poly(rng, ring, nterms=4, max_exp=3)
         for result in results:
             seeded = result._gb[DEGREVLEX]
-            expected = buchberger(result.gens, ring=ring)
+            expected = Ideal(ring, result.gens).groebner_basis()
             assert seeded == expected
             assert seeded.leading == expected.leading
             assert seeded.reduce(f) == expected.reduce(f)
@@ -325,7 +327,7 @@ def test_chain_levels_match_direct_path(ring):
         for e in range(4):
             q = p ** e
             direct = _direct(I, q)
-            want = buchberger(direct.gens, ring=ring)
+            want = direct.groebner_basis()
             power = I.bracket_power(q)
             assert power.gens == direct.gens, (I, q)
             assert power.groebner_basis() == want, (I, q)
@@ -406,7 +408,7 @@ def test_level_basis_past_the_cap_raises():
             I = R.ideal("x^2", "x*y + z^2")
             power = I.bracket_power(q)  # the generators pass the cap
             for gb in (lambda: power.groebner_basis(),
-                       lambda: buchberger(_direct(I, q).gens, ring=R)):
+                       lambda: _direct(I, q).groebner_basis()):
                 with pytest.raises(ResourceLimitError,
                                    match=rf"monomial exponent exceeds cap \({cap}\)"):
                     gb()
@@ -423,7 +425,7 @@ def test_chain_levels_keep_their_basis_under_the_cap(ring):
         I = _random_ideal(rng, ring)
         for q in (p, p * p):
             top = max(max(m) for m in
-                      buchberger(_direct(I, q).gens, ring=ring).leading)
+                      _direct(I, q).groebner_basis().leading)
             with use_guard(GuardConfig(max_exponent=top - 1)):
                 for build in (lambda: Ideal(ring, I.gens).bracket_power(q),
                               lambda: _direct(I, q)):
@@ -504,3 +506,41 @@ def _divisible(f, g):
         return True
     except AlgebraError:
         return False
+
+
+@pytest.mark.parametrize("ring", _CHAIN_RINGS[:3], ids=_CHAIN_IDS[:3])
+def test_basis_memo_changes_no_basis_numerator_or_length(ring):
+    """Seeded random ideals, a copy of each with its generators shuffled and
+    scaled, their bracket powers I^[p] and I^[p^2] (also as (I^[p])^[p]),
+    a sum and a colon: under DEGREVLEX and LEX, every basis, its numerator
+    and the colength are the same inside a session's memo as outside one,
+    and inside it the copy finds the original's basis."""
+    p = ring.characteristic
+
+    def observe():
+        rng = random.Random(7100 + 10 * p + len(ring.relations))
+        rows, shared = [], 0
+        for _ in range(6):
+            I = _random_ideal(rng, ring)
+            gens = [rng.randrange(1, p) * g for g in I.gens]
+            rng.shuffle(gens)
+            copy = Ideal(ring, tuple(gens))
+            J = Ideal(ring, (_random_poly(rng, ring, nterms=2, max_exp=2),))
+            ideals = [I, copy, I.bracket_power(p), I.bracket_power(p * p),
+                      copy.bracket_power(p).bracket_power(p)]
+            if not J.is_zero():
+                ideals += [I + J, ideal_colon(I, J)]
+            for ideal in ideals:
+                for order in (DEGREVLEX, LEX):
+                    gb = ideal.groebner_basis(order)
+                    rows.append((order.name, gb.polys, gb.leading, gb.numerator()))
+                rows.append(length_quotient(ideal))
+            shared += all(copy.groebner_basis(order) is I.groebner_basis(order)
+                          for order in (DEGREVLEX, LEX))
+        return rows, shared
+
+    with basis_memo():
+        inside, shared_inside = observe()
+    outside, shared_outside = observe()
+    assert inside == outside
+    assert (shared_inside, shared_outside) == (6, 0)

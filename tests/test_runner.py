@@ -18,15 +18,15 @@ from hkspread import (
     RingSpec,
     RunConfig,
     ScriptError,
-    buchberger,
     maximal_ideal,
     parse_script,
     report_csv,
     report_json,
     run_script,
 )
-from hkspread import groebner
-from hkspread.groebner import GroebnerBasis, basis_memo
+from hkspread import ideals
+from hkspread.groebner import GroebnerBasis
+from hkspread.ideals import basis_memo
 from hkspread.cli import main
 from hkspread.runner import error_document, report_document
 from hkspread.script import COMMANDS
@@ -303,6 +303,24 @@ def scripts(tmp_path):
             "missing": tmp_path / "missing.hks"}
 
 
+def test_cli_unit_normalizer_is_an_error_row(tmp_path, capsys):
+    """e_HK of the unit ideal is 0, and every spread divides by it: a unit
+    `a` fails its own command and the commands after it still run."""
+    path = tmp_path / "unit.hks"
+    path.write_text("char 2; vars x y; ideal O = 1; ideal J = x, y; "
+                    "length J; spread J a=O; spread_hk J a=O; length J")
+    assert main(["run", str(path)]) == 1
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert [(r["command"], r["status"]) for r in results] == [
+        ("length J", "ok"), ("spread J a=O", "error"),
+        ("spread_hk J a=O", "error"), ("length J", "ok")]
+    assert results[0]["data"] == results[3]["data"] == {
+        "ideal": "J", "finite": True, "value": 1}
+    for r in results[1:3]:
+        assert r["error"] == {"type": "PreconditionError",
+                              "message": "the normalizing ideal a must be proper"}
+
+
 def test_cli_exit_codes(scripts, capsys):
     assert main(["run", str(scripts["ok"])]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -495,7 +513,7 @@ def test_session_builds_each_level_of_m_once(monkeypatch):
     # ehk takes m^[3] and m^[9], and so does the spread's normalizer, which
     # builds its own maximal ideal: it finds m's basis in the session's memo
     assert sum(lv in m_powers for lv in levels) == 2
-    assert groebner._BASES.get() is None
+    assert ideals._BASES.get() is None
 
 
 def test_basis_memo_is_per_session_and_per_thread(monkeypatch):
@@ -514,7 +532,7 @@ def test_basis_memo_is_per_session_and_per_thread(monkeypatch):
 
     def session():
         reports.append(run_script(_QUADRIC_SESSION))
-        memo_after.append(groebner._BASES.get())
+        memo_after.append(ideals._BASES.get())
 
     workers = [threading.Thread(target=session) for _ in range(2)]
     for w in workers:
@@ -528,7 +546,7 @@ def test_basis_memo_is_per_session_and_per_thread(monkeypatch):
     # both sessions build the same levels, and none is shared
     assert len(first) == len(second) > 0
     assert not {id(lv) for lv in first} & {id(lv) for lv in second}
-    assert groebner._BASES.get() is None
+    assert ideals._BASES.get() is None
 
 
 def test_session_memo_shares_the_basis_of_equal_generator_sets():
@@ -565,7 +583,7 @@ def test_session_memo_keeps_the_orders_apart():
         assert lex is not drl
         assert Ideal(ring, (2 * f,)).groebner_basis(LEX) is lex
         assert Ideal(ring, (2 * f,)).groebner_basis() is drl
-        assert buchberger([f], LEX, ring=ring) is lex
+        assert Ideal(ring, (f, 2 * f)).groebner_basis(LEX) is lex
 
 
 def test_cli_env_override_and_flag_precedence(scripts, capsys, monkeypatch):

@@ -137,10 +137,11 @@ def _ratio_trend(samples) -> str | None:
     return "mixed"
 
 
-def _fit_leading(samples, d):
-    """Exact least squares of colength ~ A·q^d + B·q^(d-1)."""
-    cols = [(Fraction(s.q) ** d, Fraction(s.q) ** (d - 1)) for s in samples]
-    ys = [Fraction(s.colength) for s in samples]
+def _fit_leading(lengths: dict, d):
+    """Exact least squares of length ~ A·q^d + B·q^(d-1) over the samples
+    {q: length}; the lead A is linear in the lengths."""
+    cols = [(Fraction(q) ** d, Fraction(q) ** (d - 1)) for q in lengths]
+    ys = [Fraction(v) for v in lengths.values()]
     a11 = sum(c[0] * c[0] for c in cols)
     a12 = sum(c[0] * c[1] for c in cols)
     a22 = sum(c[1] * c[1] for c in cols)
@@ -193,6 +194,7 @@ def ehk_estimate(a: Ideal, e_max: int = 3, method: str = "auto") -> HKEstimate:
             bound = abs(samples[-1].normalized - samples[-2].normalized)
         return HKEstimate(value=samples[-1].normalized, method="last-sample",
                           samples=samples, error_bound=bound, ratio_trend=trend)
-    lead, second, residuals = _fit_leading(samples, ring.dimension)
+    lead, second, residuals = _fit_leading(
+        {s.q: s.colength for s in samples}, ring.dimension)
     return HKEstimate(value=lead, method="linear-fit", samples=samples,
                       residuals=residuals, secondary=second, ratio_trend=trend)

@@ -119,7 +119,6 @@ def _spread_dict(rep, cmd):
     }
     if rep.method == "hk-difference":
         data["value"] = _frac(rep.value)
-        data["components"] = {k: _frac(v) for k, v in rep.components}
     return data
 
 

@@ -1,11 +1,10 @@
 """Finite-q star-spread estimation and the exact identities it rests on.
 
-Two estimators target ℓ*(J): the subquotient form
-    λ(J^[q·q0] / a^[q] J^[q·q0]) / (q^d · e_HK(a))
-sampled at q = p^e, e = 0..e_max, escalating q0 through the values 1, p,
-p², p³ until the ratios settle, and the Hilbert-Kunz difference form
-    (e_HK(a·J^[q0]) − e_HK(J^[q0])) / e_HK(a)
-for finite-colength J.  The identity checkers verify the product,
+Both estimators of ℓ*(J) read one subquotient level, the lengths
+    λ(J^[q·q0] / a^[q] J^[q·q0])   at q = p^e, e = 0..e_max,
+normalized by q^d · e_HK(a).  `spread` rounds the ratios, escalating q0
+through the values 1, p, p², p³ until they settle; `spread_hk` takes the
+limit of the level at one q0.  The identity checkers verify the product,
 self-product, additivity, base-change, and vanishing relations that the
 estimators' convergence depends on.  Every function here takes Frobenius
 powers as the values q and q0 themselves, never as exponents.
@@ -22,7 +21,8 @@ from typing import NamedTuple
 
 from .errors import PreconditionError
 from .ideals import Ideal, ideal_colon, maximal_ideal
-from .lengths import ehk_estimate, length_quotient, length_subquotient
+from .lengths import (_fit_leading, ehk_estimate, length_quotient,
+                      length_subquotient)
 from .poly import Polynomial, RingSpec, as_q
 
 CAVEAT = ("finite-q evidence only: a pass is consistent with "
@@ -57,7 +57,6 @@ class SpreadReport(NamedTuple):
     stabilized: bool
     rounding_distance: Fraction | None
     value: Fraction | None = None
-    components: tuple = ()
 
 
 class IdentityRow(NamedTuple):
@@ -99,6 +98,11 @@ class IndependenceReport(NamedTuple):
     caveat: str = CAVEAT
 
 
+def _require_proper(I: Ideal, what: str):
+    if I.is_unit():
+        raise PreconditionError(f"{what} needs a proper ideal")
+
+
 def _require_finite_colength(I: Ideal, what: str):
     if not length_quotient(I).is_finite:
         raise PreconditionError(f"{what} must have finite colength")
@@ -108,6 +112,9 @@ def _normalizer(ring: RingSpec, a: Ideal | None, e_max: int):
     """(a, e_HK(a)) for the normalizing ideal a, the maximal ideal when
     None, after checking that a is proper (the unit ideal has e_HK = 0,
     which every estimate divides by) and has finite colength."""
+    if ring.relations and e_max < 1:
+        raise PreconditionError(
+            "the normalizing e_HK(a) on a quotient ring needs e_max >= 1")
     if a is None:
         a = maximal_ideal(ring)
     if a.is_unit():
@@ -128,14 +135,15 @@ def _stabilize(ratios):
     return None, False, None
 
 
-def _spread_lengths(K: Ideal, a: Ideal, q0: int, e_max: int) -> list:
-    """λ(K^[q·q0] / a^[q]·K^[q·q0]) for q = p^e, e = 0..e_max, with the
-    denominator built as (a·K^[q0])^[q]."""
+def _spread_lengths(K: Ideal, a: Ideal, q0: int, e_max: int) -> dict:
+    """{q: λ(K^[q·q0] / a^[q]·K^[q·q0])} for q = p^e, e = 0..e_max, with
+    the denominator built as (a·K^[q0])^[q]."""
     p = K.ring.characteristic
     Kq0 = K.bracket_power(q0)
     aKq0 = a * Kq0
-    return [int(length_subquotient(Kq0.bracket_power(q), aKq0.bracket_power(q)))
-            for q in (p ** e for e in range(e_max + 1))]
+    return {q: int(length_subquotient(Kq0.bracket_power(q),
+                                      aKq0.bracket_power(q)))
+            for q in (p ** e for e in range(e_max + 1))}
 
 
 def star_spread_estimate(J: Ideal, a: Ideal | None = None, q0: int = 1,
@@ -148,16 +156,12 @@ def star_spread_estimate(J: Ideal, a: Ideal | None = None, q0: int = 1,
     """
     ring = J.ring
     q0 = as_q(ring, q0)
-    if J.is_unit():
-        raise PreconditionError("spread needs a proper ideal")
-    if ring.relations and e_max < 1:
-        raise PreconditionError(
-            "the normalizing e_HK(a) on a quotient ring needs e_max >= 1")
+    _require_proper(J, "spread")
+    a, ehk_a = _normalizer(ring, a, e_max)
     if e_max < 1:
         raise PreconditionError(
             "each q0 level compares the cells e = 0 and e = 1, so spread "
             "needs e_max >= 1")
-    a, ehk_a = _normalizer(ring, a, e_max)
     p = ring.characteristic
     d = ring.dimension
     cap = p ** Q0_CAP_EXPONENT
@@ -167,8 +171,7 @@ def star_spread_estimate(J: Ideal, a: Ideal | None = None, q0: int = 1,
     while True:
         schedule.append(q0)
         round_ratios = []
-        for e, lam in enumerate(_spread_lengths(J, a, q0, e_max)):
-            q = p ** e
+        for e, (q, lam) in enumerate(_spread_lengths(J, a, q0, e_max).items()):
             ratio = Fraction(lam) / (Fraction(q) ** d * ehk_a)
             cells.append(SpreadCell(q0, e, q, lam, ratio))
             round_ratios.append(ratio)
@@ -184,19 +187,19 @@ def star_spread_estimate(J: Ideal, a: Ideal | None = None, q0: int = 1,
 
 def star_spread_hk_difference(J: Ideal, a: Ideal | None = None,
                               q0: int = 1, e_max: int = 3) -> SpreadReport:
-    """(e_HK(a·J^[q0]) − e_HK(J^[q0])) / e_HK(a), for finite-colength J."""
+    """(e_HK(a·J^[q0]) − e_HK(J^[q0])) / e_HK(a) for finite-colength J,
+    from the spread cells at q0, each λ(R/(a·J^[q0])^[q]) − λ(R/J^[q·q0]):
+    their fitted lead (the fit of `ehk_estimate`, linear in the lengths)
+    on a quotient ring, the q = 1 cell on a relation-free ring."""
     ring = J.ring
     q0 = as_q(ring, q0)
-    if ring.relations and e_max < 1:
-        raise PreconditionError(
-            "the e_HK estimates of a, J^[q0] and a·J^[q0] on a quotient ring "
-            "need e_max >= 1")
+    _require_proper(J, "spread_hk")
     _require_finite_colength(J, "J")
     a, e_a = _normalizer(ring, a, e_max)
-    Jq0 = J.bracket_power(q0)
-    e_j = ehk_estimate(Jq0, e_max=e_max).value
-    e_aj = ehk_estimate(a * Jq0, e_max=e_max).value
-    value = (e_aj - e_j) / e_a
+    flat = not ring.relations  # the Frobenius is flat: cell(q) = q^d·cell(1)
+    cells = _spread_lengths(J, a, q0, 0 if flat else e_max)
+    lead = cells[1] if flat else _fit_leading(cells, ring.dimension)[0]
+    value = lead / e_a
     nearest = _nearest_int(value)
     dist = abs(value - nearest)
     good = dist < Fraction(1, 4)
@@ -205,9 +208,7 @@ def star_spread_hk_difference(J: Ideal, a: Ideal | None = None,
                         q0_schedule=(q0,),
                         estimate=nearest if good else None, stabilized=good,
                         rounding_distance=dist if good else None,
-                        value=value,
-                        components=(("ehk_aJ", e_aj), ("ehk_J", e_j),
-                                    ("ehk_a", e_a)))
+                        value=value)
 
 
 # -- colon-criterion diagnostics ---------------------------------------------
@@ -352,6 +353,7 @@ def check_lemma33_additivity(I: Ideal, z: Polynomial, a: Ideal | None = None,
     """
     ring = I.ring
     q0 = as_q(ring, q0)
+    _require_proper(I, "additivity check")
     if z.is_zero():
         raise PreconditionError("z must be nonzero")
     gb_i = I.groebner_basis()
@@ -359,15 +361,11 @@ def check_lemma33_additivity(I: Ideal, z: Polynomial, a: Ideal | None = None,
     if not all(gb_i.contains(g) for g in col.gens):
         raise PreconditionError("z is a zerodivisor modulo the ideal")
     a, ehk_a = _normalizer(ring, a, e_max)
-    p = ring.characteristic
     d = ring.dimension
     big = _spread_lengths(Ideal(ring, I.gens + (z,)), a, q0, e_max)
     small = _spread_lengths(I, a, q0, e_max)
-    pairs = []
-    for e, (lam_big, lam_small) in enumerate(zip(big, small)):
-        q = p ** e
-        pairs.append((f"additivity[q={q}]", Fraction(lam_big, q ** d),
-                      ehk_a + Fraction(lam_small, q ** d)))
+    pairs = [(f"additivity[q={q}]", Fraction(big[q], q ** d),
+              ehk_a + Fraction(small[q], q ** d)) for q in big]
     return _finish("lemma33-additivity", not ring.relations, pairs)
 
 
@@ -395,17 +393,18 @@ def check_base_change(R: RingSpec, a: Ideal, s: int, q,
     S = R.adjoin_variables(_fresh_names(R, s))
     n0 = R.nvars
     zs = tuple(S.gen(n0 + i) for i in range(s))
-    aS = a.extended_to(S)
+    # (aS, z)^[q] = (a^[q]S, z^[q]): one Frobenius chain serves (a) and (b)
+    az = Ideal(S, a.extended_to(S).gens + zs)
     mS = maximal_ideal(R).extended_to(S)
     pairs = []
     for q in qs:
         zq = tuple(z.qth_power(q) for z in zs)
-        lhs = int(length_quotient(Ideal(S, aS.bracket_power(q).gens + zq)))
+        lhs = int(length_quotient(az.bracket_power(q)))
         lam_box = int(length_quotient(Ideal(S, mS.gens + zq)))
         lam_a = int(length_quotient(a.bracket_power(q)))
         pairs.append((f"factorization[q={q}]",
                       Fraction(lhs), Fraction(lam_box * lam_a)))
-    e_ext = ehk_estimate(Ideal(S, aS.gens + zs), e_max=e_max).value
+    e_ext = ehk_estimate(az, e_max=e_max).value
     e_base = ehk_estimate(a, e_max=e_max).value
     # part (a) is an exact integer identity even over quotient rings (the
     # extension is free); only part (b) goes through estimated e_HK values
@@ -422,8 +421,7 @@ def check_corollary_vanishing(R: RingSpec, I: Ideal, q0: int = 1,
 
     has length exactly 0 at every sampled q."""
     q0 = as_q(R, q0)
-    if I.is_unit():
-        raise PreconditionError("vanishing check needs a proper ideal")
+    _require_proper(I, "vanishing check")
     S = R.adjoin_variables(_fresh_names(R, 1))
     z = S.gen(R.nvars)
     mS = maximal_ideal(R).extended_to(S)

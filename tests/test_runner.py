@@ -159,8 +159,7 @@ def test_spread_hk_e_max_zero_on_quotient_ring_names_the_estimates():
     error = report_document(rep, include_timing=False)["results"][0]["error"]
     assert error["type"] == "PreconditionError"
     assert error["message"] == (
-        "the e_HK estimates of a, J^[q0] and a·J^[q0] on a quotient ring "
-        "need e_max >= 1")
+        "the normalizing e_HK(a) on a quotient ring needs e_max >= 1")
 
 
 def test_spread_e_max_zero_on_a_polynomial_ring_names_the_two_cells():
@@ -319,6 +318,24 @@ def test_cli_unit_normalizer_is_an_error_row(tmp_path, capsys):
     for r in results[1:3]:
         assert r["error"] == {"type": "PreconditionError",
                               "message": "the normalizing ideal a must be proper"}
+
+
+@pytest.mark.parametrize("command, message", [
+    ("spread O", "spread needs a proper ideal"),
+    ("spread_hk O", "spread_hk needs a proper ideal"),
+    ("identity lemma33 O z=y", "additivity check needs a proper ideal"),
+    ("identity corollary O", "vanishing check needs a proper ideal"),
+])
+def test_unit_ideal_is_a_precondition_error(command, message):
+    """ℓ* and the identities are stated for proper ideals: a unit ideal is
+    an error row, not an estimate (spread_hk read 1) or a failed identity
+    (lemma33 read lhs 1, rhs 2)."""
+    rep = run_script(parse_script(
+        "char 2; vars x y; ideal O = 1; " + command))
+    assert not rep.ok
+    result = report_document(rep, include_timing=False)["results"][0]
+    assert result["status"] == "error"
+    assert result["error"] == {"type": "PreconditionError", "message": message}
 
 
 def test_cli_exit_codes(scripts, capsys):

@@ -22,6 +22,7 @@ from hkspread import (
     star_spread_hk_difference,
     use_guard,
 )
+from hkspread.lengths import _fit_leading, ehk_estimate
 
 
 def _r2():
@@ -30,6 +31,14 @@ def _r2():
 
 def _a1():
     return RingSpec(3, ("x", "y", "z")).quotient("x^2 + y*z")
+
+
+def _cubic(p):
+    return RingSpec(p, ("x", "y", "z")).quotient("x^3 + y^3 + z^3")
+
+
+_RINGS = {"cubic2": lambda: _cubic(2), "cubic5": lambda: _cubic(5),
+          "quadric": _a1, "F2": _r2}
 
 
 # -- spread estimators --------------------------------------------------------
@@ -97,9 +106,63 @@ def test_spread_hk_difference_values():
     assert rep.value == 2
     assert rep.estimate == 2
     assert rep.stabilized
-    assert dict(rep.components) == {"ehk_aJ": 8, "ehk_J": 6, "ehk_a": 1}
+    assert rep.ehk_a == 1
+    assert rep.cells == () and rep.q0_schedule == (1,)
     with pytest.raises(PreconditionError):
         star_spread_hk_difference(R.ideal("x"))  # needs finite colength
+
+
+@pytest.mark.parametrize("ring,gens,a_gens,opts", [
+    ("cubic2", ("x", "y", "z"), None, {"e_max": 4}),
+    ("cubic2", ("x", "y", "z"), None, {"q0": 2}),
+    ("cubic5", ("x", "y", "z"), None, {}),
+    ("quadric", ("x", "y", "z"), ("x", "y^2", "z"), {}),
+    ("quadric", ("x", "y", "z"), None, {"e_max": 1}),
+    ("F2", ("x^2", "y^3"), None, {"e_max": 0}),
+    ("F2", ("x^2", "y^3"), None, {"q0": 4}),
+])
+def test_spread_hk_is_the_ehk_difference(ring, gens, a_gens, opts):
+    """The reference is the difference of three e_HK estimates,
+    (e_HK(a·J^[q0]) − e_HK(J^[q0])) / e_HK(a); spread_hk reads the same
+    Fraction off the spread cells."""
+    R = _RINGS[ring]()
+    J = R.ideal(*gens)
+    a = maximal_ideal(R) if a_gens is None else R.ideal(*a_gens)
+    e_max = opts.get("e_max", 3)
+    Jq0 = J.bracket_power(opts.get("q0", 1))
+    expected = ((ehk_estimate(a * Jq0, e_max=e_max).value
+                 - ehk_estimate(Jq0, e_max=e_max).value)
+                / ehk_estimate(a, e_max=e_max).value)
+    rep = star_spread_hk_difference(J, None if a_gens is None else a, **opts)
+    assert isinstance(rep.value, Fraction) and rep.value == expected
+    nearest = (expected + Fraction(1, 2)).__floor__()
+    close = abs(expected - nearest) < Fraction(1, 4)
+    assert rep.estimate == (nearest if close else None)
+    assert rep.stabilized == close
+
+
+@pytest.mark.parametrize("ring,gens,q0", [
+    ("cubic2", ("x", "y", "z"), 1),
+    ("cubic2", ("x", "y", "z"), 2),
+    ("quadric", ("x", "y", "z"), 1),
+    ("quadric", ("x + y", "z"), 3),
+    ("F2", ("x^2", "y^3"), 1),
+    ("F2", ("x^2", "x*y", "y^2"), 2),
+])
+def test_spread_hk_is_the_fit_lead_of_the_spread_cells(ring, gens, q0):
+    """spread_hk is the fitted lead of the cells of `spread … q0=<same>`
+    at that level, over e_HK(a); on a relation-free ring every cell is
+    q^d times the first, so the fit is exact and reads that cell."""
+    R = _RINGS[ring]()
+    J = R.ideal(*gens)
+    sub = star_spread_estimate(J, q0=q0, e_max=3)
+    cells = {c.q: c.length for c in sub.cells if c.q0 == q0}
+    rep = star_spread_hk_difference(J, q0=q0, e_max=3)
+    assert rep.ehk_a == sub.ehk_a
+    assert rep.value == _fit_leading(cells, R.dimension)[0] / sub.ehk_a
+    if not R.relations:
+        assert cells == {q: q ** R.dimension * cells[1] for q in cells}
+        assert rep.value == cells[1] / sub.ehk_a
 
 
 @pytest.mark.parametrize("gens", [("x", "y"), ("x^2", "x*y", "y^2"),

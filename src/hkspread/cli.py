@@ -103,12 +103,12 @@ def main(argv=None) -> int:
 
     config = RunConfig(order=args.order, max_gb_steps=max_steps,
                        max_exponent=max_exponent, format=args.format)
-    report = run_script(script, config)
+    doc = run_script(script, config)
     if args.format == "csv":
-        sys.stdout.write(report_csv(report))
+        sys.stdout.write(report_csv(doc))
     else:
-        print(report_json(report))
-    return 0 if report.ok else 1
+        print(report_json(doc))
+    return 0 if doc["ok"] else 1
 
 
 if __name__ == "__main__":  # pragma: no cover

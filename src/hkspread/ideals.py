@@ -154,12 +154,6 @@ class Ideal:
     def is_unit(self) -> bool:
         return self.groebner_basis().is_unit()
 
-    def is_proper(self) -> bool:
-        return not self.is_unit()
-
-    def is_zero_dimensional(self) -> bool:
-        return self.dimension() <= 0
-
     def dimension(self) -> int:
         return krull_dimension(self.groebner_basis())
 

@@ -8,6 +8,7 @@ inhomogeneous ideals too."""
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
@@ -139,21 +140,26 @@ def _ratio_trend(samples) -> str | None:
 
 def _fit_leading(lengths: dict, d):
     """Exact least squares of length ~ A·q^d + B·q^(d-1) over the samples
-    {q: length}; the lead A is linear in the lengths."""
-    cols = [(Fraction(q) ** d, Fraction(q) ** (d - 1)) for q in lengths]
-    ys = [Fraction(v) for v in lengths.values()]
-    a11 = sum(c[0] * c[0] for c in cols)
-    a12 = sum(c[0] * c[1] for c in cols)
-    a22 = sum(c[1] * c[1] for c in cols)
-    b1 = sum(c[0] * y for c, y in zip(cols, ys))
-    b2 = sum(c[1] * y for c, y in zip(cols, ys))
+    {q: length}; the lead A is linear in the lengths.  The normal equations
+    are formed in integers, with the column q^(d-1) scaled by the lcm of
+    the q so that it is integral on d = 0 too: that leaves A and the
+    residuals alone and divides B by the scale."""
+    scale = math.lcm(*lengths)
+    cols = [(q ** d, q ** d * scale // q) for q in lengths]
+    ys = list(lengths.values())
+    a11 = sum(c1 * c1 for c1, _ in cols)
+    a12 = sum(c1 * c2 for c1, c2 in cols)
+    a22 = sum(c2 * c2 for _, c2 in cols)
+    b1 = sum(c1 * y for (c1, _), y in zip(cols, ys))
+    b2 = sum(c2 * y for (_, c2), y in zip(cols, ys))
     det = a11 * a22 - a12 * a12
     if det == 0:
         raise PreconditionError("degenerate fit: need at least two distinct q")
-    lead = (b1 * a22 - b2 * a12) / det
-    second = (a11 * b2 - a12 * b1) / det
-    residuals = tuple(lead * c[0] + second * c[1] - y for c, y in zip(cols, ys))
-    return lead, second, residuals
+    lead = Fraction(b1 * a22 - b2 * a12, det)
+    second = Fraction(a11 * b2 - a12 * b1, det)
+    residuals = tuple(lead * c1 + second * c2 - y
+                      for (c1, c2), y in zip(cols, ys))
+    return lead, second * scale, residuals
 
 
 def ehk_estimate(a: Ideal, e_max: int = 3, method: str = "auto") -> HKEstimate:

@@ -42,35 +42,6 @@ class RunConfig(NamedTuple):
     format: str = "json"
 
 
-class CommandResult:
-    """One command's echo, report kind and status, with its data or error."""
-
-    def __init__(self, command: str, kind: str, status: str,
-                 data: dict | None = None, error: dict | None = None):
-        self.command = command
-        self.kind = kind
-        self.status = status
-        self.data = data
-        self.error = error
-
-
-class Report:
-    """A session's results, filled in by `run_script` as commands run."""
-
-    def __init__(self, config: RunConfig, ring, bindings: tuple,
-                 results: list | None = None, ok: bool = True,
-                 total_seconds: float = 0.0,
-                 per_command_seconds: list | None = None):
-        self.config = config
-        self.ring = ring
-        self.bindings = bindings
-        self.results = [] if results is None else results
-        self.ok = ok
-        self.total_seconds = total_seconds
-        self.per_command_seconds = (
-            [] if per_command_seconds is None else per_command_seconds)
-
-
 def _frac(x: Fraction | None):
     if x is None:
         return None
@@ -205,69 +176,52 @@ _DATA = {
 }
 
 
-def run_script(script: SessionScript, config: RunConfig | None = None) -> Report:
-    """Run every command; one failure does not abort later commands."""
+def run_script(script: SessionScript, config: RunConfig | None = None) -> dict:
+    """Run every command into the report document: each result is appended
+    as its command finishes, and one failure does not abort later commands.
+    The ring's dimension and the timing are filled in after the timed loop."""
     config = config or RunConfig()
     guard = GuardConfig(max_steps=config.max_gb_steps,
                         max_exponent=config.max_exponent)
-    report = Report(config=config, ring=script.ring, bindings=script.bindings)
+    ring = script.ring
+    doc = {
+        "tool": "hkspread",
+        "version": __version__,
+        "schema": SCHEMA_VERSION,
+        "config": config._asdict(),
+        "ring": {
+            "characteristic": ring.characteristic,
+            "variables": list(ring.variables),
+            "relations": [str(r) for r in ring.relations],
+        },
+        "bindings": [{"name": name, "generators": [str(g) for g in gens]}
+                     for name, gens in script.bindings],
+        "ok": True,
+        "results": [],
+    }
+    seconds = []
     start = time.perf_counter()
     with use_guard(guard), basis_memo():
         session = _Session(script, config)
         for cmd in script.commands:
-            echo = format_command(cmd)
+            result = {"command": format_command(cmd)}
             t0 = time.perf_counter()
             try:
                 kind = cmd.verb.split()[0]
                 data = _DATA[cmd.verb](session, cmd, *(
                     session.ideals[name] for name in cmd.names))
-                result = CommandResult(echo, kind, "ok", data=data)
+                result.update(kind=kind, status="ok", data=data)
                 if kind == "identity" and not data["pass"]:
-                    report.ok = False
+                    doc["ok"] = False
             except AlgebraError as exc:
-                result = CommandResult(
-                    echo, "error", "error",
-                    error={"type": type(exc).__name__, "message": str(exc)})
-                report.ok = False
-            report.per_command_seconds.append(time.perf_counter() - t0)
-            report.results.append(result)
-    report.total_seconds = time.perf_counter() - start
-    return report
-
-
-def report_document(report: Report, include_timing: bool = True) -> dict:
-    ring = report.ring
-    doc = {
-        "tool": "hkspread",
-        "version": __version__,
-        "schema": SCHEMA_VERSION,
-        "config": {
-            "order": report.config.order,
-            "max_gb_steps": report.config.max_gb_steps,
-            "max_exponent": report.config.max_exponent,
-            "format": report.config.format,
-        },
-        "ring": {
-            "characteristic": ring.characteristic,
-            "variables": list(ring.variables),
-            "relations": [str(r) for r in ring.relations],
-            "dimension": ring.dimension,
-        },
-        "bindings": [{"name": name, "generators": [str(g) for g in gens]}
-                     for name, gens in report.bindings],
-        "ok": report.ok,
-        "results": [
-            {"command": r.command, "kind": r.kind, "status": r.status,
-             **({"data": r.data} if r.data is not None else {}),
-             **({"error": r.error} if r.error is not None else {})}
-            for r in report.results
-        ],
-    }
-    if include_timing:
-        doc["timing"] = {
-            "total_seconds": report.total_seconds,
-            "per_command_seconds": report.per_command_seconds,
-        }
+                result.update(kind="error", status="error", error={
+                    "type": type(exc).__name__, "message": str(exc)})
+                doc["ok"] = False
+            seconds.append(time.perf_counter() - t0)
+            doc["results"].append(result)
+    total = time.perf_counter() - start
+    doc["ring"]["dimension"] = ring.dimension
+    doc["timing"] = {"total_seconds": total, "per_command_seconds": seconds}
     return doc
 
 
@@ -280,8 +234,10 @@ def error_document(exc) -> dict:
             "schema": SCHEMA_VERSION, "ok": False, "error": err}
 
 
-def report_json(report: Report, include_timing: bool = True) -> str:
-    return json.dumps(report_document(report, include_timing), indent=2)
+def report_json(doc: dict, include_timing: bool = True) -> str:
+    if not include_timing:
+        doc = {key: value for key, value in doc.items() if key != "timing"}
+    return json.dumps(doc, indent=2)
 
 
 def _csv_basis(data):
@@ -343,18 +299,19 @@ _CSV_ROWS = {
 }
 
 
-def report_csv(report: Report) -> str:
+def report_csv(doc: dict) -> str:
     """Flatten table-bearing results; scalar results get a single row."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["command", "section", "label", "q0", "e", "q",
                      "value", "num", "den", "pass"])
-    for result in report.results:
-        echo = result.command
-        if result.status != "ok":
-            writer.writerow([echo, "error", result.error["type"], "", "", "",
-                             result.error["message"], "", "", ""])
+    for result in doc["results"]:
+        echo = result["command"]
+        if result["status"] != "ok":
+            error = result["error"]
+            writer.writerow([echo, "error", error["type"], "", "", "",
+                             error["message"], "", "", ""])
             continue
-        for row in _CSV_ROWS[result.kind](result.data):
+        for row in _CSV_ROWS[result["kind"]](result["data"]):
             writer.writerow([echo] + row)
     return out.getvalue()

@@ -240,9 +240,6 @@ def test_ideal_predicates():
     x, y = R.gens()
     assert R.ideal().is_zero()
     assert R.ideal(1).is_unit()
-    assert R.ideal(x).is_proper()
-    assert R.ideal(x, y).is_zero_dimensional()
-    assert not R.ideal(x).is_zero_dimensional()
     assert R.ideal(x).dimension() == 1
 
 

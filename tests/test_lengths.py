@@ -26,6 +26,7 @@ from hkspread import (
     use_guard,
 )
 from hkspread import groebner
+from hkspread.lengths import _fit_leading
 from tests.test_ideals import _random_gens
 from tests.test_poly import _random_poly
 
@@ -336,6 +337,38 @@ def test_ehk_quadric_fit_and_last():
     last = ehk_estimate(m, e_max=3, method="last")
     assert last.value == Fraction(1093, 729)
     assert last.error_bound == Fraction(1093, 729) - Fraction(121, 81)
+
+
+def _fraction_fit(lengths, d):
+    """The least-squares fit as formed in Fractions: the slow path that
+    the integer normal equations of `_fit_leading` replace."""
+    cols = [(Fraction(q) ** d, Fraction(q) ** (d - 1)) for q in lengths]
+    ys = [Fraction(v) for v in lengths.values()]
+    a11 = sum(c[0] * c[0] for c in cols)
+    a12 = sum(c[0] * c[1] for c in cols)
+    a22 = sum(c[1] * c[1] for c in cols)
+    b1 = sum(c[0] * y for c, y in zip(cols, ys))
+    b2 = sum(c[1] * y for c, y in zip(cols, ys))
+    det = a11 * a22 - a12 * a12
+    lead = (b1 * a22 - b2 * a12) / det
+    second = (a11 * b2 - a12 * b1) / det
+    residuals = tuple(lead * c[0] + second * c[1] - y for c, y in zip(cols, ys))
+    return lead, second, residuals
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_integer_fit_matches_the_fraction_fit(p):
+    """Random samples {q: length} on q = 1..p^(n-1), d = 0..4 (d = 0 is a
+    zero-dimensional quotient ring, where the column q^(d-1) is 1/q)."""
+    rng = random.Random(900 + p)
+    for _ in range(60):
+        d = rng.randrange(5)
+        n = rng.randrange(2, 7)
+        lengths = {p ** e: rng.randrange(10 ** rng.randrange(1, 8))
+                   for e in range(n)}
+        fit = _fit_leading(lengths, d)
+        assert fit == _fraction_fit(lengths, d), (lengths, d)
+        assert all(type(v) is Fraction for v in (fit[0], fit[1], *fit[2]))
 
 
 def test_ehk_method_validation():

@@ -15,7 +15,7 @@ def _python_blocks():
 
 def test_readme_python_examples():
     blocks = _python_blocks()
-    assert len(blocks) == 2
+    assert len(blocks) == 3
     ns = {}
     for block in blocks:  # in order, sharing one namespace
         exec(compile(block, str(README), "exec"), ns)
@@ -32,3 +32,8 @@ def test_readme_python_examples():
     assert all(r.residual == 0 for r in chk.rows)
 
     assert round(float(ns["est"].value), 3) == 1.503
+
+    doc = ns["doc"]
+    assert doc["ok"] is True
+    assert doc["results"][0]["data"]["value"] == 6
+    assert ns["report_csv"](doc).splitlines()[1] == "length J,length,,,,,6,,,"

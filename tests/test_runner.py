@@ -1,4 +1,4 @@
-"""Report builder, JSON/CSV serialization, and the command-line entry point."""
+"""The report document, its JSON and CSV forms, and the command line."""
 
 import json
 import os
@@ -14,7 +14,6 @@ from hkspread import (
     DEGREVLEX,
     LEX,
     Ideal,
-    Report,
     RingSpec,
     RunConfig,
     ScriptError,
@@ -28,7 +27,7 @@ from hkspread import ideals
 from hkspread.groebner import GroebnerBasis
 from hkspread.ideals import basis_memo
 from hkspread.cli import main
-from hkspread.runner import error_document, report_document
+from hkspread.runner import error_document
 from hkspread.script import COMMANDS
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -47,12 +46,22 @@ identity self m q=2
 independent m
 """
 
+# the top-level keys of a report document, in the order it prints them
+KEYS = ["tool", "version", "schema", "config", "ring", "bindings", "ok",
+        "results", "timing"]
+
+
+def _untimed(doc):
+    """The report document without its timing, which differs run to run."""
+    doc.pop("timing")
+    return doc
+
 
 def test_report_shape_and_ok():
-    rep = run_script(parse_script(SESSION))
-    assert isinstance(rep, Report)
-    assert rep.ok
-    doc = report_document(rep, include_timing=False)
+    doc = run_script(parse_script(SESSION))
+    assert doc["ok"]
+    assert set(doc["timing"]) == {"total_seconds", "per_command_seconds"}
+    assert len(doc["timing"]["per_command_seconds"]) == len(doc["results"])
     assert doc["tool"] == "hkspread"
     assert doc["schema"] == 1
     assert doc["ring"] == {
@@ -67,14 +76,10 @@ def test_report_shape_and_ok():
     assert kinds == ["gb", "length", "colon", "ehk", "spread",
                      "identity", "independent"]
     assert all(r["status"] == "ok" for r in doc["results"])
-    assert "timing" not in doc
-    timed = report_document(rep)
-    assert set(timed["timing"]) == {"total_seconds", "per_command_seconds"}
 
 
 def test_rationals_serialize_as_num_den():
-    rep = run_script(parse_script(SESSION))
-    doc = report_document(rep, include_timing=False)
+    doc = run_script(parse_script(SESSION))
     ehk = next(r for r in doc["results"] if r["kind"] == "ehk")["data"]
     assert ehk["value"] == {"num": 6, "den": 1}
     assert ehk["value_float"] == 6.0
@@ -89,8 +94,7 @@ def test_rationals_serialize_as_num_den():
 
 
 def test_identity_and_independent_payloads():
-    rep = run_script(parse_script(SESSION))
-    doc = report_document(rep, include_timing=False)
+    doc = run_script(parse_script(SESSION))
     ident = next(r for r in doc["results"] if r["kind"] == "identity")["data"]
     assert ident["name"] == "self-product"
     assert ident["pass"] is True
@@ -105,8 +109,8 @@ def test_identity_and_independent_payloads():
 
 
 def test_determinism():
-    a = report_document(run_script(parse_script(SESSION)), include_timing=False)
-    b = report_document(run_script(parse_script(SESSION)), include_timing=False)
+    a = _untimed(run_script(parse_script(SESSION)))
+    b = _untimed(run_script(parse_script(SESSION)))
     assert a == b
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
@@ -114,9 +118,8 @@ def test_determinism():
 def test_error_isolation_keeps_later_commands():
     rep = run_script(parse_script(
         "char 2; vars x y; ideal P = x; spread P a=P; length P"))
-    assert not rep.ok
-    doc = report_document(rep, include_timing=False)
-    first, second = doc["results"]
+    assert not rep["ok"]
+    first, second = rep["results"]
     assert first["status"] == "error"
     assert first["error"]["type"] == "PreconditionError"
     assert second["status"] == "ok"
@@ -127,8 +130,8 @@ def test_failed_identity_marks_report_not_ok():
     rep = run_script(parse_script(
         "char 2; vars x y; ideal m = x, y; ideal J = x^2, y^3; "
         "identity product J m ell=2 q=2"))
-    assert not rep.ok
-    data = report_document(rep, include_timing=False)["results"][0]["data"]
+    assert not rep["ok"]
+    data = rep["results"][0]["data"]
     assert data["pass"] is False
     assert data["rows"][0]["pass"] is False
 
@@ -137,7 +140,7 @@ def test_explicit_e_max_zero_is_kept():
     rep = run_script(parse_script(
         "char 3; vars x y z; quotient x^2 + y*z; ideal m = x, y, z; "
         "ehk m e_max=0 method=last"))
-    result = report_document(rep, include_timing=False)["results"][0]
+    result = rep["results"][0]
     assert result["command"] == "ehk m e_max=0 method=last"
     assert [s["e"] for s in result["data"]["samples"]] == [0]
 
@@ -146,7 +149,7 @@ def test_spread_e_max_zero_on_quotient_ring_names_the_normalizer():
     rep = run_script(parse_script(
         "char 3; vars x y z; quotient x^2 + y*z; ideal m = x, y, z; "
         "spread m e_max=0"))
-    error = report_document(rep, include_timing=False)["results"][0]["error"]
+    error = rep["results"][0]["error"]
     assert error["type"] == "PreconditionError"
     assert error["message"] == (
         "the normalizing e_HK(a) on a quotient ring needs e_max >= 1")
@@ -156,7 +159,7 @@ def test_spread_hk_e_max_zero_on_quotient_ring_names_the_estimates():
     rep = run_script(parse_script(
         "char 3; vars x y z; quotient x^2 + y*z; ideal J = x + y, z; "
         "spread_hk J e_max=0"))
-    error = report_document(rep, include_timing=False)["results"][0]["error"]
+    error = rep["results"][0]["error"]
     assert error["type"] == "PreconditionError"
     assert error["message"] == (
         "the normalizing e_HK(a) on a quotient ring needs e_max >= 1")
@@ -167,7 +170,7 @@ def test_spread_e_max_zero_on_a_polynomial_ring_names_the_two_cells():
     compares two cells; e_max = 0 gives one, so nothing could stabilize."""
     rep = run_script(parse_script(
         "char 2; vars x y; ideal m = x, y; spread m e_max=0"))
-    error = report_document(rep, include_timing=False)["results"][0]["error"]
+    error = rep["results"][0]["error"]
     assert error["type"] == "PreconditionError"
     assert error["message"] == (
         "each q0 level compares the cells e = 0 and e = 1, so spread needs "
@@ -187,8 +190,7 @@ _CUBIC = "char 2; vars x y z; quotient x^3 + y^3 + z^3; ideal m = x, y, z; "
 ])
 def test_left_out_options_take_the_function_defaults(header, bare, explicit):
     bare_result, explicit_result = [
-        report_document(run_script(parse_script(header + cmd)),
-                        include_timing=False)["results"][0]
+        run_script(parse_script(header + cmd))["results"][0]
         for cmd in (bare, explicit)]
     assert bare_result["command"] == bare
     assert explicit_result["command"] == explicit
@@ -212,8 +214,7 @@ def test_every_option_of_every_verb_reaches_its_driver():
     script = parse_script(
         "char 3; vars x y z; quotient x^2 + y*z; ideal m = x, y, z; "
         "ideal J = y, z\n" + "\n".join(lines))
-    results = report_document(run_script(script),
-                              include_timing=False)["results"]
+    results = run_script(script)["results"]
     assert [r["command"] for r in results] == lines
     for result in results:
         if result["status"] != "ok":
@@ -224,15 +225,14 @@ def test_every_option_of_every_verb_reaches_its_driver():
 def test_zero_generators_of_a_binding_are_dropped():
     script = parse_script("char 2; vars x y; ideal J = 0, x, y - y; gb J")
     assert [str(g) for g in script.ideals()["J"].gens] == ["x"]
-    data = report_document(run_script(script),
-                           include_timing=False)["results"][0]["data"]
+    data = run_script(script)["results"][0]["data"]
     assert data["basis"] == ["x"]
 
 
 def test_independent_e_max_zero_names_the_colon_survey():
     rep = run_script(parse_script(
         "char 2; vars x y; ideal m = x, y; independent m e_max=0"))
-    error = report_document(rep, include_timing=False)["results"][0]["error"]
+    error = rep["results"][0]["error"]
     assert error["type"] == "PreconditionError"
     assert error["message"] == "the colon survey needs e_max >= 1"
 
@@ -243,9 +243,19 @@ def test_every_exported_name_resolves():
 
 
 def test_report_json_round_trips():
-    rep = run_script(parse_script(SESSION))
-    doc = json.loads(report_json(rep, include_timing=False))
-    assert doc == report_document(rep, include_timing=False)
+    doc = run_script(parse_script(SESSION))
+    untimed = json.loads(report_json(doc, include_timing=False))
+    assert "timing" in doc  # left out of the print, not of the document
+    assert untimed == _untimed(doc)
+
+
+def test_report_json_prints_the_document_in_golden_key_order():
+    doc = run_script(parse_script(SESSION))
+    printed = json.loads(report_json(doc))
+    assert printed == doc
+    assert list(printed) == list(doc) == KEYS
+    golden = json.loads((GOLDEN / "session.json").read_text())
+    assert list(golden) + ["timing"] == KEYS
 
 
 def test_csv_layout():
@@ -271,9 +281,9 @@ def test_run_config_guard_applies():
         "char 7; vars x y z; "
         "ideal I = x^2 + y*z, y^2 + x*z, z^2 + x*y; gb I")
     rep = run_script(script, RunConfig(max_gb_steps=2))
-    assert not rep.ok
-    assert rep.results[0].error["type"] == "ResourceLimitError"
-    assert run_script(script).ok
+    assert not rep["ok"]
+    assert rep["results"][0]["error"]["type"] == "ResourceLimitError"
+    assert run_script(script)["ok"]
 
 
 def test_error_document_for_parse_error():
@@ -332,8 +342,8 @@ def test_unit_ideal_is_a_precondition_error(command, message):
     (lemma33 read lhs 1, rhs 2)."""
     rep = run_script(parse_script(
         "char 2; vars x y; ideal O = 1; " + command))
-    assert not rep.ok
-    result = report_document(rep, include_timing=False)["results"][0]
+    assert not rep["ok"]
+    result = rep["results"][0]
     assert result["status"] == "error"
     assert result["error"] == {"type": "PreconditionError", "message": message}
 
@@ -434,11 +444,6 @@ def test_records_keep_their_semantics():
     config = RunConfig(order="lex")
     with pytest.raises(AttributeError):
         config.order = "deglex"
-    first = Report(config=config, ring=None, bindings=())
-    second = Report(config=config, ring=None, bindings=())
-    first.results.append("result")
-    first.per_command_seconds.append(0.5)
-    assert second.results == [] and second.per_command_seconds == []
 
 
 def test_importing_the_cli_skips_dataclasses_and_inspect():
@@ -491,7 +496,7 @@ def test_ehk_past_the_exponent_cap_fails_at_the_default_guard():
     rep = run_script(parse_script(
         "char 3; vars x y z; quotient x^2 + y*z; ideal m = x, y, z; "
         "ehk m e_max=11"))
-    assert rep.results[0].error == {
+    assert rep["results"][0]["error"] == {
         "type": "ResourceLimitError",
         "message": "bracket power exponent exceeds cap (100000)"}
 
@@ -525,7 +530,7 @@ def test_session_builds_each_level_of_m_once(monkeypatch):
     m_powers = [m.bracket_power(3).groebner_basis(),
                 m.bracket_power(9).groebner_basis()]
     made = _record_new_levels(monkeypatch)
-    assert run_script(_QUADRIC_SESSION).ok
+    assert run_script(_QUADRIC_SESSION)["ok"]
     (levels,) = made.values()
     # ehk takes m^[3] and m^[9], and so does the spread's normalizer, which
     # builds its own maximal ideal: it finds m's basis in the session's memo
@@ -557,7 +562,7 @@ def test_basis_memo_is_per_session_and_per_thread(monkeypatch):
     for w in workers:
         w.join(30)
     assert not any(w.is_alive() for w in workers)
-    assert [r.ok for r in reports] == [True, True]
+    assert [r["ok"] for r in reports] == [True, True]
     assert memo_after == [None, None]
     first, second = made.values()
     # both sessions build the same levels, and none is shared
@@ -659,8 +664,7 @@ def test_readme_large_q_example_is_exact():
     (3q² − 1)/2."""
     script = parse_script("char 3\nvars x y z\nquotient x^2 + y*z\n"
                           "ideal m = x, y, z\nehk m e_max=13\n")
-    doc = report_document(run_script(script, RunConfig(max_exponent=10**7)),
-                          include_timing=False)
+    doc = run_script(script, RunConfig(max_exponent=10**7))
     samples = doc["results"][0]["data"]["samples"]
     assert [(s["q"], s["colength"]) for s in samples] == [
         (3 ** e, (3 * 9 ** e - 1) // 2) for e in range(14)]

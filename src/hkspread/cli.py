@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .errors import ScriptError
-from .groebner import DEFAULT_GUARD, GuardConfig, use_guard
+from .groebner import GuardConfig, use_guard
 from .orders import ORDERS
 from .runner import RunConfig, error_document, report_csv, report_json, run_script
 from .script import parse_script
@@ -71,14 +71,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
+    fallback = GuardConfig()
     max_steps = args.max_gb_steps
     if max_steps is None:
         max_steps = _env_budget(parser, "HKSPREAD_MAX_GB_STEPS",
-                                DEFAULT_GUARD.max_steps)
+                                fallback.max_steps)
     max_exponent = args.max_exponent
     if max_exponent is None:
         max_exponent = _env_budget(parser, "HKSPREAD_MAX_EXPONENT",
-                                   DEFAULT_GUARD.max_exponent)
+                                   fallback.max_exponent)
 
     try:
         if args.script == "-":
@@ -94,16 +95,15 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
 
-    try:   # under the run's guard: the script's products spend its steps
-        with use_guard(GuardConfig(max_steps=max_steps, max_exponent=max_exponent)):
+    # one guard for the whole run: the script's products spend its steps
+    with use_guard(GuardConfig(max_steps=max_steps, max_exponent=max_exponent)):
+        try:
             script = parse_script(text)
-    except ScriptError as exc:
-        print(json.dumps(error_document(exc), indent=2))
-        return 2
-
-    config = RunConfig(order=args.order, max_gb_steps=max_steps,
-                       max_exponent=max_exponent, format=args.format)
-    doc = run_script(script, config)
+        except ScriptError as exc:
+            print(json.dumps(error_document(exc), indent=2))
+            return 2
+        doc = run_script(script, RunConfig(order=args.order,
+                                           format=args.format))
     if args.format == "csv":
         sys.stdout.write(report_csv(doc))
     else:

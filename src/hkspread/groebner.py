@@ -54,17 +54,15 @@ class GuardConfig(NamedTuple):
     """Resource budget: exceeding it raises, never returns a wrong answer."""
 
     max_steps: int = 500_000
-    max_basis: int = 1_000
     max_exponent: int = 100_000
 
 
-# The budget in force when no guard is set; its fields are the defaults
-# that the runner and the command line fall back to.
-DEFAULT_GUARD = GuardConfig()
+# The largest basis Buchberger may build, whatever the guard.
+_MAX_BASIS = 1_000
 
 # Per thread and per asyncio task: a guard set in one context is not seen
-# by code running in another.
-_GUARD = ContextVar("hkspread_guard", default=DEFAULT_GUARD)
+# by code running in another.  Outside any `use_guard`, GuardConfig().
+_GUARD = ContextVar("hkspread_guard", default=GuardConfig())
 
 
 def active_guard() -> GuardConfig:
@@ -265,15 +263,17 @@ class GroebnerBasis:
 
 def exact_quotient(h: Polynomial, g: Polynomial) -> Polynomial:
     """h/g in the ambient polynomial ring, in one pass: the steps of h's
-    normal form against g alone are the quotient's terms.  Unmetered, as
-    exact division always was; AlgebraError when g does not divide h."""
+    normal form against g alone are the quotient's terms, one guard step
+    each.  AlgebraError when g does not divide h."""
     ring, p, e = h.ring, h.ring.field.p, max(h.max_exponent(), g.max_exponent())
     inv = ring.field.inv(g.terms[g.leading_monomial(DEGREVLEX)])
+    budget = _Budget(active_guard(), "exact division")
 
     def run(packing):
+        budget.restart()
         monic, quotient = packing.terms(g.scale(inv)), []
         if _reduce_full(packing.terms(h), [packing.reducer(monic, min(monic))],
-                        packing, p, lambda: None, quotient):
+                        packing, p, budget.spend, quotient):
             raise AlgebraError("exact division failed")
         return packing.polynomial(ring, [(u, c * inv % p) for u, c in quotient])
 
@@ -329,7 +329,7 @@ def _interreduce(reducers, packing, p, spend, fresh):
     return kept
 
 
-def buchberger_raw(gens, order=None, *, ring=None) -> GroebnerBasis:
+def buchberger_raw(gens, order=None, *, ring) -> GroebnerBasis:
     """Reduced GB of exactly the given generators (relations NOT appended).
 
     Every basis element is kept monic as a packed reducer entry; the
@@ -348,7 +348,6 @@ def buchberger_raw(gens, order=None, *, ring=None) -> GroebnerBasis:
     reduction steps of the surviving pairs and of the interreduction."""
     order = order or DEGREVLEX
     gens = list(gens)
-    ring = ring or _ring_of(gens)
     for g in gens:
         if g.ring != ring:
             raise RingMismatchError("generators from different rings")
@@ -413,9 +412,9 @@ def _buchberger(gens, order, ring, packing, budget) -> GroebnerBasis:
             entry = _monic_entry(nf, next(iter(nf)), packing, p)
             if packing.field > budget.guard.max_exponent:
                 budget.check_exponent(max(packing.monomial(entry[1])))
-            if len(lead) + 1 > budget.guard.max_basis:
+            if len(lead) + 1 > _MAX_BASIS:
                 raise ResourceLimitError(
-                    f"basis size budget exceeded ({budget.guard.max_basis})")
+                    f"basis size budget exceeded ({_MAX_BASIS})")
             append(entry)
 
     return _basis(ring, order, packing,
@@ -459,12 +458,6 @@ def reduced_basis(polys, ring, reduced=False) -> GroebnerBasis:
             entries, packing, p, budget.spend, len(entries)))
 
     return _widened(DEGREVLEX, ring.nvars, e, run)
-
-
-def _ring_of(gens):
-    if not gens:
-        raise AlgebraError("cannot infer the ring from an empty generator list")
-    return gens[0].ring
 
 
 def krull_dimension(G: GroebnerBasis) -> int:

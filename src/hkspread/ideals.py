@@ -5,10 +5,10 @@ to its reduced basis (`Ideal.groebner_basis`), sums, products, Frobenius
 An ideal's basis comes from Buchberger on the generators plus the
 relations (`groebner.buchberger_raw`) or, for a bracket power, from a
 Frobenius chain, and it is kept on the ideal.  Inside a session
-(`basis_memo`, set by `run_script`) the generator set is looked up first,
-up to order and scaling, and every basis and chain level is interned by
-(order, value), so equal ideals built by different commands share one
-basis and through it one numerator and one chain.  The memo is a
+(`basis_memo`, set by `run_script`) every basis and chain level is
+interned by value and order, with no lookup by generator set: equal
+ideals built by different commands each run Buchberger once, then share
+one basis and through it one numerator and one chain.  The memo is a
 ContextVar, like the guard: nothing is shared across sessions or threads.
 
 Bracket powers are Frobenius chains that live on the bases: I^[q] keeps
@@ -47,9 +47,8 @@ from .orders import DEGREVLEX, AuxBlockOrder
 from .poly import Monomial, Polynomial, RingSpec, as_q
 
 
-# (ring, order, text of the set of monic generators) -> their basis, and
-# each basis -> the one basis of its value; None outside `basis_memo`.  The
-# text is exact and far smaller than the polynomials, held all session.
+# Each basis -> the session's one basis of its value and order; None
+# outside `basis_memo`.
 _BASES = ContextVar("hkspread_bases", default=None)
 
 
@@ -97,7 +96,7 @@ class Ideal:
     def groebner_basis(self, order=None) -> GroebnerBasis:
         """The reduced GB under `order` (DEGREVLEX by default) of the
         generators plus the relations, computed once per ideal and, in a
-        session, once per generator set (see the module docstring)."""
+        session, interned by value (see the module docstring)."""
         order = order or DEGREVLEX
         gb = self._gb.get(order)
         if gb is None:
@@ -110,23 +109,9 @@ class Ideal:
                     level = gb._frobenius = _interned(gb.frobenius())
                     gb, q = level, q // p
             else:
-                gb = self._lookup(order)
+                gb = _interned(buchberger_raw(self.gens + self.ring.relations,
+                                              order, ring=self.ring))
             self._gb[order] = gb
-        return gb
-
-    def _lookup(self, order) -> GroebnerBasis:
-        """Buchberger on the generators plus the relations, unless the
-        session's memo knows the generator set; interned in a session."""
-        ring, memo = self.ring, _BASES.get()
-        if memo is not None:
-            key = (ring, order, repr(sorted(
-                {g.monic(order).terms_key() for g in self.gens})))
-            gb = memo.get(key)
-            if gb is not None:
-                return gb
-        gb = buchberger_raw(self.gens + ring.relations, order, ring=ring)
-        if memo is not None:
-            gb = memo[key] = memo.setdefault(gb, gb)
         return gb
 
     def __contains__(self, f) -> bool:

@@ -39,7 +39,7 @@ class LengthValue(NamedTuple):
         return eq if eq is NotImplemented else not eq
 
     def __hash__(self):
-        return hash(("LengthValue", self.value))
+        return hash(self.value)   # equal to its int, so hashed like it
 
     def __int__(self):
         if self.value is None:

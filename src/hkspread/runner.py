@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from . import __version__
 from .errors import AlgebraError
-from .groebner import DEFAULT_GUARD, GuardConfig, use_guard
+from .groebner import GuardConfig, active_guard, use_guard
 from .ideals import basis_memo, ideal_colon
 from .lengths import ehk_estimate, length_quotient
 from .orders import order_by_name
@@ -36,9 +36,9 @@ SCHEMA_VERSION = 1
 
 
 class RunConfig(NamedTuple):
+    """How a run prints; its budgets are the caller's guard (`use_guard`)."""
+
     order: str = "degrevlex"
-    max_gb_steps: int = DEFAULT_GUARD.max_steps
-    max_exponent: int = DEFAULT_GUARD.max_exponent
     format: str = "json"
 
 
@@ -177,18 +177,21 @@ _DATA = {
 
 
 def run_script(script: SessionScript, config: RunConfig | None = None) -> dict:
-    """Run every command into the report document: each result is appended
-    as its command finishes, and one failure does not abort later commands.
-    The ring's dimension and the timing are filled in after the timed loop."""
+    """Run every command, under the active guard, into the report document:
+    each result is appended as its command finishes, and one failure does
+    not abort later commands.  The ring's dimension and the timing are
+    filled in after the timed loop, the dimension under the default guard,
+    as its relation basis is the ring's and not the run's."""
     config = config or RunConfig()
-    guard = GuardConfig(max_steps=config.max_gb_steps,
-                        max_exponent=config.max_exponent)
+    guard = active_guard()
     ring = script.ring
     doc = {
         "tool": "hkspread",
         "version": __version__,
         "schema": SCHEMA_VERSION,
-        "config": config._asdict(),
+        "config": {"order": config.order, "max_gb_steps": guard.max_steps,
+                   "max_exponent": guard.max_exponent,
+                   "format": config.format},
         "ring": {
             "characteristic": ring.characteristic,
             "variables": list(ring.variables),
@@ -201,7 +204,7 @@ def run_script(script: SessionScript, config: RunConfig | None = None) -> dict:
     }
     seconds = []
     start = time.perf_counter()
-    with use_guard(guard), basis_memo():
+    with basis_memo():
         session = _Session(script, config)
         for cmd in script.commands:
             result = {"command": format_command(cmd)}
@@ -220,7 +223,8 @@ def run_script(script: SessionScript, config: RunConfig | None = None) -> dict:
             seconds.append(time.perf_counter() - t0)
             doc["results"].append(result)
     total = time.perf_counter() - start
-    doc["ring"]["dimension"] = ring.dimension
+    with use_guard(GuardConfig()):
+        doc["ring"]["dimension"] = ring.dimension
     doc["timing"] = {"total_seconds": total, "per_command_seconds": seconds}
     return doc
 

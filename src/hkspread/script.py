@@ -37,8 +37,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import (FrobeniusPowerError, HomogeneityError, NotPrimeError,
-                     ScriptError, UnitRelationError)
-from .groebner import active_guard
+                     ResourceLimitError, ScriptError, UnitRelationError)
+from .groebner import _Budget, active_guard
 from .poly import PRIME_LIMIT, Polynomial, RingSpec, as_q, valid_var_name
 
 
@@ -173,8 +173,7 @@ class _Parser:
         self.tokens = tokenize(text)
         self.pos = 0
         self.depth = 0  # parentheses open around the current position
-        self.pairs = 0  # term pairs of the products taken so far
-        self.max_pairs = active_guard().max_steps
+        self.budget = _Budget(active_guard(), "polynomial arithmetic")
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -232,10 +231,10 @@ class _Parser:
         together pass it.  A product by one term is free: it adds none."""
         if len(a.terms) < 2 or len(b.terms) < 2:
             return
-        self.pairs += len(a.terms) * len(b.terms)
-        if self.pairs > self.max_pairs:
-            self.fail("polynomial arithmetic step budget exceeded "
-                      f"({self.max_pairs})", tok)
+        try:
+            self.budget.spend(len(a.terms) * len(b.terms))
+        except ResourceLimitError as exc:
+            self.fail(str(exc), tok)
 
     def parse_poly(self, ring: RingSpec) -> Polynomial:
         result = self.parse_poly_term(ring)

@@ -252,12 +252,34 @@ def test_resource_guard_trips():
 
 
 def test_guard_defaults_and_immutability():
-    assert (GuardConfig().max_steps, GuardConfig().max_basis,
-            GuardConfig().max_exponent) == (500_000, 1_000, 100_000)
+    assert GuardConfig()._fields == ("max_steps", "max_exponent")
+    assert GuardConfig() == (500_000, 100_000)
+    assert active_guard() == GuardConfig()
+    with use_guard(GuardConfig(max_steps=5)) as set_guard:
+        assert active_guard() is set_guard
+    assert active_guard() == GuardConfig()
+    assert groebner._MAX_BASIS == 1_000   # a fixed cap, not a budget
     guard = GuardConfig(max_steps=5)
     with pytest.raises(AttributeError):
         guard.max_steps = 6
     assert guard.max_steps == 5
+
+
+def test_exact_division_spends_from_the_step_budget():
+    """Each quotient term is one reduction step of h against g, so the
+    division's work, which grows with q in the colon diagnostics, is
+    metered like every other reduction."""
+    R = RingSpec(3, ("x", "y", "z"))
+    f = R.poly("x^3 + x*y*z - y^2*z + 2*z^3 + x^2*y - y*z^2")
+    g = R.poly("x + y")
+    assert len(f.terms) == 6
+    assert groebner.exact_quotient(g * f, g) == f
+    with use_guard(GuardConfig(max_steps=6)):
+        assert groebner.exact_quotient(g * f, g) == f
+    with use_guard(GuardConfig(max_steps=2)), pytest.raises(
+            ResourceLimitError,
+            match=r"^exact division step budget exceeded \(2\)$"):
+        groebner.exact_quotient(g * f, g)
 
 
 def test_guard_set_in_one_thread_is_not_seen_in_another():

@@ -54,6 +54,15 @@ def test_length_value_semantics():
         int(inf)
 
 
+def test_length_value_hashes_like_the_int_it_equals():
+    assert LengthValue(5) == 5 and hash(LengthValue(5)) == hash(5)
+    assert LengthValue(5) in {5}
+    assert 5 in {LengthValue(5)}
+    assert {LengthValue(5): "a"}[5] == "a"
+    assert len({LengthValue(5), 5, LengthValue(6)}) == 2
+    assert INFINITE in {LengthValue(None)} and INFINITE not in {None}
+
+
 def test_estimates_refuse_assignment():
     est = ehk_estimate(_r2().ideal("x", "y"), e_max=1)
     with pytest.raises(AttributeError):

@@ -15,7 +15,7 @@ def _python_blocks():
 
 def test_readme_python_examples():
     blocks = _python_blocks()
-    assert len(blocks) == 3
+    assert len(blocks) == 4
     ns = {}
     for block in blocks:  # in order, sharing one namespace
         exec(compile(block, str(README), "exec"), ns)
@@ -37,3 +37,9 @@ def test_readme_python_examples():
     assert doc["ok"] is True
     assert doc["results"][0]["data"]["value"] == 6
     assert ns["report_csv"](doc).splitlines()[1] == "length J,length,,,,,6,,,"
+
+    big = ns["big"]
+    assert big["ok"] is True
+    assert big["config"]["max_gb_steps"] == 100_000
+    assert big["config"]["max_exponent"] == 10**7
+    assert big["results"][0]["data"]["samples"][-1]["colength"] == 3812798742493

@@ -13,6 +13,7 @@ import hkspread
 from hkspread import (
     DEGREVLEX,
     LEX,
+    GuardConfig,
     Ideal,
     RingSpec,
     RunConfig,
@@ -22,6 +23,7 @@ from hkspread import (
     report_csv,
     report_json,
     run_script,
+    use_guard,
 )
 from hkspread import ideals
 from hkspread.groebner import GroebnerBasis
@@ -277,13 +279,29 @@ def test_csv_infinite_length():
 
 
 def test_run_config_guard_applies():
+    """run_script sets no budget of its own: it runs under the caller's
+    guard, and the report's config states that guard."""
     script = parse_script(
         "char 7; vars x y z; "
         "ideal I = x^2 + y*z, y^2 + x*z, z^2 + x*y; gb I")
-    rep = run_script(script, RunConfig(max_gb_steps=2))
+    with use_guard(GuardConfig(max_steps=2)):
+        rep = run_script(script)
     assert not rep["ok"]
     assert rep["results"][0]["error"]["type"] == "ResourceLimitError"
     assert run_script(script)["ok"]
+    # the quadric's ehk takes far more than two steps
+    quadric = parse_script("char 3; vars x y z; quotient x^2 + y*z; "
+                           "ideal m = x, y, z; ehk m e_max=4")
+    with use_guard(GuardConfig(max_steps=2)):
+        doc = run_script(quadric)
+    assert not doc["ok"]
+    assert doc["results"][0]["error"] == {
+        "type": "ResourceLimitError",
+        "message": "reduction step budget exceeded (2)"}
+    assert doc["config"] == {"order": "degrevlex", "max_gb_steps": 2,
+                             "max_exponent": GuardConfig().max_exponent,
+                             "format": "json"}
+    assert RunConfig._fields == ("order", "format")
 
 
 def test_error_document_for_parse_error():
@@ -436,8 +454,7 @@ def test_cli_fallback_budgets_are_the_guard_defaults(scripts, capsys,
     monkeypatch.delenv("HKSPREAD_MAX_EXPONENT", raising=False)
     assert main(["run", str(scripts["ok"])]) == 0
     config = json.loads(capsys.readouterr().out)["config"]
-    assert (config["max_gb_steps"], config["max_exponent"]) == (500_000, 100_000)
-    assert (RunConfig().max_gb_steps, RunConfig().max_exponent) == (500_000, 100_000)
+    assert (config["max_gb_steps"], config["max_exponent"]) == GuardConfig()
 
 
 def test_records_keep_their_semantics():
@@ -658,13 +675,26 @@ def test_cli_budget_of_one_is_accepted(scripts, capsys, monkeypatch):
     assert (config["max_gb_steps"], config["max_exponent"]) == (1, 1)
 
 
+def test_cli_ring_dimension_is_outside_the_run_budgets(tmp_path, capsys):
+    """The ring's dimension runs the relation basis under the default
+    guard: a budget too small for it fails the command, not the report."""
+    path = tmp_path / "quadric.hks"
+    path.write_text("char 3; vars x y z; quotient x^2 + y*z; "
+                    "ideal m = x, y, z; ehk m e_max=1")
+    assert main(["run", str(path), "--max-exponent", "1"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["results"][0]["error"]["type"] == "ResourceLimitError"
+    assert doc["ring"]["dimension"] == 2
+
+
 def test_readme_large_q_example_is_exact():
     """The README's `ehk m e_max=13` on the quadric at --max-exponent 10^7:
     exponents up to 3^13 sit in wide packed fields, and every colength is
     (3q² − 1)/2."""
     script = parse_script("char 3\nvars x y z\nquotient x^2 + y*z\n"
                           "ideal m = x, y, z\nehk m e_max=13\n")
-    doc = run_script(script, RunConfig(max_exponent=10**7))
+    with use_guard(GuardConfig(max_exponent=10**7)):
+        doc = run_script(script)
     samples = doc["results"][0]["data"]["samples"]
     assert [(s["q"], s["colength"]) for s in samples] == [
         (3 ** e, (3 * 9 ** e - 1) // 2) for e in range(14)]

@@ -172,12 +172,6 @@ class Ideal:
         power._base = (base, q0 * q)
         return power
 
-    def colon(self, other) -> "Ideal":
-        return ideal_colon(self, self._check(other))
-
-    def intersection(self, other) -> "Ideal":
-        return ideal_intersection(self, self._check(other))
-
     def _check(self, other) -> "Ideal":
         if isinstance(other, Polynomial):
             other = Ideal(self.ring, (other,))

@@ -24,16 +24,23 @@ allowed.  Their products spend the active guard's step budget, one step
 per term pair (`_Parser.spend_product`).  q and q0 take power-of-p values
 (not exponents).
 
-Each command parses to one `Command(verb, names, options)` record.  Its
-verb's row in COMMANDS, (number of leading ideal names, required options,
-other options), says what the parser reads after the verb; `options` holds
-the (name, value) pairs the script set, in the row's order, whatever order
-they were typed in, and the printer writes them back in that order.
-Commands and scripts equal only records of their own class.
+The lexer is one pattern with a named group per token kind.  Each command
+parses to one `Command(verb, names, options)` record.  Its verb's row in
+COMMANDS, (number of leading ideal names, required options, other
+options), says what the parser reads after the verb.  The option table
+_OPTIONS maps each option name to the one `_Parser` method that reads its
+value (a bound ideal name, an integer, a method, a q value, a list of q
+values or a polynomial), and `_Parser.integer` reads every integer
+literal, so one that int() refuses for its length is a ScriptError at its
+token.  `options` holds the (name, value) pairs the script set, in the
+row's order, whatever order they were typed in, and the printer writes
+them back in that order.  Commands and scripts equal only records of
+their own class.
 """
 
 from __future__ import annotations
 
+import re
 from typing import NamedTuple
 
 from .errors import (FrobeniusPowerError, HomogeneityError, NotPrimeError,
@@ -49,50 +56,31 @@ class Token(NamedTuple):
     col: int
 
 
-_SYMBOLS = set(";,=+-*^()")
+# one named group per token kind, tried in this order; SKIP (blanks and
+# '#' comments) makes no token
+_TOKEN = re.compile(
+    r"(?P<NEWLINE>\n)|(?P<SKIP>[ \t\r]+|#[^\n]*)"
+    r"|(?P<INT>[0-9]+)"  # ASCII only: \d takes '３'
+    r"|(?P<IDENT>\w+)"  # \w is isalnum() or '_'; the first must be a letter
+    r"|(?P<SYM>[;,=+\-*^()])")
 
 
 def tokenize(text: str):
     tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            tokens.append(Token("NEWLINE", "\n", line, col))
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif "0" <= ch <= "9":   # ASCII only: str.isdigit takes '²' and '３'
-            start = i
-            startcol = col
-            while i < n and "0" <= text[i] <= "9":
-                i += 1
-                col += 1
-            tokens.append(Token("INT", text[start:i], line, startcol))
-        elif ch.isalpha() or ch == "_":
-            start = i
-            startcol = col
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-                col += 1
-            tokens.append(Token("IDENT", text[start:i], line, startcol))
-        elif ch in _SYMBOLS:
-            tokens.append(Token("SYM", ch, line, col))
-            i += 1
-            col += 1
-        else:
-            raise ScriptError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("EOF", "", line, col))
+    line, line_start, pos = 1, 0, 0
+    while pos < len(text):
+        match = _TOKEN.match(text, pos)
+        kind = match and match.lastgroup
+        col = pos - line_start + 1
+        if not kind or kind == "IDENT" and not (text[pos].isalpha()
+                                                or text[pos] == "_"):
+            raise ScriptError(f"unexpected character {text[pos]!r}", line, col)
+        if kind != "SKIP":
+            tokens.append(Token(kind, match.group(), line, col))
+        pos = match.end()
+        if kind == "NEWLINE":
+            line, line_start = line + 1, pos
+    tokens.append(Token("EOF", "", line, pos - line_start + 1))
     return tokens
 
 
@@ -124,12 +112,6 @@ COMMANDS = {
     "identity corollary": (1, (), ("q0", "e_max")),
     "independent": (1, (), ("q0", "e_max")),
 }
-
-# option name -> type; each name has one type in every command.  ideal is a
-# bound ideal name, qvalue a power of p, qlist comma-separated qvalues.
-_OPTION_TYPES = {"a": "ideal", "e_max": "int", "ell": "int",
-                 "method": "method", "q": "qlist", "q0": "qvalue",
-                 "s": "int", "z": "poly"}
 
 # first words that only start two-word verbs, such as "identity"
 _GROUPS = {verb.split()[0] for verb in COMMANDS if " " in verb}
@@ -169,9 +151,11 @@ for _cls in (Command, SessionScript):
 
 
 class _Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, ring: RingSpec | None = None):
         self.tokens = tokenize(text)
         self.pos = 0
+        self.ring = ring  # the ring polynomials and q values are read in
+        self.bound = set()  # the ideal names bound so far
         self.depth = 0  # parentheses open around the current position
         self.budget = _Budget(active_guard(), "polynomial arithmetic")
 
@@ -188,40 +172,80 @@ class _Parser:
         tok = tok or self.peek()
         raise ScriptError(message, tok.line, tok.col)
 
-    def at_statement_end(self) -> bool:
+    def at(self, *syms) -> bool:
         tok = self.peek()
-        return tok.kind in ("NEWLINE", "EOF") or (
-            tok.kind == "SYM" and tok.value == ";")
+        return tok.kind == "SYM" and tok.value in syms
+
+    def at_statement_end(self) -> bool:
+        return self.peek().kind in ("NEWLINE", "EOF") or self.at(";")
 
     def skip_separators(self):
-        while True:
-            tok = self.peek()
-            if tok.kind == "NEWLINE" or (tok.kind == "SYM" and tok.value == ";"):
-                self.advance()
-            else:
-                return
+        while self.peek().kind == "NEWLINE" or self.at(";"):
+            self.advance()
 
     def end_statement(self):
         if not self.at_statement_end():
             self.fail(f"unexpected token {self.peek().value!r}")
 
     def expect_ident(self, what="identifier") -> Token:
-        tok = self.peek()
-        if tok.kind != "IDENT":
-            self.fail(f"expected {what}")
-        return self.advance()
-
-    def expect_int(self, what="integer") -> Token:
-        tok = self.peek()
-        if tok.kind != "INT":
+        if self.peek().kind != "IDENT":
             self.fail(f"expected {what}")
         return self.advance()
 
     def expect_sym(self, sym):
-        tok = self.peek()
-        if tok.kind != "SYM" or tok.value != sym:
+        if not self.at(sym):
             self.fail(f"expected {sym!r}")
         return self.advance()
+
+    # values: every integer literal, and each kind of option value ------
+
+    def integer(self, what="integer") -> int:
+        """The integer literal here; `what` names it in errors, also when
+        it has more digits than int() reads."""
+        tok = self.peek()
+        if tok.kind != "INT":
+            self.fail(f"expected {what}")
+        try:
+            value = int(tok.value)
+        except ValueError:
+            self.fail(f"{what} has too many digits")
+        self.advance()
+        return value
+
+    def ideal_name(self, what="identifier") -> str:
+        tok = self.expect_ident(what)
+        if tok.value not in self.bound:
+            self.fail(f"unknown ideal {tok.value!r}", tok)
+        return tok.value
+
+    def method(self) -> str:
+        tok = self.expect_ident()
+        if tok.value not in _METHODS:
+            self.fail(f"method must be fit or last, got {tok.value!r}", tok)
+        return tok.value
+
+    def q_value(self) -> int:
+        tok = self.peek()
+        value = self.integer("power of the characteristic")
+        try:
+            as_q(self.ring, value)
+        except FrobeniusPowerError:
+            self.fail(
+                f"{value} is not a power of the characteristic "
+                f"{self.ring.characteristic}", tok)
+        return value
+
+    def q_list(self) -> tuple:
+        values = [self.q_value()]
+        while self.at(","):
+            self.advance()
+            tok = self.peek()
+            value = self.q_value()
+            if value <= values[-1]:
+                self.fail(f"q values must increase, got {value} "
+                          f"after {values[-1]}", tok)
+            values.append(value)
+        return tuple(values)
 
     # polynomial expressions --------------------------------------------
 
@@ -236,60 +260,52 @@ class _Parser:
         except ResourceLimitError as exc:
             self.fail(str(exc), tok)
 
-    def parse_poly(self, ring: RingSpec) -> Polynomial:
-        result = self.parse_poly_term(ring)
-        while True:
-            tok = self.peek()
-            if tok.kind == "SYM" and tok.value in "+-":
-                self.advance()
-                rhs = self.parse_poly_term(ring)
-                result = result + rhs if tok.value == "+" else result - rhs
-            else:
-                return result
+    def parse_poly(self) -> Polynomial:
+        result = self.parse_poly_term()
+        while self.at("+", "-"):
+            tok = self.advance()
+            rhs = self.parse_poly_term()
+            result = result + rhs if tok.value == "+" else result - rhs
+        return result
 
-    def parse_poly_term(self, ring) -> Polynomial:
-        result = self.parse_poly_factor(ring)
-        while True:
-            tok = self.peek()
-            if tok.kind == "SYM" and tok.value == "*":
-                self.advance()
-                rhs = self.parse_poly_factor(ring)
-                self.spend_product(result, rhs, tok)
-                result = result * rhs
-            else:
-                return result
+    def parse_poly_term(self) -> Polynomial:
+        result = self.parse_poly_factor()
+        while self.at("*"):
+            tok = self.advance()
+            rhs = self.parse_poly_factor()
+            self.spend_product(result, rhs, tok)
+            result = result * rhs
+        return result
 
-    def parse_poly_factor(self, ring) -> Polynomial:
+    def parse_poly_factor(self) -> Polynomial:
         negate = False
-        while self.peek().kind == "SYM" and self.peek().value == "-":
+        while self.at("-"):
             self.advance()
             negate = not negate
-        result = self.parse_poly_atom(ring)
-        tok = self.peek()
-        if tok.kind == "SYM" and tok.value == "^":
-            self.advance()
-            exp = self.expect_int("exponent")
-            result = result.power(int(exp.value), lambda a, b: self.spend_product(
-                a, b, tok))
+        result = self.parse_poly_atom()
+        if self.at("^"):
+            tok = self.advance()
+            result = result.power(self.integer("exponent"),
+                                  lambda a, b: self.spend_product(a, b, tok))
         return -result if negate else result
 
-    def parse_poly_atom(self, ring) -> Polynomial:
+    def parse_poly_atom(self) -> Polynomial:
         tok = self.peek()
+        ring = self.ring
         if tok.kind == "INT":
-            self.advance()
-            return ring.constant(int(tok.value))
+            return ring.constant(self.integer("constant"))
         if tok.kind == "IDENT":
             if tok.value not in ring.variables:
                 self.fail(f"unknown variable {tok.value!r}", tok)
             self.advance()
             return ring.gen(ring.variables.index(tok.value))
-        if tok.kind == "SYM" and tok.value == "(":
+        if self.at("("):
             if self.depth == _MAX_NESTING:
                 self.fail(f"parentheses nested deeper than {_MAX_NESTING}",
                           tok)
             self.advance()
             self.depth += 1
-            inner = self.parse_poly(ring)
+            inner = self.parse_poly()
             self.expect_sym(")")
             self.depth -= 1
             return inner
@@ -303,9 +319,8 @@ class _Parser:
                 and self.tokens[self.pos + 1].kind == "SYM"
                 and self.tokens[self.pos + 1].value == "=")
 
-    def parse_options(self, ring, allowed, bound) -> dict:
-        """Options named in `allowed`, read by their _OPTION_TYPES entry;
-        an ideal value must be one of the `bound` names."""
+    def parse_options(self, allowed) -> dict:
+        """Options named in `allowed`, each read by its _OPTIONS reader."""
         seen = {}
         while self.looks_like_option():
             key_tok = self.advance()
@@ -315,50 +330,17 @@ class _Parser:
             if key in seen:
                 self.fail(f"duplicate option {key!r}", key_tok)
             self.expect_sym("=")
-            kind = _OPTION_TYPES[key]
-            if kind == "int":
-                seen[key] = int(self.expect_int().value)
-            elif kind == "ideal":
-                tok = self.expect_ident()
-                if tok.value not in bound:
-                    self.fail(f"unknown ideal {tok.value!r}", tok)
-                seen[key] = tok.value
-            elif kind == "method":
-                tok = self.expect_ident()
-                if tok.value not in _METHODS:
-                    self.fail(f"method must be fit or last, got {tok.value!r}",
-                              tok)
-                seen[key] = tok.value
-            elif kind == "qvalue":
-                seen[key] = self.parse_q_value(ring)
-            elif kind == "qlist":
-                values = [self.parse_q_value(ring)]
-                while (self.peek().kind == "SYM"
-                       and self.peek().value == ","):
-                    self.advance()
-                    tok = self.peek()
-                    value = self.parse_q_value(ring)
-                    if value <= values[-1]:
-                        self.fail(f"q values must increase, got {value} "
-                                  f"after {values[-1]}", tok)
-                    values.append(value)
-                seen[key] = tuple(values)
-            elif kind == "poly":
-                seen[key] = self.parse_poly(ring)
-            else:  # pragma: no cover
-                raise AssertionError(kind)
+            seen[key] = _OPTIONS[key](self)
         return seen
 
-    def parse_q_value(self, ring) -> int:
-        tok = self.expect_int("power of the characteristic")
-        value = int(tok.value)
-        try:
-            as_q(ring, value)
-        except FrobeniusPowerError:
-            self.fail(
-                f"{value} is not a power of the characteristic "
-                f"{ring.characteristic}", tok)
-        return value
+
+# option name -> the reader of its value, one kind of value per name in
+# every command: a bound ideal name, an integer, fit or last, a power of p,
+# increasing comma-separated powers of p, or a polynomial.
+_OPTIONS = {"a": _Parser.ideal_name, "e_max": _Parser.integer,
+            "ell": _Parser.integer, "method": _Parser.method,
+            "q": _Parser.q_list, "q0": _Parser.q_value,
+            "s": _Parser.integer, "z": _Parser.parse_poly}
 
 
 def parse_script(text: str) -> SessionScript:
@@ -370,8 +352,8 @@ def parse_script(text: str) -> SessionScript:
     if not (tok.kind == "IDENT" and tok.value == "char"):
         p.fail("script must start with a 'char' declaration")
     p.advance()
-    char_tok = p.expect_int("characteristic")
-    characteristic = int(char_tok.value)
+    char_tok = p.peek()
+    characteristic = p.integer("characteristic")
     p.end_statement()
     p.skip_separators()
 
@@ -391,7 +373,7 @@ def parse_script(text: str) -> SessionScript:
         p.fail("duplicate variable name", name_toks[0])
 
     try:
-        ring = RingSpec(characteristic, tuple(names))
+        p.ring = RingSpec(characteristic, tuple(names))
     except NotPrimeError as exc:
         p.fail("characteristic must be prime" if characteristic < PRIME_LIMIT
                else str(exc), char_tok)
@@ -400,27 +382,19 @@ def parse_script(text: str) -> SessionScript:
     while p.peek().kind == "IDENT" and p.peek().value == "quotient":
         p.advance()
         rel_start = p.peek()
-        rel = p.parse_poly(ring)
+        rel = p.parse_poly()
         p.end_statement()
         try:
-            ring = ring.quotient(rel)
+            p.ring = p.ring.quotient(rel)
         except HomogeneityError:
-            raise ScriptError("quotient relation must be homogeneous",
-                              rel_start.line, rel_start.col)
+            p.fail("quotient relation must be homogeneous", rel_start)
         except UnitRelationError:
-            raise ScriptError("quotient relation must not be a nonzero "
-                              "constant", rel_start.line, rel_start.col)
+            p.fail("quotient relation must not be a nonzero constant",
+                   rel_start)
         p.skip_separators()
 
     bindings = []
-    bound = set()
     commands = []
-
-    def require_bound(tok):
-        if tok.value not in bound:
-            raise ScriptError(f"unknown ideal {tok.value!r}", tok.line, tok.col)
-        return tok.value
-
     while p.peek().kind != "EOF":
         tok = p.peek()
         if tok.kind != "IDENT":
@@ -433,17 +407,16 @@ def parse_script(text: str) -> SessionScript:
         elif word == "ideal":
             p.advance()
             name_tok = p.expect_ident("ideal name")
-            if name_tok.value in bound:
-                raise ScriptError(f"duplicate binding {name_tok.value!r}",
-                                  name_tok.line, name_tok.col)
+            if name_tok.value in p.bound:
+                p.fail(f"duplicate binding {name_tok.value!r}", name_tok)
             p.expect_sym("=")
-            gens = [p.parse_poly(ring)]
-            while p.peek().kind == "SYM" and p.peek().value == ",":
+            gens = [p.parse_poly()]
+            while p.at(","):
                 p.advance()
-                gens.append(p.parse_poly(ring))
+                gens.append(p.parse_poly())
             p.end_statement()
             bindings.append((name_tok.value, tuple(gens)))
-            bound.add(name_tok.value)
+            p.bound.add(name_tok.value)
         else:
             # a command: a verb of one or two words, read by COMMANDS
             verb_tok = p.advance()
@@ -460,8 +433,8 @@ def parse_script(text: str) -> SessionScript:
             for _ in range(n_names):
                 if p.looks_like_option():
                     p.fail("expected ideal name")
-                names.append(require_bound(p.expect_ident("ideal name")))
-            opts = p.parse_options(ring, required + others, bound)
+                names.append(p.ideal_name("ideal name"))
+            opts = p.parse_options(required + others)
             for key in required:
                 if key not in opts:
                     p.fail(f"missing required option {key!r}", verb_tok)
@@ -471,15 +444,15 @@ def parse_script(text: str) -> SessionScript:
                 if key in opts)))
         p.skip_separators()
 
-    return SessionScript(ring=ring, bindings=tuple(bindings),
+    return SessionScript(ring=p.ring, bindings=tuple(bindings),
                          commands=tuple(commands))
 
 
 def parse_polynomial(text: str, ring: RingSpec) -> Polynomial:
     """Parse a single infix polynomial in the given ring."""
-    p = _Parser(text)
+    p = _Parser(text, ring)
     p.skip_separators()
-    poly = p.parse_poly(ring)
+    poly = p.parse_poly()
     p.skip_separators()
     if p.peek().kind != "EOF":
         p.fail("unexpected trailing input")
@@ -492,8 +465,8 @@ def parse_polynomial(text: str, ring: RingSpec) -> Polynomial:
 def format_command(cmd: Command) -> str:
     parts = [cmd.verb, *cmd.names]
     for key, value in cmd.options:
-        if _OPTION_TYPES[key] == "qlist":
-            value = ",".join(str(q) for q in value)
+        if isinstance(value, tuple):  # a list of q values
+            value = ",".join(map(str, value))
         parts.append(f"{key}={value}")
     return " ".join(parts)
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import PreconditionError
-from .ideals import Ideal, ideal_colon, maximal_ideal
+from .ideals import Ideal, ideal_colon, ideal_intersection, maximal_ideal
 from .lengths import (_fit_leading, ehk_estimate, length_quotient,
                       length_subquotient)
 from .poly import Polynomial, RingSpec, as_q
@@ -302,6 +302,7 @@ def check_product_identity(I: Ideal, J: Ideal, ell: int, q,
     qs = [as_q(ring, v) for v in q]
     _require_finite_colength(I, "I")
     _require_finite_colength(J, "J")
+    _require_proper(J, "product identity")
     d = ring.dimension
     e_i = ehk_estimate(I, e_max=e_max).value
     e_j = ehk_estimate(J, e_max=e_max).value
@@ -344,7 +345,8 @@ def check_self_product(J: Ideal, q, q0: int = 1,
 
 def check_lemma33_additivity(I: Ideal, z: Polynomial, a: Ideal | None = None,
                              q0: int = 1, e_max: int = 3) -> IdentityReport:
-    """Adjoining a nonzerodivisor adds e_HK(a) to the normalized subquotient:
+    """Adjoining a nonzerodivisor z of the maximal ideal adds e_HK(a) to
+    the normalized subquotient:
 
         λ((I,z)^[qq0] / a^[q](I,z)^[qq0]) / q^d
             = e_HK(a) + λ(I^[qq0] / a^[q] I^[qq0]) / q^d
@@ -354,6 +356,8 @@ def check_lemma33_additivity(I: Ideal, z: Polynomial, a: Ideal | None = None,
     _require_proper(I, "additivity check")
     if z.is_zero():
         raise PreconditionError("z must be nonzero")
+    if z not in maximal_ideal(ring):
+        raise PreconditionError("z must lie in the maximal ideal")
     if not I.contains_ideal(ideal_colon(I, Ideal(ring, (z,)))):
         raise PreconditionError("z is a zerodivisor modulo the ideal")
     a, ehk_a = _normalizer(ring, a, e_max)
@@ -432,7 +436,7 @@ def check_corollary_vanishing(R: RingSpec, I: Ideal, q0: int = 1,
         q = p ** e
         IqS = I.bracket_power(q * q0).extended_to(S)
         zq = Ideal(S, (z.qth_power(q),))
-        numerator = m_i.bracket_power(q) + zq.intersection(IqS)
+        numerator = m_i.bracket_power(q) + ideal_intersection(zq, IqS)
         denominator = mz_i.bracket_power(q)
         lam = length_subquotient(numerator, denominator)
         pairs.append((f"vanishing[q={q}]", Fraction(int(lam)), Fraction(0)))

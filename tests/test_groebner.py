@@ -19,6 +19,7 @@ from hkspread import (
     Monomial,
     ResourceLimitError,
     RingSpec,
+    ideal_colon,
     krull_dimension,
     length_quotient,
     order_by_name,
@@ -1012,8 +1013,9 @@ def test_top_first_interreduce_matches_tail_first_rule(p, monkeypatch):
         with use_guard(GuardConfig(max_steps=400)):
             try:
                 groebner.buchberger_raw(gens, KERNEL_ORDERS[case % 4], ring=R)
-                Q.ideal(*[_nonzero_poly(rng, Q, 3, 2) for _ in range(2)]).colon(
-                    _nonzero_poly(rng, Q, 2, 1))
+                ideal_colon(
+                    Q.ideal(*[_nonzero_poly(rng, Q, 3, 2) for _ in range(2)]),
+                    Q.ideal(_nonzero_poly(rng, Q, 2, 1)))
             except ResourceLimitError:
                 continue
     assert seen["calls"] >= 40 and seen["reduced"] >= 5

@@ -19,6 +19,7 @@ from hkspread import (
     ehk_estimate,
     hk_function,
     ideal_colon,
+    ideal_intersection,
     length_quotient,
     length_subquotient,
     maximal_ideal,
@@ -239,7 +240,8 @@ def test_corollary_pairs_have_length_zero(q):
     w = S.gen(R.nvars)
     IqS = R.ideal("x + y", "z").bracket_power(q).extended_to(S)
     mS = maximal_ideal(R).extended_to(S)
-    M = mS.bracket_power(q) * IqS + Ideal(S, (w.qth_power(q),)).intersection(IqS)
+    M = (mS.bracket_power(q) * IqS
+         + ideal_intersection(Ideal(S, (w.qth_power(q),)), IqS))
     N = Ideal(S, mS.gens + (w,)).bracket_power(q) * IqS
     assert length_subquotient(M, N) == 0
 

@@ -353,13 +353,19 @@ def test_cli_unit_normalizer_is_an_error_row(tmp_path, capsys):
     ("spread_hk O", "spread_hk needs a proper ideal"),
     ("identity lemma33 O z=y", "additivity check needs a proper ideal"),
     ("identity corollary O", "vanishing check needs a proper ideal"),
+    ("identity product m O ell=2 q=2,4",
+     "product identity needs a proper ideal"),
+    ("identity lemma33 P z=1", "z must lie in the maximal ideal"),
+    ("identity lemma33 P z=1+y", "z must lie in the maximal ideal"),
 ])
 def test_unit_ideal_is_a_precondition_error(command, message):
-    """ℓ* and the identities are stated for proper ideals: a unit ideal is
-    an error row, not an estimate (spread_hk read 1) or a failed identity
-    (lemma33 read lhs 1, rhs 2)."""
+    """ℓ* and the identities are stated for proper ideals, and lemma33's z
+    lies in the maximal ideal: a unit ideal or a unit z is an error row,
+    not an estimate (spread_hk read 1) or a failed identity (lemma33 read
+    lhs 1, rhs 2 on O, and residual 1 on z=1)."""
     rep = run_script(parse_script(
-        "char 2; vars x y; ideal O = 1; " + command))
+        "char 2; vars x y; ideal O = 1; ideal P = x; ideal m = x, y; "
+        + command))
     assert not rep["ok"]
     result = rep["results"][0]
     assert result["status"] == "error"

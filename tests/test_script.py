@@ -1,5 +1,8 @@
 """Session-script lexer, parser, and canonical printer."""
 
+import random
+from pathlib import Path
+
 import pytest
 
 from hkspread import (
@@ -11,7 +14,7 @@ from hkspread import (
     print_script,
     use_guard,
 )
-from hkspread.script import COMMANDS, Command, format_command
+from hkspread.script import COMMANDS, Command, Token, format_command, tokenize
 
 
 def test_parse_minimal_session():
@@ -294,4 +297,112 @@ _HEAD = "char 2; vars x y; ideal J = x; ideal m = x, y; "  # 47 columns
 ])
 def test_command_error_positions(command, message, column):
     err = _error(_HEAD + command)
+    assert (err.message, err.line, err.column) == (message, 1, column)
+
+
+def _reference_tokenize(text):
+    """A character-by-character lexer, the reference `tokenize`'s token
+    pattern must match, columns included."""
+    tokens = []
+    line, col = 1, 1
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            tokens.append(Token("NEWLINE", "\n", line, col))
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+                col += 1
+        elif "0" <= ch <= "9":
+            start = i
+            startcol = col
+            while i < n and "0" <= text[i] <= "9":
+                i += 1
+                col += 1
+            tokens.append(Token("INT", text[start:i], line, startcol))
+        elif ch.isalpha() or ch == "_":
+            start = i
+            startcol = col
+            while i < n and (text[i].isalnum() or text[i] == "_"):
+                i += 1
+                col += 1
+            tokens.append(Token("IDENT", text[start:i], line, startcol))
+        elif ch in ";,=+-*^()":
+            tokens.append(Token("SYM", ch, line, col))
+            i += 1
+            col += 1
+        else:
+            raise ScriptError(f"unexpected character {ch!r}", line, col)
+    tokens.append(Token("EOF", "", line, col))
+    return tokens
+
+
+def _lexed(lexer, text):
+    """The tokens, or the first error as (message, line, column)."""
+    try:
+        return lexer(text)
+    except ScriptError as err:
+        return (err.message, err.line, err.column)
+
+
+_GOLDEN_SCRIPTS = sorted((Path(__file__).parent / "golden").glob("*.hks"))
+
+
+def _random_texts(count, seed=2024):
+    rng = random.Random(seed)
+    alphabet = "xyzq_0123456789²３#\t\n @;,=+-*^()"
+    return ["".join(rng.choice(alphabet) for _ in range(rng.randrange(40)))
+            for _ in range(count)]
+
+
+def test_tokenize_matches_the_reference_lexer():
+    texts = [path.read_text() for path in _GOLDEN_SCRIPTS]
+    assert len(texts) >= 5
+    texts += _random_texts(3000)
+    errors = 0
+    for text in texts:
+        got = _lexed(tokenize, text)
+        assert got == _lexed(_reference_tokenize, text), text
+        errors += isinstance(got, tuple)
+    assert 100 < errors < len(texts) - 100  # both outcomes are exercised
+
+
+def test_eof_after_a_comment_is_past_the_comment():
+    assert tokenize("char 2 # comment")[-1] == Token("EOF", "", 1, 17)
+    err = _error("char 2 # comment")
+    assert (err.message, err.line, err.column) == (
+        "expected a 'vars' declaration", 1, 17)
+    err = _error("char 2; vars x; ideal J = # comment\ngb J")
+    assert (err.message, err.line, err.column) == (
+        "expected a polynomial", 1, 36)
+
+
+_DIGITS = "9" * 5000  # past int()'s default limit of 4300 digits
+
+
+@pytest.mark.parametrize("text, message, column", [
+    ("char " + _DIGITS, "characteristic has too many digits", 6),
+    ("char 2; vars x; ideal J = x^" + _DIGITS,
+     "exponent has too many digits", 29),
+    ("char 2; vars x; ideal J = x + " + _DIGITS,
+     "constant has too many digits", 31),
+    ("char 2; vars x; ideal J = x; ehk J e_max=" + _DIGITS,
+     "integer has too many digits", 42),
+    ("char 2; vars x; ideal J = x; spread J q0=" + _DIGITS,
+     "power of the characteristic has too many digits", 42),
+    ("char 2; vars x; ideal J = x; identity self J q=2," + _DIGITS,
+     "power of the characteristic has too many digits", 50),
+], ids=["char", "exponent", "constant", "option", "q0", "q-list"])
+def test_overlong_integer_is_a_parse_error(text, message, column):
+    err = _error(text)
     assert (err.message, err.line, err.column) == (message, 1, column)

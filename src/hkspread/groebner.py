@@ -21,11 +21,12 @@ product is one addition, a larger monomial a smaller int, divisibility
 one subtraction tested on the guard bits.  A product that would reach a
 guard bit raises `Overflow`; the run is redone twice as wide.
 
-The guard is spent once per reduction step, so a step budget counts
-reductions, not terms, pairs or heap operations: the reductions of the
-S-polynomials of the pairs that survive the criteria, then those of the
-interreduction.  The packing does not change which steps are taken, and
-the attempts redone wider spend from one budget.
+Each kernel call starts in `_widened`, with one budget for all its
+attempts.  The guard is spent once per reduction step, so a step budget
+counts reductions, not terms, pairs or heap operations: the reductions of
+the S-polynomials of the pairs that survive the criteria, then those of
+the interreduction.  The packing does not change which steps are taken,
+and an attempt redone wider leaves the steps of the ones before spent.
 
 No basis is computed twice.  `reduced_basis` turns polynomials that are
 already a GB (an elimination's t-free part, the quotients of a colon) into
@@ -79,27 +80,21 @@ def use_guard(guard: GuardConfig):
 
 
 class _Budget:
-    """`steps` counts the current attempt; `limit` is what the guard's
-    max_steps leaves it after the attempts before (`restart`)."""
+    """`steps` counts what one computation has spent, against the guard's
+    max_steps; `layer` names it in the error."""
 
-    __slots__ = ("guard", "steps", "layer", "limit")
+    __slots__ = ("guard", "steps", "layer")
 
     def __init__(self, guard: GuardConfig, layer: str = "reduction"):
         self.guard = guard
         self.steps = 0
         self.layer = layer
-        self.limit = guard.max_steps
 
     def spend(self, n: int = 1):
         self.steps += n
-        if self.steps > self.limit:
+        if self.steps > self.guard.max_steps:
             raise ResourceLimitError(
                 f"{self.layer} step budget exceeded ({self.guard.max_steps})")
-
-    def restart(self):
-        """Start an attempt redone wider: the steps spent stay spent."""
-        self.limit -= self.steps
-        self.steps = 0
 
     def check_exponent(self, e: int):
         if e > self.guard.max_exponent:
@@ -107,16 +102,26 @@ class _Budget:
                 f"monomial exponent exceeds cap ({self.guard.max_exponent})")
 
 
-def _widened(order, n, e, run, width=0):
-    """run(packing) with headroom for exponents up to e, at least `width`
-    wide; on overflow, run again twice as wide.  A metered `run` restarts
-    one budget (`_Budget.restart`), so the guard bounds all attempts."""
+def _widened(order, n, e, run, layer="reduction", width=0):
+    """The one entry of every kernel call: run(packing, budget) with
+    headroom for exponents up to e, at least `width` wide; on overflow, run
+    again twice as wide.  The call has one budget of the active guard,
+    named `layer`, and every attempt spends from it, so the guard's
+    max_steps bounds the steps of all attempts together."""
+    budget = _Budget(active_guard(), layer)
     width = max(width, (2 * n * e).bit_length() + 1)
     while True:
         try:
-            return run(packing_for(order, n, width))
+            return run(packing_for(order, n, width), budget)
         except Overflow:
             width *= 2
+
+
+def _entries(polys, packing, p: int) -> list:
+    """The monic reducer entries of nonzero polynomials, each led by its
+    largest term under the packing's order."""
+    return [_monic_entry(terms, min(terms), packing, p)
+            for terms in map(packing.terms, polys)]
 
 
 def _reduce_full(terms: dict, reducers, packing, p: int, spend,
@@ -229,20 +234,17 @@ class GroebnerBasis:
             raise RingMismatchError("polynomial from a different ring")
         if not self.polys:
             return None
-        budget = _Budget(active_guard())
+        p = self.ring.field.p
 
-        def run(packing):
-            budget.restart()
+        def run(packing, budget):
             packed = self._packed
             if packed[0] is not packing:   # two threads may both rebuild it
-                packed = self._packed = (packing, [
-                    packing.reducer(packing.terms(g), packing.pack(lm))
-                    for g, lm in zip(self.polys, self.leading)])
+                packed = self._packed = (packing, _entries(self.polys, packing, p))
             return packing, _reduce_full(packing.terms(f), packed[1], packing,
-                                         self.ring.field.p, budget.spend)
+                                         p, budget.spend)
 
         return _widened(self.order, self.ring.nvars, f.max_exponent(), run,
-                        self._packed[0].width)
+                        width=self._packed[0].width)
 
     def __eq__(self, other):
         if not isinstance(other, GroebnerBasis):
@@ -267,17 +269,15 @@ def exact_quotient(h: Polynomial, g: Polynomial) -> Polynomial:
     each.  AlgebraError when g does not divide h."""
     ring, p, e = h.ring, h.ring.field.p, max(h.max_exponent(), g.max_exponent())
     inv = ring.field.inv(g.terms[g.leading_monomial(DEGREVLEX)])
-    budget = _Budget(active_guard(), "exact division")
 
-    def run(packing):
-        budget.restart()
-        monic, quotient = packing.terms(g.scale(inv)), []
-        if _reduce_full(packing.terms(h), [packing.reducer(monic, min(monic))],
-                        packing, p, budget.spend, quotient):
+    def run(packing, budget):
+        quotient = []
+        if _reduce_full(packing.terms(h), _entries([g], packing, p), packing,
+                        p, budget.spend, quotient):
             raise AlgebraError("exact division failed")
         return packing.polynomial(ring, [(u, c * inv % p) for u, c in quotient])
 
-    return _widened(DEGREVLEX, ring.nvars, e, run)
+    return _widened(DEGREVLEX, ring.nvars, e, run, "exact division")
 
 
 def _s_terms(ri, rj, lcm: int, packing, p: int) -> dict:
@@ -351,19 +351,18 @@ def buchberger_raw(gens, order=None, *, ring) -> GroebnerBasis:
     for g in gens:
         if g.ring != ring:
             raise RingMismatchError("generators from different rings")
-    budget = _Budget(active_guard())
     gens = [g for g in gens if not g.is_zero()]
     e = max((g.max_exponent() for g in gens), default=0)
-    budget.check_exponent(e)
 
-    def run(packing):
-        budget.restart()
-        return _buchberger(gens, order, ring, packing, budget)
+    def run(packing, budget):
+        budget.check_exponent(e)
+        return _buchberger(_entries(gens, packing, ring.field.p), order, ring,
+                           packing, budget)
 
     return _widened(order, ring.nvars, e, run)
 
 
-def _buchberger(gens, order, ring, packing, budget) -> GroebnerBasis:
+def _buchberger(entries, order, ring, packing, budget) -> GroebnerBasis:
     p, g, low = ring.field.p, packing.guard, packing.low
     coeffs, shifts, field = packing.coeffs, packing.shifts, packing.field
     reducers, lead, active = [], [], []
@@ -399,9 +398,8 @@ def _buchberger(gens, order, ring, packing, budget) -> GroebnerBasis:
         active[:] = [i for i in active if ((lead[i] | g) - lm) & g != g]
         active.append(t)
 
-    for f in gens:
-        terms = packing.terms(f)
-        append(_monic_entry(terms, min(terms), packing, p))
+    for entry in entries:
+        append(entry)
     fresh = len(lead)
 
     while heap:
@@ -443,15 +441,11 @@ def reduced_basis(polys, ring, reduced=False) -> GroebnerBasis:
     already are a DEGREVLEX GB of it: made monic and interreduced, with no
     pair phase.  `reduced` polys already are the reduced GB, sorted by
     lead, and are kept as they are.  Metered like Buchberger."""
-    budget, p = _Budget(active_guard()), ring.field.p
+    p = ring.field.p
     e = max((f.max_exponent() for f in polys), default=0)
 
-    def run(packing):
-        budget.restart()
-        entries = []
-        for f in polys:
-            terms = packing.terms(f)
-            entries.append(_monic_entry(terms, min(terms), packing, p))
+    def run(packing, budget):
+        entries = _entries(polys, packing, p)
         if reduced:
             return _basis(ring, DEGREVLEX, packing, entries, polys)
         return _basis(ring, DEGREVLEX, packing, _interreduce(

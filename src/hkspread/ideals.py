@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
+from functools import reduce
 
 from .errors import (
     AlgebraError,
@@ -201,8 +202,7 @@ def _aux_ring(ring: RingSpec):
     name = "t"
     while name in ring.variables:
         name += "_"
-    ext = RingSpec(ring.field.p, (name,) + ring.variables)
-    return ext
+    return RingSpec(ring.field.p, (name,) + ring.variables)
 
 
 def _intersect_ambient(ring: RingSpec, gens_a, gens_b):
@@ -244,14 +244,10 @@ def ideal_colon(I: Ideal, J: Ideal) -> Ideal:
     if not J.gens:
         return Ideal(ring, (ring.one,))
     ambient_i = list(I.gens) + list(ring.relations)
-    parts = [[exact_quotient(h, g) for h in _intersect_ambient(ring, ambient_i, [g])]
-             for g in J.gens]
-    if len(parts) == 1:
-        return _with_basis(ring, parts[0], reduced=False)
-    result = Ideal(ring, tuple(parts[0]))
-    for part in parts[1:]:
-        result = ideal_intersection(result, Ideal(ring, tuple(part)))
-    return result
+    quotients = [[exact_quotient(h, g) for h in _intersect_ambient(ring, ambient_i, [g])]
+                 for g in J.gens]
+    return reduce(ideal_intersection,
+                  [_with_basis(ring, q, reduced=False) for q in quotients])
 
 
 def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:

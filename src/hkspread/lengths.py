@@ -187,11 +187,11 @@ def ehk_estimate(a: Ideal, e_max: int = 3, method: str = "auto") -> HKEstimate:
                           method="monomial-exact" if monomial else "regular-exact",
                           samples=(sample,),
                           error_bound=Fraction(0))
+    if method != "last" and e_max < 1:
+        raise PreconditionError("fit methods need e_max >= 1" if method == "fit"
+                                else "e_HK on a quotient ring needs e_max >= 1")
     if method == "auto":
         method = "fit"
-
-    if method == "fit" and e_max < 1:
-        raise PreconditionError("fit methods need e_max >= 1")
     samples = tuple(hk_function(a, e_max))
     trend = _ratio_trend(samples)
     if method == "last":

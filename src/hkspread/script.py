@@ -41,6 +41,7 @@ their own class.
 from __future__ import annotations
 
 import re
+import sys
 from typing import NamedTuple
 
 from .errors import (FrobeniusPowerError, HomogeneityError, NotPrimeError,
@@ -261,11 +262,22 @@ class _Parser:
             self.fail(str(exc), tok)
 
     def parse_poly(self) -> Polynomial:
+        """A polynomial whose exponents str() can write: powers and
+        products of powers build exponents from literals, so one longer
+        than sys.get_int_max_str_digits() (0: no limit) is a ScriptError
+        at the polynomial's first token."""
+        first = self.peek()
         result = self.parse_poly_term()
         while self.at("+", "-"):
             tok = self.advance()
             rhs = self.parse_poly_term()
             result = result + rhs if tok.value == "+" else result - rhs
+        # sys.get_int_max_str_digits is new in Python 3.10.7; before, no limit
+        digits = getattr(sys, "get_int_max_str_digits", int)()
+        e = result.max_exponent()
+        # 2^(3·digits) < 10^digits: the power of ten only past that
+        if digits and e.bit_length() > 3 * digits and e >= 10 ** digits:
+            self.fail(f"exponent has more than {digits} digits", first)
         return result
 
     def parse_poly_term(self) -> Polynomial:

@@ -672,7 +672,8 @@ def _gm_buchberger(gens, order, budget):
 
 def _packed(order, n, e, run):
     """(packing, run(packing)) through the kernel's widening loop."""
-    return groebner._widened(order, n, e, lambda packing: (packing, run(packing)))
+    return groebner._widened(order, n, e,
+                             lambda packing, budget: (packing, run(packing)))
 
 
 def _entry(packing, f, order):
@@ -878,11 +879,12 @@ def test_intermediate_exponents_past_the_packed_width(order, gens, monkeypatch):
     cap below 256 the new element x^256 + y is refused instead."""
     R = RingSpec(3, ("t", "x", "y"))
     gens = [R.poly(g) for g in gens]
-    widths = []
+    widths, starts = [], []
     packing = groebner.packing_for
 
-    def recording(order, n, width):
+    def recording(order, n, width):   # called once per attempt
         widths.append(width)
+        starts.append(len(steps))
         return packing(order, n, width)
 
     budget = _Budget(GuardConfig())
@@ -902,9 +904,8 @@ def test_intermediate_exponents_past_the_packed_width(order, gens, monkeypatch):
     assert len(widths) == 2 and widths[1] == 2 * widths[0]
     assert [f.terms_key() for f in gb.polys] == expected
     used = steps[-1]
-    assert used.steps == budget.steps
-    assert set(steps) == {used} and len(steps) > budget.steps
-    assert len(steps) == used.guard.max_steps - used.limit + used.steps
+    assert len(steps) - starts[-1] == budget.steps   # the last attempt's
+    assert set(steps) == {used} and used.steps == len(steps) > budget.steps
     if order != LEX:
         assert str(gb.polys[0]) == "x^256 + y"
         with use_guard(GuardConfig(max_exponent=255)), pytest.raises(
@@ -920,23 +921,17 @@ def test_kernel_started_without_headroom_matches_the_oracles(monkeypatch):
     quotients still equal the oracles' in all four orders."""
     widened = groebner._widened
     runs = {"calls": 0, "attempts": 0}
+    last = {}   # the budget of the last attempt and its steps before it
 
-    def narrow(order, n, e, run, width=0):
-        def counted(packing):
+    def narrow(order, n, e, run, layer="reduction", width=0):
+        def counted(packing, budget):
             runs["attempts"] += 1
-            return run(packing)
+            last.update(budget=budget, before=budget.steps)
+            return run(packing, budget)
         runs["calls"] += 1
-        return widened(order, n, 0, counted, max(width, e.bit_length()))
-
-    budgets = []
-    init = _Budget.__init__
-
-    def recording_init(self, *args):
-        init(self, *args)
-        budgets.append(self)
+        return widened(order, n, 0, counted, layer, max(width, e.bit_length()))
 
     monkeypatch.setattr(groebner, "_widened", narrow)
-    monkeypatch.setattr(_Budget, "__init__", recording_init)
     rng = random.Random(6000)
     cases = 0
     while cases < 24:
@@ -951,7 +946,7 @@ def test_kernel_started_without_headroom_matches_the_oracles(monkeypatch):
             continue
         cases += 1
         gb = groebner.buchberger_raw(gens, order, ring=R)
-        assert budgets[-1].steps == gm_budget.steps
+        assert last["budget"].steps - last["before"] == gm_budget.steps
         assert [f.terms_key() for f in gb.polys] == expected
         assert list(gb.leading) == [f.leading_monomial(order) for f in gb.polys]
         f = _random_poly(rng, R, nterms=5, max_exp=5)
@@ -1021,46 +1016,71 @@ def test_top_first_interreduce_matches_tail_first_rule(p, monkeypatch):
     assert seen["calls"] >= 40 and seen["reduced"] >= 5
 
 
-def test_step_budget_spans_the_widened_reruns(monkeypatch):
-    """Started with no headroom, Buchberger overflows and is redone wider;
-    every attempt spends from one budget, so a cap of the
-    summed steps suffices and one step less raises, although the last
-    attempt alone takes fewer.  A budget of --max-gb-steps N bounds the
-    whole computation of a basis, whatever its reruns."""
+def _budget_entry(name):
+    """(call, layer, steps of its last attempt): a fresh kernel call through
+    the entry `name`, whose first attempt overflows when started with no
+    headroom, except an exact division's, which never overflows at a width
+    that holds its operands (a quotient's exponents are at most theirs).
+    Fresh, as a basis keeps the widest packing its normal forms took."""
+    R = RingSpec(3, ("z", "w", "x", "y"))
+    z, w, x, y = R.gens()   # x - y leads with x
+    T = RingSpec(3, ("t", "x", "y"))
+    gens, order = [T.poly("t^16 + y"), T.poly("t - x^16")], AuxBlockOrder(DEGREVLEX)
+    oracle = _Budget(GuardConfig())
+    _gm_buchberger(gens, order, oracle)
+    return {
+        "buchberger": (lambda: groebner.buchberger_raw(gens, order, ring=T),
+                       "reduction", oracle.steps),
+        # x^15·y^15 -> ... -> y^30, past 4-bit fields
+        "reduce": (lambda: groebner.buchberger_raw([x - y], ring=R).reduce(
+            x**15 * y**15), "reduction", 15),
+        "exact_quotient": (lambda: groebner.exact_quotient(x**8 - y**8, x - y),
+                           "exact division", 8),
+        # the tail x^8·y^8 reduces to y^16, past 4-bit fields
+        "reduced_basis": (lambda: groebner.reduced_basis(
+            [x - y, z**8 * w**8 - x**8 * y**8], R), "reduction", 8),
+    }[name]
+
+
+@pytest.mark.parametrize("name", ["buchberger", "reduce", "exact_quotient",
+                                  "reduced_basis"])
+def test_step_budget_spans_the_widened_reruns(name, monkeypatch):
+    """Started with no headroom, each kernel entry but exact division
+    overflows and is redone wider; every attempt spends from the call's
+    one budget, so a cap of the summed steps suffices and one step less
+    raises with the entry's layer name, although the last attempt alone
+    takes fewer.  A budget of --max-gb-steps N bounds the whole of one
+    kernel call, whatever its reruns."""
     widened = groebner._widened
-    attempts = []
+    calls = []   # per kernel call, (budget, steps before) per attempt
 
-    def narrow(order, n, e, run, width=0):
-        def counted(packing):
-            attempts.append(packing.width)
-            return run(packing)
-        return widened(order, n, 0, counted, max(width, e.bit_length()))
+    def narrow(order, n, e, run, layer="reduction", width=0):
+        attempts = []
+        calls.append(attempts)
 
-    spent = []
-    spend = _Budget.spend
-
-    def counting(self, n=1):
-        spent.append(n)
-        spend(self, n)
+        def counted(packing, budget):
+            attempts.append((budget, budget.steps))
+            return run(packing, budget)
+        return widened(order, n, 0, counted, layer, max(width, e.bit_length()))
 
     monkeypatch.setattr(groebner, "_widened", narrow)
-    monkeypatch.setattr(_Budget, "spend", counting)
-    R = RingSpec(3, ("t", "x", "y"))
-    order = AuxBlockOrder(DEGREVLEX)
-    gens = [R.poly("t^16 + y"), R.poly("t - x^16")]
-    last = _Budget(GuardConfig())
-    expected = _gm_buchberger(gens, order, last)
-    spent.clear()
-    gb = groebner.buchberger_raw(gens, order, ring=R)
-    total = sum(spent)
-    assert [f.terms_key() for f in gb.polys] == expected
-    assert len(attempts) >= 2 and total > last.steps
+    call, layer, last_steps = _budget_entry(name)
+    result = call()
+    attempts = calls[-1]
+    budget, before = attempts[-1]
+    total = budget.steps
+    assert budget.layer == layer and total - before == last_steps
+    assert {b for b, _ in attempts} == {budget}
+    if name == "exact_quotient":
+        assert len(attempts) == 1
+    else:
+        assert len(attempts) >= 2 and total > last_steps
     with use_guard(GuardConfig(max_steps=total)):
-        assert groebner.buchberger_raw(gens, order, ring=R) == gb
+        assert call() == result
     with use_guard(GuardConfig(max_steps=total - 1)), pytest.raises(
             ResourceLimitError,
-            match=rf"^reduction step budget exceeded \({total - 1}\)$"):
-        groebner.buchberger_raw(gens, order, ring=R)
+            match=rf"^{layer} step budget exceeded \({total - 1}\)$"):
+        call()
 
 
 # The textbook sort keys, which the orders' matrices replaced: the oracle

@@ -167,6 +167,25 @@ def test_spread_hk_e_max_zero_on_quotient_ring_names_the_estimates():
         "the normalizing e_HK(a) on a quotient ring needs e_max >= 1")
 
 
+@pytest.mark.parametrize("command, message", [
+    ("ehk m e_max=0", "e_HK on a quotient ring needs e_max >= 1"),
+    ("identity product m J ell=2 q=3 e_max=0",
+     "e_HK on a quotient ring needs e_max >= 1"),
+    ("identity basechange m s=1 q=3 e_max=0",
+     "e_HK on a quotient ring needs e_max >= 1"),
+    ("ehk m e_max=0 method=fit", "fit methods need e_max >= 1"),
+], ids=["ehk", "product", "basechange", "explicit-fit"])
+def test_ehk_e_max_zero_on_quotient_ring_names_the_chosen_method(command,
+                                                                 message):
+    """Under the default method the error names e_HK, not the fit that
+    the script never chose; an explicit method=fit keeps its message."""
+    rep = run_script(parse_script(
+        "char 3; vars x y z; quotient x^2 + y*z; ideal m = x, y, z; "
+        "ideal J = x + y, z; " + command))
+    error = rep["results"][0]["error"]
+    assert error == {"type": "PreconditionError", "message": message}
+
+
 def test_spread_e_max_zero_on_a_polynomial_ring_names_the_two_cells():
     """e_HK(a) on a polynomial ring needs no e >= 1, but a q0 level still
     compares two cells; e_max = 0 gives one, so nothing could stabilize."""
@@ -383,6 +402,22 @@ def test_cli_exit_codes(scripts, capsys):
     assert err_doc["error"]["message"] == "characteristic must be prime"
     assert main(["run", str(scripts["missing"])]) == 2
     assert "no such script file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    "char 2; vars x; ideal J = (x^" + "9" * 2200 + ")^" + "9" * 2200 + "; gb J",
+    "char 2; vars x; ideal J = " + "*".join(["x^" + "9" * 4299] * 11) + "; gb J",
+], ids=["power-of-power", "product-of-powers"])
+def test_cli_built_exponent_past_str_limit_exits_2(tmp_path, capsys, text):
+    """Exponents that a script builds past str()'s default limit of 4300
+    digits, from literals within it: a parse error at the polynomial, with
+    the JSON error document, not a traceback when the report prints it."""
+    path = tmp_path / "script.hks"
+    path.write_text(text, encoding="utf-8")
+    assert main(["run", str(path)]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == {"type": "ScriptError", "line": 1, "column": 27,
+                     "message": "exponent has more than 4300 digits"}
 
 
 @pytest.mark.parametrize("text, message, column", [

@@ -406,3 +406,17 @@ _DIGITS = "9" * 5000  # past int()'s default limit of 4300 digits
 def test_overlong_integer_is_a_parse_error(text, message, column):
     err = _error(text)
     assert (err.message, err.line, err.column) == (message, 1, column)
+
+
+def test_built_exponent_is_checked_against_str_limit():
+    """x^N times itself: ten factors of 4299 nines make 4300 digits and
+    parse; eleven make 4301 and fail at the first token of the innermost
+    polynomial that holds them, a relation's or a parenthesized one's."""
+    power = "x^" + "9" * 4299
+    ten, eleven = "*".join([power] * 10), "*".join([power] * 11)
+    R = RingSpec(2, ("x",))
+    assert R.poly(ten).max_exponent() == 10 ** 4300 - 10
+    err = _error("char 2; vars x; quotient x + " + eleven)
+    assert (err.message, err.column) == ("exponent has more than 4300 digits", 26)
+    err = _error("char 2; vars x; ideal J = x, 1 + (" + eleven + ")")
+    assert (err.message, err.column) == ("exponent has more than 4300 digits", 35)

@@ -216,7 +216,7 @@ class GroebnerBasis:
             ring = self.ring
             relations = ring.relation_basis()
             self._frobenius = buchberger_raw([relations.reduce(
-                g.qth_power(ring.field.p)) for g in self.polys]
+                g.qth_power(ring.characteristic)) for g in self.polys]
                 + list(ring.relations), ring=ring)
         return self._frobenius
 
@@ -234,7 +234,7 @@ class GroebnerBasis:
             raise RingMismatchError("polynomial from a different ring")
         if not self.polys:
             return None
-        p = self.ring.field.p
+        p = self.ring.characteristic
 
         def run(packing, budget):
             packed = self._packed
@@ -267,13 +267,17 @@ def exact_quotient(h: Polynomial, g: Polynomial) -> Polynomial:
     """h/g in the ambient polynomial ring, in one pass: the steps of h's
     normal form against g alone are the quotient's terms, one guard step
     each.  AlgebraError when g does not divide h."""
-    ring, p, e = h.ring, h.ring.field.p, max(h.max_exponent(), g.max_exponent())
-    inv = ring.field.inv(g.terms[g.leading_monomial(DEGREVLEX)])
+    if g.is_zero():
+        raise AlgebraError("zero polynomial has no leading term")
+    ring, p = h.ring, h.ring.characteristic
+    e = max(h.max_exponent(), g.max_exponent())
 
     def run(packing, budget):
-        quotient = []
-        if _reduce_full(packing.terms(h), _entries([g], packing, p), packing,
-                        p, budget.spend, quotient):
+        divisor, quotient = packing.terms(g), []
+        lead = min(divisor)
+        inv = pow(divisor[lead], -1, p)
+        if _reduce_full(packing.terms(h), [_monic_entry(divisor, lead, packing, p)],
+                        packing, p, budget.spend, quotient):
             raise AlgebraError("exact division failed")
         return packing.polynomial(ring, [(u, c * inv % p) for u, c in quotient])
 
@@ -356,14 +360,14 @@ def buchberger_raw(gens, order=None, *, ring) -> GroebnerBasis:
 
     def run(packing, budget):
         budget.check_exponent(e)
-        return _buchberger(_entries(gens, packing, ring.field.p), order, ring,
-                           packing, budget)
+        return _buchberger(_entries(gens, packing, ring.characteristic),
+                           order, ring, packing, budget)
 
     return _widened(order, ring.nvars, e, run)
 
 
 def _buchberger(entries, order, ring, packing, budget) -> GroebnerBasis:
-    p, g, low = ring.field.p, packing.guard, packing.low
+    p, g, low = ring.characteristic, packing.guard, packing.low
     coeffs, shifts, field = packing.coeffs, packing.shifts, packing.field
     reducers, lead, active = [], [], []
     heap = []   # (−lcm, i, j, lcm exponents) of the queued pairs, i < j
@@ -426,28 +430,22 @@ def _monic_entry(terms, lm, packing, p):
         x: c * inv % p for x, c in terms.items()}, lm)
 
 
-def _basis(ring, order, packing, entries, polys=None) -> GroebnerBasis:
-    """The GroebnerBasis of reduced reducer entries sorted by lead; its
-    polynomials are built from them unless given."""
-    if polys is None:
-        polys = [packing.polynomial(ring, [(e[0], 1)] + e[2]) for e in entries]
-    return GroebnerBasis(ring, order, polys,
-                         [packing.monomial(e[0]) for e in entries],
-                         (packing, entries))
+def _basis(ring, order, packing, entries) -> GroebnerBasis:
+    """The GroebnerBasis of reduced reducer entries sorted by lead."""
+    return GroebnerBasis(ring, order, [
+        packing.polynomial(ring, [(e[0], 1)] + e[2]) for e in entries],
+        [packing.monomial(e[0]) for e in entries], (packing, entries))
 
 
-def reduced_basis(polys, ring, reduced=False) -> GroebnerBasis:
+def reduced_basis(polys, ring) -> GroebnerBasis:
     """The reduced DEGREVLEX GB of the ideal generated by `polys`, which
     already are a DEGREVLEX GB of it: made monic and interreduced, with no
-    pair phase.  `reduced` polys already are the reduced GB, sorted by
-    lead, and are kept as they are.  Metered like Buchberger."""
-    p = ring.field.p
+    pair phase.  Metered like Buchberger."""
+    p = ring.characteristic
     e = max((f.max_exponent() for f in polys), default=0)
 
     def run(packing, budget):
         entries = _entries(polys, packing, p)
-        if reduced:
-            return _basis(ring, DEGREVLEX, packing, entries, polys)
         return _basis(ring, DEGREVLEX, packing, _interreduce(
             entries, packing, p, budget.spend, len(entries)))
 

@@ -17,17 +17,20 @@ the generators g^q but records only (GB of I, q), and its DEGREVLEX GB is
 built once from the one before.  A level costs about one basis raised to
 the p-th power, not reductions that grow with q.
 
-Intersections and colons run one elimination each, and their results keep
-the basis it yields as their DEGREVLEX GB: the t-free part of the reduced
-elimination basis is the intersection's reduced GB, and its quotients by
-g are a GB of the colon by g, only interreduced (`reduced_basis`).
+Intersections and colons by one generator run one elimination each, and
+their results keep the basis it yields as their DEGREVLEX GB: the t-free
+part of the reduced elimination basis is the intersection's reduced GB,
+and its quotients by g are a GB of the colon by g.  A colon by several
+generators intersects their quotient lists in the ambient ring, one
+elimination per further generator, and interreduces the last result once
+(`reduced_basis`).
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
-from functools import reduce
+from functools import partial, reduce
 
 from .errors import (
     AlgebraError,
@@ -202,7 +205,7 @@ def _aux_ring(ring: RingSpec):
     name = "t"
     while name in ring.variables:
         name += "_"
-    return RingSpec(ring.field.p, (name,) + ring.variables)
+    return RingSpec(ring.characteristic, (name,) + ring.variables)
 
 
 def _intersect_ambient(ring: RingSpec, gens_a, gens_b):
@@ -219,24 +222,26 @@ def _intersect_ambient(ring: RingSpec, gens_a, gens_b):
             for f in G.polys if all(m[0] == 0 for m in f.terms)]
 
 
-def _with_basis(ring: RingSpec, gens, reduced: bool) -> Ideal:
+def _with_basis(ring: RingSpec, gens) -> Ideal:
     """Ideal(ring, gens) whose DEGREVLEX GB is read off gens, a GB of the
     ideal they generate with the relations (`reduced_basis`): the one that
     Buchberger on gens plus the relations would return."""
     ideal = Ideal(ring, tuple(gens))
-    ideal._gb[DEGREVLEX] = reduced_basis(ideal.gens, ring, reduced)
+    ideal._gb[DEGREVLEX] = reduced_basis(ideal.gens, ring)
     return ideal
 
 
 def ideal_colon(I: Ideal, J: Ideal) -> Ideal:
-    """(I : J) = {r : rJ ⊆ I}, intersecting single-generator colons.
+    """(I : J) = {r : rJ ⊆ I} = ∩_g (I : g), g over J's generators.
 
     In a quotient ring the computation runs on ambient preimages: the
     relations are appended to I (they vanish in R) before dividing by the
     single generator, which happens in the ambient polynomial ring.  The
     quotients h/g of the GB of (I + relations) ∩ (g) are a GB of
-    (I + relations) : g, as LT(g·f) = LT(g)·LT(f); it contains the
-    relations, so interreducing them gives its reduced GB in R.
+    (I + relations) : g, as LT(g·f) = LT(g)·LT(f), and it contains the
+    relations.  So the ambient intersection of these lists, one per
+    generator, is a GB of the preimage of I : J, and interreducing it
+    gives its reduced GB in R.
     """
     if I.ring != J.ring:
         raise RingMismatchError("ideals in different rings")
@@ -246,8 +251,7 @@ def ideal_colon(I: Ideal, J: Ideal) -> Ideal:
     ambient_i = list(I.gens) + list(ring.relations)
     quotients = [[exact_quotient(h, g) for h in _intersect_ambient(ring, ambient_i, [g])]
                  for g in J.gens]
-    return reduce(ideal_intersection,
-                  [_with_basis(ring, q, reduced=False) for q in quotients])
+    return _with_basis(ring, reduce(partial(_intersect_ambient, ring), quotients))
 
 
 def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
@@ -259,7 +263,7 @@ def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
     gens = _intersect_ambient(ring,
                               list(I.gens) + list(ring.relations),
                               list(J.gens) + list(ring.relations))
-    return _with_basis(ring, gens, reduced=True)
+    return _with_basis(ring, gens)
 
 
 def min_gens(I: Ideal) -> int:

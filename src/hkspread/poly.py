@@ -54,31 +54,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class PrimeField:
-    """Arithmetic mod a prime p; elements are plain ints in [0, p)."""
-
-    __slots__ = ("p",)
-
-    def __init__(self, p: int):
-        if not is_prime(p):
-            raise NotPrimeError(f"characteristic must be prime, got {p}")
-        self.p = p
-
-    def inv(self, a: int) -> int:
-        if a % self.p == 0:
-            raise ZeroDivisionError("inverse of zero in prime field")
-        return pow(a, -1, self.p)
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("PrimeField", self.p))
-
-    def __repr__(self):
-        return f"PrimeField({self.p})"
-
-
 class Monomial(tuple):
     """Exponent vector; one entry per ring variable."""
 
@@ -119,11 +94,14 @@ class RingSpec:
     quotient) and polynomial-extension base change possible.
     """
 
-    __slots__ = ("field", "variables", "relations", "_dimension", "_hash",
-                 "_relation_basis")
+    __slots__ = ("characteristic", "variables", "relations", "_dimension",
+                 "_hash", "_relation_basis")
 
     def __init__(self, characteristic, variables, relations=()):
-        self.field = PrimeField(characteristic)
+        if not is_prime(characteristic):
+            raise NotPrimeError(
+                f"characteristic must be prime, got {characteristic}")
+        self.characteristic = characteristic
         variables = tuple(variables)
         if not variables:
             raise AlgebraError("at least one variable is required")
@@ -154,10 +132,6 @@ class RingSpec:
     # -- basic properties ---------------------------------------------------
 
     @property
-    def characteristic(self) -> int:
-        return self.field.p
-
-    @property
     def nvars(self) -> int:
         return len(self.variables)
 
@@ -183,19 +157,19 @@ class RingSpec:
             return True
         if not isinstance(other, RingSpec):
             return NotImplemented
-        return (self.field == other.field
+        return (self.characteristic == other.characteristic
                 and self.variables == other.variables
                 and tuple(r.terms_key() for r in self.relations)
                 == tuple(r.terms_key() for r in other.relations))
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.field.p, self.variables,
+            self._hash = hash((self.characteristic, self.variables,
                                tuple(r.terms_key() for r in self.relations)))
         return self._hash
 
     def __repr__(self):
-        base = f"F_{self.field.p}[{','.join(self.variables)}]"
+        base = f"F_{self.characteristic}[{','.join(self.variables)}]"
         if self.relations:
             base += "/(" + ", ".join(str(r) for r in self.relations) + ")"
         return base
@@ -211,21 +185,18 @@ class RingSpec:
         return self.constant(1)
 
     def constant(self, c: int) -> "Polynomial":
-        c %= self.field.p
-        mono = Monomial((0,) * self.nvars)
-        return Polynomial(self, {mono: c} if c else {})
+        return self.monomial((0,) * self.nvars, c)
 
     def gen(self, i: int) -> "Polynomial":
         exps = [0] * self.nvars
         exps[i] = 1
-        return Polynomial(self, {Monomial(exps): 1})
+        return self.monomial(exps)
 
     def gens(self):
         return tuple(self.gen(i) for i in range(self.nvars))
 
     def monomial(self, exponents, coeff=1) -> "Polynomial":
-        c = coeff % self.field.p
-        return Polynomial(self, {Monomial(exponents): c} if c else {})
+        return Polynomial(self, {Monomial(exponents): coeff})
 
     def poly(self, source) -> "Polynomial":
         """Build an element from a string, an int, or a foreign polynomial."""
@@ -247,7 +218,7 @@ class RingSpec:
         rels = list(self.relations)
         for r in relations:
             rels.append(self.poly(r) if isinstance(r, str) else r)
-        return RingSpec(self.field.p, self.variables, rels)
+        return RingSpec(self.characteristic, self.variables, rels)
 
     def adjoin_variables(self, names) -> "RingSpec":
         """Polynomial extension by new variables."""
@@ -255,7 +226,7 @@ class RingSpec:
         for n in names:
             if n in self.variables:
                 raise AlgebraError(f"variable {n!r} already in the ring")
-        return RingSpec(self.field.p, self.variables + names, self.relations)
+        return RingSpec(self.characteristic, self.variables + names, self.relations)
 
     def adopt(self, poly: "Polynomial") -> "Polynomial":
         """Re-bind a polynomial of a compatible ring by variable name."""
@@ -263,7 +234,7 @@ class RingSpec:
             return poly
         if not isinstance(poly, Polynomial):
             raise AlgebraError(f"cannot adopt {type(poly).__name__}")
-        if poly.ring.field.p != self.field.p:
+        if poly.ring.characteristic != self.characteristic:
             raise RingMismatchError("different characteristics")
         try:
             position = [self.variables.index(v) for v in poly.ring.variables]
@@ -281,7 +252,7 @@ class RingSpec:
 
 def as_q(ring: RingSpec, q) -> int:
     """Return q if it is an int power p^e (e >= 0) of the characteristic."""
-    p = ring.field.p
+    p = ring.characteristic
     if type(q) is int:
         v = 1
         while v < q:
@@ -303,7 +274,7 @@ class Polynomial:
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring: RingSpec, terms):
-        p = ring.field.p
+        p = ring.characteristic
         clean = {}
         n = ring.nvars
         for mono, c in terms.items():
@@ -362,7 +333,7 @@ class Polynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        p = self.ring.field.p
+        p = self.ring.characteristic
         terms = dict(self.terms)
         for mono, c in other.terms.items():
             v = (terms.get(mono, 0) + c) % p
@@ -375,7 +346,7 @@ class Polynomial:
     __radd__ = __add__
 
     def __neg__(self):
-        p = self.ring.field.p
+        p = self.ring.characteristic
         return Polynomial._trusted(self.ring, {m: (-c) % p for m, c in self.terms.items()})
 
     def __sub__(self, other):
@@ -394,7 +365,7 @@ class Polynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        p = self.ring.field.p
+        p = self.ring.characteristic
         terms = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -419,7 +390,7 @@ class Polynomial:
         product a·b."""
         if n < 0:
             raise AlgebraError("negative polynomial power")
-        p, digits = self.ring.field.p, []
+        p, digits = self.ring.characteristic, []
         while n:
             n, d = divmod(n, p)
             digits.append(d)
@@ -436,13 +407,12 @@ class Polynomial:
         return result
 
     def scale(self, c: int) -> "Polynomial":
-        c %= self.ring.field.p
         return Polynomial(self.ring, {m: c * v for m, v in self.terms.items()})
 
     def qth_power(self, q) -> "Polynomial":
         """Frobenius power f^q: exponents scaled by q, coefficients to the q."""
         q = as_q(self.ring, q)
-        p = self.ring.field.p
+        p = self.ring.characteristic
         return Polynomial._trusted(self.ring, {
             m.scaled(q): pow(c, q, p) for m, c in self.terms.items()})
 
@@ -462,7 +432,7 @@ class Polynomial:
         lc = self.leading_coefficient(order)
         if lc == 1:
             return self
-        return self.scale(self.ring.field.inv(lc))
+        return self.scale(pow(lc, -1, self.ring.characteristic))
 
     # -- equality / display -------------------------------------------------
 

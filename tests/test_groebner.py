@@ -529,7 +529,7 @@ KERNEL_ORDERS = [DEGREVLEX, LEX, DEGLEX, AuxBlockOrder(DEGREVLEX)]
 def _seed_reduce_full(f, reducers, order, budget):
     """Full normal form of f against reducers [(poly, lm, 1/lc), ...]."""
     terms = dict(f.terms)
-    p = f.ring.field.p
+    p = f.ring.characteristic
     remainder = {}
     while terms:
         lm = max(terms, key=order.key)
@@ -554,17 +554,17 @@ def _seed_reduce_full(f, reducers, order, budget):
 
 
 def _seed_prep(polys, order):
-    return [(g, g.leading_monomial(order), g.ring.field.inv(
-        g.leading_coefficient(order))) for g in polys]
+    return [(g, g.leading_monomial(order), pow(
+        g.leading_coefficient(order), -1, g.ring.characteristic)) for g in polys]
 
 
 def _seed_s_polynomial(f, g, order):
     lmf = f.leading_monomial(order)
     lmg = g.leading_monomial(order)
     lcm = lmf.lcm(lmg)
-    R, field = f.ring, f.ring.field
-    sf = f * R.monomial(lcm.quotient(lmf), field.inv(f.terms[lmf]))
-    sg = g * R.monomial(lcm.quotient(lmg), field.inv(g.terms[lmg]))
+    R, p = f.ring, f.ring.characteristic
+    sf = f * R.monomial(lcm.quotient(lmf), pow(f.terms[lmf], -1, p))
+    sg = g * R.monomial(lcm.quotient(lmg), pow(g.terms[lmg], -1, p))
     return sf - sg
 
 

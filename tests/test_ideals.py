@@ -1,6 +1,7 @@
 """Ideal algebra: sums, products, bracket powers, colons, intersections."""
 
 import random
+from functools import reduce
 
 import pytest
 
@@ -24,7 +25,7 @@ from hkspread import (
     use_guard,
 )
 
-from hkspread.groebner import exact_quotient
+from hkspread.groebner import exact_quotient, reduced_basis
 from hkspread.ideals import basis_memo
 from hkspread.poly import Polynomial
 from tests.test_poly import _random_poly
@@ -450,9 +451,8 @@ def _seed_exact_divide(h, g):
     """Exact division before the packed kernel: one leading term at a time,
     each step a whole new remainder `r − fac·g`."""
     order = DEGREVLEX
-    field = h.ring.field
     glm = g.leading_monomial(order)
-    glc_inv = field.inv(g.terms[glm])
+    glc_inv = pow(g.terms[glm], -1, h.ring.characteristic)
     r = h
     quot = h.ring.zero
     while not r.is_zero():
@@ -496,6 +496,79 @@ def _divisible(f, g):
         return True
     except AlgebraError:
         return False
+
+
+@pytest.mark.parametrize("p,names", [(5, ("x", "y", "z")), (7, ("x", "y"))])
+def test_exact_quotient_by_a_divisor_that_is_not_monic(p, names):
+    """The quotient's coefficients carry the inverse of g's leading
+    coefficient, which the kernel reads off g's packed terms: (c·g)·h
+    divided by c·g is h for every c ≠ 0, 1, and dividing by zero fails."""
+    ring = RingSpec(p, names)
+    rng = random.Random(40 + p)
+    for _ in range(20):
+        g = h = ring.zero
+        while g.is_zero() or h.is_zero():
+            g = _random_poly(rng, ring, nterms=rng.randrange(1, 4), max_exp=3)
+            h = _random_poly(rng, ring, nterms=rng.randrange(1, 6), max_exp=3)
+        g = g.monic(DEGREVLEX).scale(rng.randrange(2, p))
+        assert g.leading_coefficient(DEGREVLEX) != 1
+        assert exact_quotient(g * h, g) == h == _seed_exact_divide(g * h, g)
+    with pytest.raises(AlgebraError):
+        exact_quotient(h, ring.zero)
+
+
+def _colon_by_intersecting(I, J):
+    """I : J as colons by several generators were built before: the colon
+    by each generator, those ideals intersected pairwise."""
+    return reduce(ideal_intersection,
+                  [ideal_colon(I, Ideal(I.ring, (g,))) for g in J.gens])
+
+
+@pytest.mark.parametrize("ring", [_CHAIN_RINGS[i] for i in (0, 1, 3)],
+                         ids=[_CHAIN_IDS[i] for i in (0, 1, 3)])
+def test_colon_by_several_generators_matches_intersected_colons(ring):
+    """Seeded random I and J on one to three generators: the colon that
+    intersects the quotient lists in the ambient ring has the DEGREVLEX
+    and LEX bases of the intersection of the single-generator colons."""
+    rng = random.Random(4100 + ring.characteristic + ring.nvars)
+    several = 0
+    for case in range(16):
+        homogeneous = case % 2 == 0
+        I, J = (Ideal(ring, tuple(_random_gens(rng, ring, rng.randrange(1, 4),
+                                               homogeneous))) for _ in "IJ")
+        try:
+            with use_guard(GuardConfig(max_steps=3000)):
+                colon, expected = ideal_colon(I, J), _colon_by_intersecting(I, J)
+                bases = [(colon.groebner_basis(order), expected.groebner_basis(order))
+                         for order in (DEGREVLEX, LEX)]
+        except ResourceLimitError:
+            continue
+        for got, want in bases:
+            assert got == want and got.leading == want.leading
+        several += len(J.gens) > 1
+    assert several >= 5
+
+
+@pytest.mark.parametrize("count", [2, 3])
+def test_colon_builds_one_basis_whatever_the_generators(count, monkeypatch):
+    """(x+y, z)^[4] : J on the char-2 cubic, J = (x, y)^[4] or m^[4]: the
+    quotient lists are intersected in the ambient ring and only the last
+    result becomes a reduced basis, one `reduced_basis` call."""
+    import hkspread.ideals as ideals
+    R = _CHAIN_RINGS[1]
+    I = R.ideal("x + y", "z").bracket_power(4)
+    J = Ideal(R, R.gens()[:count]).bracket_power(4)
+    calls = []
+
+    def spy(polys, ring):
+        calls.append(len(polys))
+        return reduced_basis(polys, ring)
+
+    monkeypatch.setattr(ideals, "reduced_basis", spy)
+    colon = ideal_colon(I, J)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert colon.groebner_basis() == _colon_by_intersecting(I, J).groebner_basis()
 
 
 @pytest.mark.parametrize("ring", _CHAIN_RINGS[:3], ids=_CHAIN_IDS[:3])

@@ -286,6 +286,27 @@ def test_fermat_quartic_hk_table():
     assert [s.colength for s in samples] == [1, 75, 1900, 47500, 1187500]
 
 
+@pytest.mark.parametrize("p,names,relation,e_max,colength", [
+    (3, "xyz", "x^5 + y^5 + z^5", 7,
+     lambda e, q: Fraction(15, 4) * q * q - Fraction(19, 4) + 2 * (-1) ** e),
+    (2, "xyzw", "x*y + z*w", 6, lambda e, q: Fraction(4 * q ** 3 - q, 3)),
+    (3, "xyzw", "x*y + z*w", 4, lambda e, q: Fraction(4 * q ** 3 - q, 3)),
+    # Han-Monsky: e_HK = 28/9 in characteristic 3, 3 in characteristic 7
+    (3, "xyz", "x^4 + y^4 + z^4", 6,
+     lambda e, q: [1, 27][e] if e < 2 else Fraction(28 * q * q, 9)),
+    (7, "xyz", "x^4 + y^4 + z^4", 4, lambda e, q: 3 * q * q - 2),
+], ids=["quintic3", "xy+zw/2", "xy+zw/3", "quartic3", "quartic7"])
+def test_hk_tables_in_three_and_four_variables(p, names, relation, e_max,
+                                                colength):
+    """Exact λ(R/m^[q]), q = p^e, against closed forms: a Fermat quintic,
+    the four-variable quadric xy + zw, whose e_HK is 4/3, and Fermat
+    quartics at two primes."""
+    R = RingSpec(p, tuple(names)).quotient(relation)
+    samples = hk_function(maximal_ideal(R), e_max)
+    assert [s.colength for s in samples] == [
+        colength(e, p ** e) for e in range(e_max + 1)]
+
+
 def test_large_q_hk_tables_within_a_small_step_budget():
     """Frobenius chains keep every reduction small at q = p^13: the direct
     path spent 1,195,723 steps in one Buchberger run on m^[3^13] in the

@@ -10,24 +10,11 @@ from hkspread import (
     HomogeneityError,
     Monomial,
     NotPrimeError,
-    PrimeField,
     RingMismatchError,
     RingSpec,
     UnitRelationError,
 )
 from hkspread.poly import PRIME_LIMIT, Polynomial, as_q, is_prime
-
-PRIMES = [2, 3, 5, 7, 11, 31, 97]
-
-
-@pytest.mark.parametrize("p", PRIMES)
-def test_field_inverses_exhaustive(p):
-    F = PrimeField(p)
-    for a in range(1, p):
-        assert a * F.inv(a) % p == 1
-    with pytest.raises(ZeroDivisionError):
-        F.inv(0)
-
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_field_axioms_exhaustive(p):
@@ -45,10 +32,21 @@ def test_field_axioms_exhaustive(p):
 
 @pytest.mark.parametrize("n", [0, 1, 4, 6, 9, 15, 21, 100])
 def test_not_prime_rejected(n):
-    with pytest.raises(NotPrimeError):
-        PrimeField(n)
-    with pytest.raises(NotPrimeError):
+    with pytest.raises(NotPrimeError,
+                       match=f"^characteristic must be prime, got {n}$"):
         RingSpec(n, ("x",))
+
+
+def test_characteristic_is_the_int_given():
+    """The ring keeps its characteristic as a plain int attribute, and a
+    characteristic past the exact primality test is refused with the
+    test's own message."""
+    R = RingSpec(5, ("x",))
+    assert type(R.characteristic) is int and R.characteristic == 5
+    with pytest.raises(NotPrimeError, match=(
+            f"^characteristic {PRIME_LIMIT} is too large: the primality test "
+            f"is exact only below {PRIME_LIMIT}$")):
+        RingSpec(PRIME_LIMIT, ("x",))
 
 
 def _prime_by_trial_division(n):

@@ -17,6 +17,7 @@ from hkspread import (
     check_self_product,
     colon_criterion_diagnostic,
     maximal_ideal,
+    min_gens,
     star_independence_diagnostic,
     star_spread_estimate,
     star_spread_hk_difference,
@@ -250,6 +251,27 @@ def test_independence_diagnostic():
     assert rep.verdict == "dependent"
     with pytest.raises(PreconditionError):
         star_independence_diagnostic((x,))
+
+
+def test_star_spread_below_minimal_generators_on_the_fermat_cubic():
+    """ℓ* < μ, the paper's phenomenon: on F_2[x,y,z]/(x^3+y^3+z^3), K =
+    (x, y, z²) needs three generators, but z² is in the Frobenius closure
+    of (x, y) (z^4 = z·z^3 ∈ (x^2, y^2), since z^3 = x^3 + y^3), so both
+    estimators give ℓ*(K) = 2 = ℓ*(x, y) and the colon survey finds a unit
+    colon for z² at every q."""
+    R = _cubic(2)
+    x, y, z = R.gens()
+    K = R.ideal(x, y, z**2)
+    assert min_gens(K) == 3
+    assert star_spread_estimate(K).estimate == 2
+    assert star_spread_hk_difference(K).estimate == 2
+    rep = star_independence_diagnostic(K.gens)
+    assert rep.verdict == "dependent"
+    survey = rep.reports[2]
+    assert survey.candidate == z**2 and survey.verdict == "dependent"
+    assert [(r.q, r.unit_colon) for r in survey.rows] == [
+        (2, True), (4, True), (8, True)]
+    assert star_spread_estimate(R.ideal(x, y)).estimate == 2
 
 
 # -- product and self-product identities --------------------------------------

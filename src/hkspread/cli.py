@@ -3,12 +3,14 @@
 Exit codes: 0 all commands succeeded and every identity check passed,
 1 a command failed or an identity check did not pass, 2 an unreadable
 script file, a parse error or a bad option (a budget flag or environment
-variable below 1, say).
+variable below 1, say), 141 (128 + SIGPIPE) the reader closed stdout
+before the report was written, as with `hkspread run s.hks | head`.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -67,7 +69,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _emit(text: str) -> int | None:
+    """Write the report to stdout and flush it: None, or 141 when the
+    reader has closed the pipe."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout at devnull, so the flush at exit has nothing left to
+        # fail on, and exit with the status a process ended by SIGPIPE has.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
+    return None
+
+
 def main(argv=None) -> int:
+    """Run the command line and return the exit code.
+
+    `argv=None` means "run as the process" (the `hkspread` script and
+    `python -m hkspread.cli`): the arguments come from `sys.argv`, and the
+    objects alive after start-up are frozen (`gc.freeze()`), so neither the
+    run's full collections nor the collections at interpreter exit walk
+    them again.  A long-lived host that calls `main` more than once passes
+    an argument list instead, which freezes nothing.
+    """
+    if argv is None:
+        gc.freeze()
     parser = build_parser()
     args = parser.parse_args(argv)
 
@@ -100,15 +129,14 @@ def main(argv=None) -> int:
         try:
             script = parse_script(text)
         except ScriptError as exc:
-            print(json.dumps(error_document(exc), indent=2))
-            return 2
+            return _emit(json.dumps(error_document(exc), indent=2) + "\n") or 2
         doc = run_script(script, RunConfig(order=args.order,
                                            format=args.format))
     if args.format == "csv":
-        sys.stdout.write(report_csv(doc))
+        text = report_csv(doc)
     else:
-        print(report_json(doc))
-    return 0 if doc["ok"] else 1
+        text = report_json(doc) + "\n"
+    return _emit(text) or (0 if doc["ok"] else 1)
 
 
 if __name__ == "__main__":  # pragma: no cover

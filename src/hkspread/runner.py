@@ -7,7 +7,6 @@ rationals serialize as {"num": .., "den": ..}.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import time
@@ -305,6 +304,8 @@ _CSV_ROWS = {
 
 def report_csv(doc: dict) -> str:
     """Flatten table-bearing results; scalar results get a single row."""
+    import csv  # here, so a JSON run never loads it
+
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["command", "section", "label", "q0", "e", "q",

@@ -1,5 +1,6 @@
 """The report document, its JSON and CSV forms, and the command line."""
 
+import gc
 import json
 import os
 import subprocess
@@ -33,6 +34,7 @@ from hkspread.runner import error_document
 from hkspread.script import COMMANDS
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 SESSION = """
 char 2
@@ -504,15 +506,85 @@ def test_records_keep_their_semantics():
         config.order = "deglex"
 
 
+def _fresh_env():
+    """The environment of a fresh interpreter that imports this checkout,
+    with stdout buffered as it is by default."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
 def test_importing_the_cli_skips_dataclasses_and_inspect():
     # a fresh interpreter: this test process has imported both already
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
+    env = _fresh_env()
     code = ("import sys, hkspread.cli; "
             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_only_the_process_entry_freezes_the_heap(capsys, monkeypatch):
+    """main() as the process freezes once; main(argv) never does, and
+    both report the same document."""
+    frozen = []
+    monkeypatch.setattr(gc, "freeze", lambda: frozen.append(True))
+    path = str(GOLDEN / "session.hks")
+    monkeypatch.setattr(sys, "argv", ["hkspread", "run", path])
+    assert main() == 0
+    as_process = _untimed(json.loads(capsys.readouterr().out))
+    assert len(frozen) == 1
+    frozen.clear()
+    assert main(["run", path]) == 0
+    assert len(frozen) == 0
+    assert _untimed(json.loads(capsys.readouterr().out)) == as_process
+
+
+def test_an_in_process_run_leaves_the_collector_as_it_was(capsys):
+    before = gc.get_freeze_count()
+    assert main(["run", str(GOLDEN / "session.hks")]) == 0
+    capsys.readouterr()
+    assert gc.get_freeze_count() == before
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_run_as_the_process_loads_csv_only_for_csv(fmt):
+    """main() in a fresh interpreter, frozen heap and all, prints the
+    golden report; only the CSV run imports the csv module."""
+    code = ("import sys; from hkspread.cli import main; "
+            "sys.argv[1:] = ['run', sys.argv[1], '--format', sys.argv[2]]; "
+            "status = main(); print(status, 'csv' in sys.modules, "
+            "'_csv' in sys.modules, file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", code,
+                           str(GOLDEN / "session.hks"), fmt],
+                          env=_fresh_env(), check=True, capture_output=True,
+                          text=True)
+    loaded = str(fmt == "csv")
+    assert proc.stderr.split() == ["0", loaded, loaded]
+    golden = (GOLDEN / f"session.{fmt}").read_text()
+    if fmt == "csv":
+        assert proc.stdout == golden
+    else:
+        assert _untimed(json.loads(proc.stdout)) == json.loads(golden)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_cli_closed_stdout_exits_141(tmp_path, fmt):
+    """A reader that closes the pipe early (`| head -c 10`): exit 141, the
+    status of a process that SIGPIPE ends, and no traceback.  The report
+    (619 KB of JSON) is larger than a pipe's buffer."""
+    path = tmp_path / "big.hks"
+    path.write_text("char 2\nvars x y\nideal J = x^2, y^3\n"
+                    + "length J\n" * 3000)
+    proc = subprocess.Popen([sys.executable, "-m", "hkspread.cli", "run",
+                             str(path), "--format", fmt], env=_fresh_env(),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 141
+    assert err == b""
 
 
 def test_cli_reads_stdin(scripts, capsys, monkeypatch):

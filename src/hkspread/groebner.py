@@ -1,8 +1,9 @@
 """The Groebner kernel: Buchberger's algorithm on exactly the generators
 it is given (`buchberger_raw`), reduced Groebner bases with their normal
-forms and membership (`GroebnerBasis.reduce`/`contains`), and what is
-read off a basis: the sparse Hilbert-series numerator of its leading
-terms (`GroebnerBasis.numerator`), the Krull dimension, and the standard
+forms and membership (`GroebnerBasis.reduce`, `contains`, and
+`contains_basis` for a whole basis), and what is read off a basis: the
+sparse Hilbert-series numerator of its leading terms
+(`GroebnerBasis.numerator`), the Krull dimension, and the standard
 monomials (kept as an oracle for tests).  The numerators count standard
 monomials by degree, so every length is read off them; they measure the
 ideal itself, not only its leading-term ideal, when the GB's order is
@@ -19,14 +20,17 @@ each exponent vector is one int, W bits per variable under guard bits,
 with minus the order's rank on top, all linear in the exponents.  A
 product is one addition, a larger monomial a smaller int, divisibility
 one subtraction tested on the guard bits.  A product that would reach a
-guard bit raises `Overflow`; the run is redone twice as wide.
+guard bit raises `Overflow`; the run is redone twice as wide.  A basis
+is its packed entries: Frobenius levels and containments run on them.
 
 Each kernel call starts in `_widened`, with one budget for all its
 attempts.  The guard is spent once per reduction step, so a step budget
 counts reductions, not terms, pairs or heap operations: the reductions of
 the S-polynomials of the pairs that survive the criteria, then those of
 the interreduction.  The packing does not change which steps are taken,
-and an attempt redone wider leaves the steps of the ones before spent.
+and an attempt redone wider leaves the steps of the ones before spent.  A
+call that reduces several elements (a containment, a level's p-th
+powers) meters each one on a budget of its own.
 
 No basis is computed twice.  `reduced_basis` turns polynomials that are
 already a GB (an elimination's t-free part, the quotients of a colon) into
@@ -117,6 +121,25 @@ def _widened(order, n, e, run, layer="reduction", width=0):
             width *= 2
 
 
+def _terms(packed, new, q=1) -> list:
+    """The term maps of the entries of packed = (packing, entries), packed
+    by `new` with every exponent times q (the packing is linear in them)."""
+    old, entries = packed
+    return [{(x if old is new else new.pack(old.monomial(x))) * q: c
+             for x, c in [(lm, 1)] + tail} for lm, _, tail in entries]
+
+
+def _moved(packed, new) -> list:
+    """The entries of `packed`, packed by `new` of the same order."""
+    return packed[1] if packed[0] is new else [
+        new.reducer(t, min(t)) for t in _terms(packed, new)]
+
+
+def _max_exponent(packed) -> int:
+    """The largest exponent of `packed`'s entries, read off their tops."""
+    return max((max(packed[0].monomial(e[1])) for e in packed[1]), default=0)
+
+
 def _entries(polys, packing, p: int) -> list:
     """The monic reducer entries of nonzero polynomials, each led by its
     largest term under the packing's order."""
@@ -167,32 +190,38 @@ def _reduce_full(terms: dict, reducers, packing, p: int, spend,
 
 
 class GroebnerBasis:
-    """Reduced basis: monic, interreduced, canonical for (ideal, order)."""
+    """Reduced basis: monic, interreduced, canonical for (ideal, order),
+    held as reducer entries sorted by lead; `polys` and `leading` are views."""
 
-    __slots__ = ("ring", "order", "polys", "leading", "_packed", "_hilbert",
-                 "_frobenius", "_hash")
+    __slots__ = ("ring", "order", "_packed", "_hilbert", "_frobenius", "_hash")
 
-    def __init__(self, ring, order, polys, leading, packed):
+    def __init__(self, ring, order, packed):
         self.ring = ring
         self.order = order
-        self.polys = tuple(polys)
-        self.leading = tuple(leading)
-        self._packed = packed   # (packing, reducer entries), see `reduce`
+        self._packed = packed   # (packing, reducer entries)
         self._hilbert = None   # the memo of `numerator`
         self._frobenius = None   # the memo of `frobenius`, or its interned copy
         self._hash = None
 
-    def __iter__(self):
-        return iter(self.polys)
+    @property
+    def polys(self) -> tuple:
+        packing, entries = self._packed
+        return tuple(packing.polynomial(self.ring, [(e[0], 1)] + e[2])
+                     for e in entries)
+
+    @property
+    def leading(self) -> tuple:
+        packing, entries = self._packed
+        return tuple(packing.monomial(e[0]) for e in entries)
 
     def __len__(self):
-        return len(self.polys)
+        return len(self._packed[1])
 
     def is_zero(self) -> bool:
-        return not self.polys
+        return not self._packed[1]
 
     def is_unit(self) -> bool:
-        return any(m.degree() == 0 for m in self.leading)
+        return any(not e[0] for e in self._packed[1])   # 1 packs to 0
 
     def numerator(self) -> dict:
         """K(t) as {degree: coefficient}, zero coefficients left out, where
@@ -208,55 +237,80 @@ class GroebnerBasis:
 
     def frobenius(self) -> "GroebnerBasis":
         """The reduced DEGREVLEX GB of the ideal's p-th bracket power,
-        computed once by Buchberger from this basis raised to the p-th power
-        and reduced modulo the ring's relation basis, plus the relations:
-        exact in characteristic p, as (g + h)^p = g^p + h^p and the
-        relation ideal holds the p-th powers of its elements."""
+        computed once by Buchberger from the relations and this basis raised
+        to the p-th power (packed monomials times p, fields sized before: a
+        carry would pass the guard bits unseen) and reduced modulo the
+        relation basis.  Exact in characteristic p, as (g + h)^p = g^p + h^p,
+        c^p = c, and the relation ideal holds the p-th powers of its elements."""
         if self._frobenius is None:
-            ring = self.ring
-            relations = ring.relation_basis()
-            self._frobenius = buchberger_raw([relations.reduce(
-                g.qth_power(ring.characteristic)) for g in self.polys]
-                + list(ring.relations), ring=ring)
+            ring, p, packed = self.ring, self.ring.characteristic, self._packed
+            packing, forms = ring.relation_basis()._normal_forms(
+                lambda packing: _terms(packed, packing, p),
+                p * _max_exponent(packed))
+            gens = [_monic_entry(nf, next(iter(nf)), packing, p) for nf in forms
+                    if nf] + _entries(ring.relations, packing, p)
+            self._frobenius = _widened(
+                DEGREVLEX, ring.nvars, _max_exponent((packing, gens)),
+                lambda wide, budget: _buchberger(_moved((packing, gens), wide),
+                                                 DEGREVLEX, ring, wide, budget))
         return self._frobenius
 
     def reduce(self, f: Polynomial) -> Polynomial:
-        nf = self._remainder(f)
-        return f if nf is None else nf[0].polynomial(self.ring, nf[1].items())
+        packing, [nf] = self._remainder(f)
+        return packing.polynomial(self.ring, nf.items())
 
     def contains(self, f: Polynomial) -> bool:
-        nf = self._remainder(f)
-        return f.is_zero() if nf is None else not nf[1]
+        return not self._remainder(f)[1][0]
+
+    def contains_basis(self, other: "GroebnerBasis") -> bool:
+        """Whether the ideal holds every element of `other`, a basis of the
+        same ring: one kernel call, which stops at the first non-member."""
+        if other.ring != self.ring:
+            raise RingMismatchError("basis from a different ring")
+        return not any(self._normal_forms(
+            lambda packing: _terms(other._packed, packing),
+            _max_exponent(other._packed), stop=True)[1])
 
     def _remainder(self, f):
-        """(packing, f's packed normal form), or None for the zero ideal."""
         if f.ring != self.ring:
             raise RingMismatchError("polynomial from a different ring")
-        if not self.polys:
-            return None
+        return self._normal_forms(lambda packing: [packing.terms(f)],
+                                  f.max_exponent())
+
+    def _normal_forms(self, items, e, stop=False):
+        """One kernel call: (packing, the normal forms of the term maps
+        items(packing), exponents up to e), each on a budget of its own;
+        with `stop`, none after the first nonzero one."""
         p = self.ring.characteristic
 
         def run(packing, budget):
-            packed = self._packed
-            if packed[0] is not packing:   # two threads may both rebuild it
-                packed = self._packed = (packing, _entries(self.polys, packing, p))
-            return packing, _reduce_full(packing.terms(f), packed[1], packing,
-                                         p, budget.spend)
+            reducers, forms = _moved(self._packed, packing), []
+            self._packed = (packing, reducers)
+            for terms in items(packing):
+                if forms:   # each form is reduced on a budget of its own
+                    budget.steps = 0
+                forms.append(_reduce_full(terms, reducers, packing, p,
+                                          budget.spend))
+                if stop and forms[-1]:
+                    break
+            return packing, forms
 
-        return _widened(self.order, self.ring.nvars, f.max_exponent(), run,
+        return _widened(self.order, self.ring.nvars, e, run,
                         width=self._packed[0].width)
 
     def __eq__(self, other):
         if not isinstance(other, GroebnerBasis):
             return NotImplemented
-        return (self.ring == other.ring and self.order == other.order
-                and tuple(f.terms_key() for f in self.polys)
-                == tuple(f.terms_key() for f in other.polys))
+        (a, x), (b, y) = self._packed, other._packed
+        return self.ring == other.ring and self.order == other.order and (
+            self.polys == other.polys if a is not b else
+            [(e[0], dict(e[2])) for e in x] == [(e[0], dict(e[2])) for e in y])
 
     def __hash__(self):   # memoised: a chain walk interns every level again
         if self._hash is None:
-            self._hash = hash((self.order,
-                               tuple(f.terms_key() for f in self.polys)))
+            packing, entries = self._packed
+            self._hash = hash((self.order, tuple(
+                (packing.monomial(e[0]), len(e[2])) for e in entries)))
         return self._hash
 
     def __repr__(self):
@@ -358,17 +412,16 @@ def buchberger_raw(gens, order=None, *, ring) -> GroebnerBasis:
     gens = [g for g in gens if not g.is_zero()]
     e = max((g.max_exponent() for g in gens), default=0)
 
-    def run(packing, budget):
-        budget.check_exponent(e)
-        return _buchberger(_entries(gens, packing, ring.characteristic),
-                           order, ring, packing, budget)
-
-    return _widened(order, ring.nvars, e, run)
+    return _widened(order, ring.nvars, e, lambda packing, budget: _buchberger(
+        _entries(gens, packing, ring.characteristic), order, ring, packing, budget))
 
 
 def _buchberger(entries, order, ring, packing, budget) -> GroebnerBasis:
     p, g, low = ring.characteristic, packing.guard, packing.low
     coeffs, shifts, field = packing.coeffs, packing.shifts, packing.field
+    capped = field > budget.guard.max_exponent   # else every exponent fits
+    if capped:
+        budget.check_exponent(_max_exponent((packing, entries)))
     reducers, lead, active = [], [], []
     heap = []   # (−lcm, i, j, lcm exponents) of the queued pairs, i < j
 
@@ -412,15 +465,15 @@ def _buchberger(entries, order, ring, packing, budget) -> GroebnerBasis:
                           reducers, packing, p, budget.spend)
         if nf:
             entry = _monic_entry(nf, next(iter(nf)), packing, p)
-            if packing.field > budget.guard.max_exponent:
+            if capped:
                 budget.check_exponent(max(packing.monomial(entry[1])))
             if len(lead) + 1 > _MAX_BASIS:
                 raise ResourceLimitError(
                     f"basis size budget exceeded ({_MAX_BASIS})")
             append(entry)
 
-    return _basis(ring, order, packing,
-                  _interreduce(reducers, packing, p, budget.spend, fresh))
+    return GroebnerBasis(ring, order, (packing, _interreduce(
+        reducers, packing, p, budget.spend, fresh)))
 
 
 def _monic_entry(terms, lm, packing, p):
@@ -428,13 +481,6 @@ def _monic_entry(terms, lm, packing, p):
     inv = pow(terms[lm], -1, p)
     return packing.reducer(terms if inv == 1 else {
         x: c * inv % p for x, c in terms.items()}, lm)
-
-
-def _basis(ring, order, packing, entries) -> GroebnerBasis:
-    """The GroebnerBasis of reduced reducer entries sorted by lead."""
-    return GroebnerBasis(ring, order, [
-        packing.polynomial(ring, [(e[0], 1)] + e[2]) for e in entries],
-        [packing.monomial(e[0]) for e in entries], (packing, entries))
 
 
 def reduced_basis(polys, ring) -> GroebnerBasis:
@@ -446,8 +492,8 @@ def reduced_basis(polys, ring) -> GroebnerBasis:
 
     def run(packing, budget):
         entries = _entries(polys, packing, p)
-        return _basis(ring, DEGREVLEX, packing, _interreduce(
-            entries, packing, p, budget.spend, len(entries)))
+        return GroebnerBasis(ring, DEGREVLEX, (packing, _interreduce(
+            entries, packing, p, budget.spend, len(entries))))
 
     return _widened(DEGREVLEX, ring.nvars, e, run)
 

@@ -15,7 +15,8 @@ Bracket powers are Frobenius chains that live on the bases: I^[q] keeps
 the generators g^q but records only (GB of I, q), and its DEGREVLEX GB is
 `GroebnerBasis.frobenius()` of that basis taken log_p(q) times, each level
 built once from the one before.  A level costs about one basis raised to
-the p-th power, not reductions that grow with q.
+the p-th power, not reductions that grow with q, and is built on packed
+monomials, as `contains_ideal` is: neither turns a basis into polynomials.
 
 Intersections and colons by one generator run one elimination each, and
 their results keep the basis it yields as their DEGREVLEX GB: the t-free
@@ -125,10 +126,9 @@ class Ideal:
 
     def contains_ideal(self, other: "Ideal") -> bool:
         """Reduces other's reduced GB, which generates other plus the
-        relations: a bracket power's generators grow with q, its GB is
-        read off the chain."""
-        gb = self.groebner_basis()
-        return all(gb.contains(g) for g in other.groebner_basis().polys)
+        relations, in one kernel call: a bracket power's generators grow
+        with q, its GB is read off the chain."""
+        return self.groebner_basis().contains_basis(other.groebner_basis())
 
     def __eq__(self, other):
         if not isinstance(other, Ideal):

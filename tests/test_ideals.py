@@ -25,7 +25,8 @@ from hkspread import (
     use_guard,
 )
 
-from hkspread.groebner import exact_quotient, reduced_basis
+from hkspread import groebner
+from hkspread.groebner import GroebnerBasis, buchberger_raw, exact_quotient, reduced_basis
 from hkspread.ideals import basis_memo
 from hkspread.poly import Polynomial
 from tests.test_poly import _random_poly
@@ -607,3 +608,169 @@ def test_basis_memo_changes_no_basis_numerator_or_length(ring):
     outside, shared_outside = observe()
     assert inside == outside
     assert (shared_inside, shared_outside) == (6, 0)
+
+
+# -- packed Frobenius levels and containment against the polynomial paths -----
+
+
+def _polynomial_level(G):
+    """The construction that `GroebnerBasis.frobenius` replaced, kept as its
+    oracle: Buchberger on G's elements raised to the p-th power as
+    polynomials and reduced modulo the relation basis, plus the relations."""
+    ring = G.ring
+    relations = ring.relation_basis()
+    return buchberger_raw([relations.reduce(g.qth_power(ring.characteristic))
+                           for g in G.polys] + list(ring.relations), ring=ring)
+
+
+def _contains_by_element(I, J):
+    """The per-element loop that `Ideal.contains_ideal` replaced, kept as its
+    oracle: one normal form, and one kernel call, per element of J's GB."""
+    gb = I.groebner_basis()
+    return all(gb.contains(g) for g in J.groebner_basis().polys)
+
+
+def _metered(monkeypatch):
+    """Counts every guard step: 'total' over all budgets, and 'peak', the
+    most that one budget held at once, so the least max_steps that runs."""
+    seen = {"total": 0, "peak": 0}
+    spend = groebner._Budget.spend
+
+    def counted(self, n=1):
+        seen["total"] += n
+        spend(self, n)
+        seen["peak"] = max(seen["peak"], self.steps)
+
+    monkeypatch.setattr(groebner._Budget, "spend", counted)
+
+    def run(build):
+        seen["total"] = seen["peak"] = 0
+        return build(), seen["total"], seen["peak"]
+    return run
+
+
+_LEVEL_RINGS = [
+    RingSpec(2, ("x", "y", "z")).quotient("x^3 + y^3 + z^3"),
+    RingSpec(2, ("x", "y")).quotient("x^2 + x*y"),
+    RingSpec(3, ("x", "y", "z")).quotient("x^2 + y*z"),
+    RingSpec(3, ("x", "y", "z", "w")).quotient("x*y + z*w"),
+    RingSpec(5, ("x", "y", "z")).quotient("x*y + z^2"),
+    RingSpec(5, ("x", "y", "z")).quotient("x^4 + y^4 + z^4"),
+    RingSpec(3, ("x", "y", "z", "w")).quotient("x*y - z*w", "x*z - y^2"),
+    RingSpec(2, ("x", "y", "z")),
+    RingSpec(5, ("x", "y")),
+    RingSpec(7, ("x",)),
+    RingSpec(11, ("x", "y")),
+]
+_LEVEL_IDS = ["F2cubic", "F2xy", "F3quadric", "F3xyzw", "F5quadric",
+              "F5quartic", "F3twisted", "F2xyz", "F5xy", "F7x", "F11xy"]
+
+
+@pytest.mark.parametrize("ring", _LEVEL_RINGS, ids=_LEVEL_IDS)
+def test_frobenius_levels_match_the_polynomial_construction(ring, monkeypatch):
+    """Three levels of the chains of the zero ideal and 8 seeded random
+    ideals: each packed level is the oracle's basis, takes the same guard
+    steps and needs the same max_steps, trips one step below it with the
+    same message, and the chains cross into wider packings.  The zero
+    ideal's next level is the relation basis; without relations a level is
+    exactly {g^p}, as Frobenius is flat there.  With p large against the
+    number of variables (F_7[x], F_11[x,y]), fields sized for the
+    exponents before they are scaled by p would overflow unseen."""
+    rng = random.Random(4200 + 10 * ring.characteristic + ring.nvars)
+    p = ring.characteristic
+    metered = _metered(monkeypatch)
+    relations = ring.relation_basis()
+    assert Ideal(ring).groebner_basis().frobenius() == relations
+    widths = set()
+    for I in [Ideal(ring)] + [_random_ideal(rng, ring) for _ in range(8)]:
+        G = I.groebner_basis()
+        for _ in range(3):
+            fresh = GroebnerBasis(ring, DEGREVLEX, G._packed)
+            level, steps, peak = metered(fresh.frobenius)
+            want, want_steps, want_peak = metered(lambda: _polynomial_level(G))
+            assert level == want and level.polys == want.polys, (I, G)
+            assert level.leading == want.leading
+            assert (steps, peak) == (want_steps, want_peak), (I, G)
+            if not ring.relations:
+                assert level.polys == tuple(g.qth_power(p) for g in G.polys)
+            if peak:
+                with use_guard(GuardConfig(max_steps=peak - 1)):
+                    for build in (GroebnerBasis(ring, DEGREVLEX, G._packed).frobenius,
+                                  lambda: _polynomial_level(G)):
+                        with pytest.raises(ResourceLimitError, match=(
+                                rf"^reduction step budget exceeded \({peak - 1}\)$")):
+                            build()
+            widths.add(level._packed[0].width)
+            G = level
+    assert len(widths) >= 3
+
+
+@pytest.mark.parametrize("ring", _CHAIN_RINGS, ids=_CHAIN_IDS)
+def test_contains_ideal_matches_the_per_element_loop(ring, monkeypatch):
+    """On seeded random pairs, sums, products, bracket powers (a wider
+    packing) and the zero and unit ideals, packed containment gives the
+    answer of the per-element loop, with the same guard steps: it stops at
+    the first element outside, as the loop did."""
+    rng = random.Random(4400 + 10 * ring.characteristic + ring.nvars)
+    p = ring.characteristic
+    metered = _metered(monkeypatch)
+    zero, unit = Ideal(ring), Ideal(ring, (ring.one,))
+    answers, widths = set(), set()
+    for _ in range(6):
+        I, J = _random_ideal(rng, ring), _random_ideal(rng, ring)
+        for a, b in [(I, J), (J, I), (I + J, I), (I, I * J), (I, I.bracket_power(p)),
+                     (I.bracket_power(p), I), (I.bracket_power(p * p), J.bracket_power(p)),
+                     (zero, I), (I, zero), (unit, I), (I, unit), (zero, zero)]:
+            widths.add(a.groebner_basis()._packed[0] is b.groebner_basis()._packed[0])
+            got = metered(lambda: a.contains_ideal(b))
+            assert got == metered(lambda: _contains_by_element(a, b)), (a, b)
+            answers.add(got[0])
+    assert answers == {True, False} and widths == {True, False}
+
+
+def test_budget_limited_containment_fails_like_the_loop(monkeypatch):
+    """Each element of the contained basis is reduced on a budget of its
+    own: the largest one's steps suffice, one less raises the same
+    reduction error as the per-element loop."""
+    R = RingSpec(3, ("x", "y", "z")).quotient("x^2 + y*z")
+    I, J = R.ideal("x + y", "z"), R.ideal("x^2 + y^2", "z^3")
+    I.groebner_basis(), J.bracket_power(3).groebner_basis()
+    metered = _metered(monkeypatch)
+    inside, _, peak = metered(lambda: I.contains_ideal(J.bracket_power(3)))
+    assert inside and peak >= 2
+    for contains in (lambda: I.contains_ideal(J.bracket_power(3)),
+                     lambda: _contains_by_element(I, J.bracket_power(3))):
+        with use_guard(GuardConfig(max_steps=peak)):
+            assert contains()
+        with use_guard(GuardConfig(max_steps=peak - 1)), pytest.raises(
+                ResourceLimitError,
+                match=rf"^reduction step budget exceeded \({peak - 1}\)$"):
+            contains()
+
+
+def test_equal_bases_at_different_widths_are_one_value():
+    """A basis keeps the packing its last kernel call took, so equal bases
+    can sit in different packings: they compare and hash equal, a session
+    interns them as one, and bases that share leading terms and tail
+    lengths but not values stay apart at either width."""
+    R = RingSpec(3, ("x", "y", "z")).quotient("x^2 + y*z")
+    gens = (R.poly("x + y"), R.poly("z"))
+    with basis_memo():
+        wide = Ideal(R, gens).groebner_basis()
+        assert wide.contains(R.poly("x^300 + y^300"))
+        narrow = buchberger_raw(gens + R.relations, ring=R)
+        assert wide._packed[0].width > narrow._packed[0].width
+        assert Ideal(R, (2 * gens[1], gens[0])).groebner_basis() is wide
+    rehashed = GroebnerBasis(R, DEGREVLEX, wide._packed)
+    assert wide == narrow and narrow == rehashed
+    assert hash(rehashed) == hash(narrow) == hash(wide)
+    other = Ideal(R, (R.poly("x + 2*y"), gens[1])).groebner_basis()
+    assert hash(other) == hash(narrow)   # same leads, same tail lengths
+    assert other != narrow and other != wide and wide != other
+    # one packing, the tails in another order: a generator that is already
+    # reduced keeps its terms in the order they were written
+    S = RingSpec(3, ("x", "y", "z"))
+    a, b = (Ideal(S, (S.poly(f),)).groebner_basis()
+            for f in ("x^2 + y^2 + z^2", "z^2 + y^2 + x^2"))
+    assert a._packed[0] is b._packed[0] and a._packed[1] != b._packed[1]
+    assert a == b and hash(a) == hash(b)

@@ -26,7 +26,7 @@ from hkspread import (
     run_script,
     use_guard,
 )
-from hkspread import ideals
+from hkspread import groebner, ideals
 from hkspread.groebner import GroebnerBasis
 from hkspread.ideals import basis_memo
 from hkspread.cli import main
@@ -736,6 +736,48 @@ def test_session_memo_keeps_the_orders_apart():
         assert Ideal(ring, (2 * f,)).groebner_basis(LEX) is lex
         assert Ideal(ring, (2 * f,)).groebner_basis() is drl
         assert Ideal(ring, (f, 2 * f)).groebner_basis(LEX) is lex
+
+
+# The three benchmark session scripts at seed 1, copied as text.
+_BENCH_SCRIPTS = {
+    "hk_quadric": "char 3\nvars x y z\nquotient x^2 + y*z\nideal m = 2*(y), 2*(x), z\n"
+                  "ehk m e_max=6 method=fit\n",
+    "colon_cubic": "char 2\nvars x y z\nquotient x^3 + y^3 + z^3\n"
+                   "ideal m = z, y, x\nideal K = z, x + y\nideal P = x\n"
+                   "identity corollary K e_max=4\nidentity lemma33 P z=y e_max=4\n"
+                   "independent m e_max=5\n",
+    "session_quadric": "char 3\nvars x y z\nquotient x^2 + y*z\n"
+                       "ideal m = z, 2*(y), 2*(x)\nideal J = x + y, 2*(z)\n"
+                       "ehk m e_max=5\nspread J a=m e_max=4\nspread_hk J e_max=4\n"
+                       "identity self m q=3,9 e_max=3\n"
+                       "identity product m J ell=2 q=3,9 e_max=3\n"
+                       "identity basechange m s=1 q=3,9 e_max=3\n",
+}
+
+
+@pytest.mark.parametrize("name,steps,runs", [("hk_quadric", 22, 8),
+                                             ("colon_cubic", 3535, 68),
+                                             ("session_quadric", 460, 45)])
+def test_bench_scripts_take_the_pinned_reductions(name, steps, runs, monkeypatch):
+    """Every guard step and Buchberger run of the benchmark's sessions is
+    pinned: a change to how bases are stored or passed between kernel calls
+    must take exactly the same reductions."""
+    seen = {"steps": 0, "runs": 0}
+    spend, buchberger = groebner._Budget.spend, groebner._buchberger
+
+    def counted_spend(self, n=1):
+        seen["steps"] += n
+        return spend(self, n)
+
+    def counted_buchberger(*args):
+        seen["runs"] += 1
+        return buchberger(*args)
+
+    monkeypatch.setattr(groebner._Budget, "spend", counted_spend)
+    monkeypatch.setattr(groebner, "_buchberger", counted_buchberger)
+    doc = run_script(parse_script(_BENCH_SCRIPTS[name]))
+    assert all(r["status"] == "ok" for r in doc["results"])
+    assert (seen["steps"], seen["runs"]) == (steps, runs)
 
 
 def test_cli_env_override_and_flag_precedence(scripts, capsys, monkeypatch):

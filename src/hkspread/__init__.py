@@ -41,11 +41,7 @@ from .lengths import (
     length_subquotient,
 )
 from .orders import DEGLEX, DEGREVLEX, LEX, AuxBlockOrder, MonomialOrder, order_by_name
-from .poly import (
-    Monomial,
-    Polynomial,
-    RingSpec,
-)
+from .poly import Polynomial, RingSpec
 from .runner import RunConfig, report_csv, report_json, run_script
 from .script import SessionScript, parse_polynomial, parse_script, print_script
 from .spread import (
@@ -64,65 +60,3 @@ from .spread import (
     star_spread_hk_difference,
 )
 
-__all__ = [
-    "__version__",
-    "AlgebraError",
-    "ContainmentError",
-    "FrobeniusPowerError",
-    "HomogeneityError",
-    "InfiniteLengthError",
-    "NotPrimeError",
-    "PreconditionError",
-    "ResourceLimitError",
-    "RingMismatchError",
-    "ScriptError",
-    "UnitRelationError",
-    "GroebnerBasis",
-    "GuardConfig",
-    "krull_dimension",
-    "standard_monomials",
-    "use_guard",
-    "Ideal",
-    "ideal_colon",
-    "ideal_intersection",
-    "maximal_ideal",
-    "min_gens",
-    "INFINITE",
-    "HKEstimate",
-    "HKSample",
-    "LengthValue",
-    "ehk_estimate",
-    "hk_function",
-    "length_quotient",
-    "length_subquotient",
-    "DEGLEX",
-    "DEGREVLEX",
-    "LEX",
-    "AuxBlockOrder",
-    "MonomialOrder",
-    "order_by_name",
-    "Monomial",
-    "Polynomial",
-    "RingSpec",
-    "RunConfig",
-    "report_csv",
-    "report_json",
-    "run_script",
-    "SessionScript",
-    "parse_polynomial",
-    "parse_script",
-    "print_script",
-    "ColonCriterionReport",
-    "IdentityReport",
-    "IndependenceReport",
-    "SpreadReport",
-    "check_base_change",
-    "check_corollary_vanishing",
-    "check_lemma33_additivity",
-    "check_product_identity",
-    "check_self_product",
-    "colon_criterion_diagnostic",
-    "star_independence_diagnostic",
-    "star_spread_estimate",
-    "star_spread_hk_difference",
-]

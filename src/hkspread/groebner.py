@@ -47,12 +47,12 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from itertools import product
 from math import comb
-from operator import mul
+from operator import le, mul
 from typing import NamedTuple
 
 from .errors import AlgebraError, InfiniteLengthError, ResourceLimitError, RingMismatchError
 from .orders import DEGREVLEX, Overflow, packing_for
-from .poly import Monomial, Polynomial
+from .poly import Polynomial
 
 
 class GuardConfig(NamedTuple):
@@ -191,7 +191,8 @@ def _reduce_full(terms: dict, reducers, packing, p: int, spend,
 
 class GroebnerBasis:
     """Reduced basis: monic, interreduced, canonical for (ideal, order),
-    held as reducer entries sorted by lead; `polys` and `leading` are views."""
+    held as reducer entries sorted by lead; `polys` and `leading` (exponent
+    tuples) are views."""
 
     __slots__ = ("ring", "order", "_packed", "_hilbert", "_frobenius", "_hash")
 
@@ -511,13 +512,13 @@ def krull_dimension(G: GroebnerBasis) -> int:
 
 
 def standard_monomials(G: GroebnerBasis):
-    """Iterator over monomials outside G's leading-term ideal, one guard
-    step per point of the exponent box (per variable, the smallest pure
-    power among the leading terms).  Raises InfiniteLengthError when their
-    count is infinite.  Lengths read `GroebnerBasis.numerator` instead;
-    this walk is the oracle it is tested against."""
+    """Iterator over the exponent tuples outside G's leading-term ideal, one
+    guard step per point of the exponent box (per variable, the smallest
+    pure power among the leading terms).  Raises InfiniteLengthError when
+    their count is infinite.  Lengths read `GroebnerBasis.numerator`
+    instead; this walk is the oracle it is tested against."""
     lts = G.leading
-    if any(m.degree() == 0 for m in lts):
+    if any(sum(m) == 0 for m in lts):
         return iter(())
     bounds = []
     for i in range(G.ring.nvars):
@@ -534,9 +535,8 @@ def standard_monomials(G: GroebnerBasis):
 def _staircase(bounds, lts, budget):
     for exps in product(*[range(b) for b in bounds]):
         budget.spend()
-        mono = Monomial(exps)
-        if not any(lt.divides(mono) for lt in lts):
-            yield mono
+        if not any(all(map(le, lt, exps)) for lt in lts):
+            yield exps
 
 
 def taylor_at_one(K: dict, n: int) -> list:

@@ -49,7 +49,7 @@ from .groebner import (
     reduced_basis,
 )
 from .orders import DEGREVLEX, AuxBlockOrder
-from .poly import Monomial, Polynomial, RingSpec, as_q
+from .poly import Polynomial, RingSpec, as_q
 
 
 # Each basis -> the session's one basis of its value and order; None
@@ -218,7 +218,7 @@ def _intersect_ambient(ring: RingSpec, gens_a, gens_b):
     lifted = [t * ext.adopt(f) for f in gens_a]
     lifted += [one_minus_t * ext.adopt(g) for g in gens_b]
     G = buchberger_raw(lifted, AuxBlockOrder(DEGREVLEX), ring=ext)
-    return [Polynomial._trusted(ring, {Monomial(m[1:]): c for m, c in f.terms.items()})
+    return [Polynomial._trusted(ring, {m[1:]: c for m, c in f.terms.items()})
             for f in G.polys if all(m[0] == 0 for m in f.terms)]
 
 

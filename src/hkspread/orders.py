@@ -13,7 +13,7 @@ from functools import lru_cache
 from operator import mul
 
 from .errors import AlgebraError
-from .poly import Monomial, Polynomial
+from .poly import Polynomial
 
 
 def weight_vector(order, n: int, base: int):
@@ -84,7 +84,7 @@ class Overflow(Exception):
 
 
 class Packing:
-    """Exponent vectors of n variables as ints for one order: exponent i in
+    """Exponent tuples of n variables as ints for one order: exponent i in
     bits [iF, iF + W) (F = W + 1) under a guard bit, minus the order's rank
     (`weight_vector`, base n·2^W) above all fields.  With G the guard bits,
     a divides b iff ((b | G) − a) & G == G; the guard bits left by that test
@@ -106,7 +106,8 @@ class Packing:
         return sum(map(mul, self.coeffs, m))
 
     def monomial(self, x):
-        return Monomial([x >> s & self.field for s in self.shifts])
+        """The exponent tuple packed in x (the rank above is dropped)."""
+        return tuple([x >> s & self.field for s in self.shifts])
 
     def terms(self, f):
         return {sum(map(mul, self.coeffs, m)): c for m, c in f.terms.items()}

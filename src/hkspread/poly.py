@@ -1,15 +1,17 @@
 """Exact sparse polynomial arithmetic over prime fields.
 
 Polynomials are immutable term maps {exponent tuple: coefficient} with
-coefficients reduced into [0, p).  A RingSpec carries the characteristic,
-the variable names and optional homogeneous quotient relations; a RingSpec
-with no relations models a polynomial ring.
+coefficients reduced into [1, p).  An exponent vector is a plain tuple of
+ints >= 0, checked once where it enters (`Polynomial.__init__`); what the
+package builds itself skips the check (`Polynomial._trusted`).  A RingSpec
+carries the characteristic, the variable names and optional homogeneous
+quotient relations; a RingSpec with no relations models a polynomial ring.
 """
 
 from __future__ import annotations
 
 import keyword
-from operator import add, le, mul, sub
+from operator import add
 
 from .errors import (
     AlgebraError,
@@ -52,32 +54,6 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-class Monomial(tuple):
-    """Exponent vector; one entry per ring variable."""
-
-    def degree(self) -> int:
-        return sum(self)
-
-    def mul(self, other: "Monomial") -> "Monomial":
-        return Monomial(map(add, self, other))
-
-    def divides(self, other: "Monomial") -> bool:
-        return all(map(le, self, other))
-
-    def quotient(self, other: "Monomial") -> "Monomial":
-        """self / other, assuming other divides self."""
-        return Monomial(map(sub, self, other))
-
-    def lcm(self, other: "Monomial") -> "Monomial":
-        return Monomial(map(max, self, other))
-
-    def scaled(self, q: int) -> "Monomial":
-        return Monomial(q * a for a in self)
-
-    def is_coprime(self, other: "Monomial") -> bool:
-        return not any(map(mul, self, other))
 
 
 def valid_var_name(name: str) -> bool:
@@ -196,7 +172,7 @@ class RingSpec:
         return tuple(self.gen(i) for i in range(self.nvars))
 
     def monomial(self, exponents, coeff=1) -> "Polynomial":
-        return Polynomial(self, {Monomial(exponents): coeff})
+        return Polynomial(self, {tuple(exponents): coeff})
 
     def poly(self, source) -> "Polynomial":
         """Build an element from a string, an int, or a foreign polynomial."""
@@ -246,7 +222,7 @@ class RingSpec:
             exps = [0] * self.nvars
             for src, e in enumerate(mono):
                 exps[position[src]] = e
-            terms[Monomial(exps)] = c
+            terms[tuple(exps)] = c
         return Polynomial._trusted(self, terms)
 
 
@@ -274,24 +250,28 @@ class Polynomial:
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring: RingSpec, terms):
-        p = ring.characteristic
+        """The one check of terms from outside the package: each key an
+        exponent tuple of the ring's length with int entries >= 0, each
+        coefficient an int."""
+        p, n = ring.characteristic, ring.nvars
         clean = {}
-        n = ring.nvars
         for mono, c in terms.items():
-            c %= p
-            if not c:
-                continue
-            if not isinstance(mono, Monomial):
-                mono = Monomial(mono)
+            mono = tuple(mono)
             if len(mono) != n:
                 raise AlgebraError("exponent vector has wrong length")
-            clean[mono] = c
+            if not all(isinstance(e, int) and e >= 0 for e in mono):
+                raise AlgebraError(f"exponents must be ints >= 0, got {mono}")
+            if not isinstance(c, int):
+                raise AlgebraError(f"coefficients must be ints, got {c!r}")
+            c %= p
+            if c:
+                clean[mono] = c
         self.ring = ring
         self.terms = clean
 
     @classmethod
     def _trusted(cls, ring: RingSpec, terms: dict) -> "Polynomial":
-        """`terms` unchecked: Monomials of the ring, coefficients in [1, p)."""
+        """`terms` unchecked: exponent tuples of the ring, coefficients in [1, p)."""
         f = object.__new__(cls)
         f.ring, f.terms = ring, terms
         return f
@@ -305,14 +285,13 @@ class Polynomial:
         return len(self.terms) == 1
 
     def is_homogeneous(self) -> bool:
-        degs = {m.degree() for m in self.terms}
-        return len(degs) <= 1
+        return len(set(map(sum, self.terms))) <= 1
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         if not self.terms:
             return -1
-        return max(m.degree() for m in self.terms)
+        return max(map(sum, self.terms))
 
     def max_exponent(self) -> int:
         return max(map(max, self.terms), default=0)
@@ -369,7 +348,7 @@ class Polynomial:
         terms = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = m1.mul(m2)
+                m = tuple(map(add, m1, m2))
                 v = (terms.get(m, 0) + c1 * c2) % p
                 if v:
                     terms[m] = v
@@ -414,11 +393,11 @@ class Polynomial:
         q = as_q(self.ring, q)
         p = self.ring.characteristic
         return Polynomial._trusted(self.ring, {
-            m.scaled(q): pow(c, q, p) for m, c in self.terms.items()})
+            tuple(q * e for e in m): pow(c, q, p) for m, c in self.terms.items()})
 
     # -- leading data -------------------------------------------------------
 
-    def leading_monomial(self, order) -> Monomial:
+    def leading_monomial(self, order) -> tuple:
         if not self.terms:
             raise AlgebraError("zero polynomial has no leading term")
         return max(self.terms, key=order.key)
@@ -449,7 +428,7 @@ class Polynomial:
     def __hash__(self):
         return hash((self.ring, self.terms_key()))
 
-    def _format_monomial(self, mono: Monomial) -> str:
+    def _format_monomial(self, mono: tuple) -> str:
         parts = []
         for name, e in zip(self.ring.variables, mono):
             if e == 1:

@@ -12,7 +12,6 @@ from hkspread import (
     Ideal,
     InfiniteLengthError,
     LengthValue,
-    Monomial,
     Polynomial,
     PreconditionError,
     RingSpec,
@@ -183,7 +182,7 @@ def _random_form(rng, ring, degree, nterms=2):
     for _ in range(nterms):
         cuts = sorted(rng.randrange(degree + 1) for _ in range(ring.nvars - 1))
         exps = [b - a for a, b in zip([0] + cuts, cuts + [degree])]
-        terms[Monomial(exps)] = rng.randrange(1, ring.characteristic)
+        terms[tuple(exps)] = rng.randrange(1, ring.characteristic)
     return Polynomial(ring, terms)
 
 

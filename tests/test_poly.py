@@ -8,12 +8,13 @@ from hkspread import (
     AlgebraError,
     FrobeniusPowerError,
     HomogeneityError,
-    Monomial,
+    Ideal,
     NotPrimeError,
     RingMismatchError,
     RingSpec,
     UnitRelationError,
 )
+from hkspread import groebner
 from hkspread.poly import PRIME_LIMIT, Polynomial, as_q, is_prime
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -109,7 +110,7 @@ def test_quotient_relation_must_not_be_a_nonzero_constant():
 def _random_poly(rng, ring, nterms=4, max_exp=3):
     terms = {}
     for _ in range(nterms):
-        mono = Monomial(rng.randrange(max_exp + 1) for _ in range(ring.nvars))
+        mono = tuple(rng.randrange(max_exp + 1) for _ in range(ring.nvars))
         terms[mono] = rng.randrange(ring.characteristic)
     from hkspread.poly import Polynomial
     return Polynomial(ring, terms)
@@ -269,18 +270,34 @@ def test_poly_string_parsing_round_trip():
         assert R.poly(str(f)) == f
 
 
-def test_monomial_helpers():
-    a = Monomial((2, 1))
-    b = Monomial((1, 3))
-    assert a.mul(b) == Monomial((3, 4))
-    assert a.lcm(b) == Monomial((2, 3))
-    assert not a.divides(b)
-    assert a.divides(Monomial((2, 2)))
-    assert Monomial((2, 2)).quotient(a) == Monomial((0, 1))
-    assert a.scaled(3) == Monomial((6, 3))
-    assert Monomial((2, 0)).is_coprime(Monomial((0, 5)))
-    assert not a.is_coprime(b)
-    assert Monomial((1, 2)).degree() == 3
+@pytest.mark.parametrize("exps, coeff, message", [
+    ((-1, 0), 1, r"exponents must be ints >= 0, got \(-1, 0\)"),
+    ((1.5, 0), 1, "exponents must be ints >= 0"),
+    (("1", 0), 1, "exponents must be ints >= 0"),
+    ((1, 0, 0), 1, "exponent vector has wrong length"),
+    ((1, 0), 1.5, "coefficients must be ints, got 1.5"),
+    ((1, 0), "1", "coefficients must be ints, got '1'"),
+], ids=["negative", "float", "str", "length", "float-coeff", "str-coeff"])
+def test_invalid_terms_raise_at_construction(exps, coeff, message):
+    """Every exponent vector and coefficient from outside is checked once,
+    in the constructor that `RingSpec.monomial` builds through."""
+    R = RingSpec(3, ("x", "y"))
+    with pytest.raises(AlgebraError, match=message):
+        Polynomial(R, {exps: coeff})
+    with pytest.raises(AlgebraError, match=message):
+        R.monomial(exps, coeff)
+
+
+def test_negative_exponent_fails_before_the_kernel(monkeypatch):
+    """x·y^-1 is refused where it is built, before a membership test can
+    take it to the kernel: a negative field would overflow every packing,
+    however wide."""
+    calls = []
+    monkeypatch.setattr(groebner, "_widened", lambda *args, **kw: calls.append(args))
+    R = RingSpec(3, ("x", "y"))
+    with pytest.raises(AlgebraError, match="exponents must be ints >= 0"):
+        R.monomial((1, -1)) in Ideal(R, R.gens())
+    assert calls == []
 
 
 def test_degree_and_homogeneity():

@@ -260,11 +260,6 @@ def test_independent_e_max_zero_names_the_colon_survey():
     assert error["message"] == "the colon survey needs e_max >= 1"
 
 
-def test_every_exported_name_resolves():
-    for name in hkspread.__all__:
-        assert hasattr(hkspread, name), name
-
-
 def test_report_json_round_trips():
     doc = run_script(parse_script(SESSION))
     untimed = json.loads(report_json(doc, include_timing=False))

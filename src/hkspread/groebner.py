@@ -10,7 +10,7 @@ ideal itself, not only its leading-term ideal, when the GB's order is
 degree-compatible, as DEGREVLEX is.
 
 Everything here works in the ambient polynomial ring on polynomials and
-bases; nothing takes an ideal or a session.  `Ideal.groebner_basis`
+bases; nothing takes an ideal.  `Ideal.groebner_basis`
 (ideals.py) appends the ring's relations to the generators, and each
 ring computes its relation basis once (`RingSpec.relation_basis`).
 
@@ -21,7 +21,8 @@ with minus the order's rank on top, all linear in the exponents.  A
 product is one addition, a larger monomial a smaller int, divisibility
 one subtraction tested on the guard bits.  A product that would reach a
 guard bit raises `Overflow`; the run is redone twice as wide.  A basis
-is its packed entries: Frobenius levels and containments run on them.
+is its packed entries, in the packing it was built in, and no call
+rewrites them: a call that needs a wider packing moves a copy.
 
 Each kernel call starts in `_widened`, with one budget for all its
 attempts.  The guard is spent once per reduction step, so a step budget
@@ -37,7 +38,9 @@ already a GB (an elimination's t-free part, the quotients of a colon) into
 the reduced GB without a pair phase.  Each GroebnerBasis memoises its
 Hilbert numerator (`numerator`), read by every length and dimension, and
 the basis of the ideal's p-th bracket power (`frobenius`), so a chain of
-Frobenius powers lives on the basis it starts from.
+Frobenius powers lives on the basis it starts from.  In a session
+(`basis_memo`, a ContextVar like the guard) a chain level or an ideal's
+basis is interned by value and order once, when it is built.
 """
 
 from __future__ import annotations
@@ -189,20 +192,38 @@ def _reduce_full(terms: dict, reducers, packing, p: int, spend,
     return remainder
 
 
+# Each basis -> the session's one basis equal to it; None outside a session.
+_BASES = ContextVar("hkspread_bases", default=None)
+
+
+@contextmanager
+def basis_memo():
+    """Share bases between the ideals of one session."""
+    token = _BASES.set({})
+    try:
+        yield
+    finally:
+        _BASES.reset(token)
+
+
+def _interned(gb: GroebnerBasis) -> GroebnerBasis:
+    memo = _BASES.get()
+    return gb if memo is None else memo.setdefault(gb, gb)
+
+
 class GroebnerBasis:
     """Reduced basis: monic, interreduced, canonical for (ideal, order),
-    held as reducer entries sorted by lead; `polys` and `leading` (exponent
-    tuples) are views."""
+    held as reducer entries sorted by lead in the packing it was built in;
+    `polys` and `leading` (exponent tuples) are views."""
 
-    __slots__ = ("ring", "order", "_packed", "_hilbert", "_frobenius", "_hash")
+    __slots__ = ("ring", "order", "_packed", "_hilbert", "_frobenius")
 
     def __init__(self, ring, order, packed):
         self.ring = ring
         self.order = order
         self._packed = packed   # (packing, reducer entries)
         self._hilbert = None   # the memo of `numerator`
-        self._frobenius = None   # the memo of `frobenius`, or its interned copy
-        self._hash = None
+        self._frobenius = None   # the memo of `frobenius`
 
     @property
     def polys(self) -> tuple:
@@ -242,7 +263,8 @@ class GroebnerBasis:
         to the p-th power (packed monomials times p, fields sized before: a
         carry would pass the guard bits unseen) and reduced modulo the
         relation basis.  Exact in characteristic p, as (g + h)^p = g^p + h^p,
-        c^p = c, and the relation ideal holds the p-th powers of its elements."""
+        c^p = c, and the relation ideal holds the p-th powers of its elements.
+        In a session the level is interned when it is built."""
         if self._frobenius is None:
             ring, p, packed = self.ring, self.ring.characteristic, self._packed
             packing, forms = ring.relation_basis()._normal_forms(
@@ -250,10 +272,10 @@ class GroebnerBasis:
                 p * _max_exponent(packed))
             gens = [_monic_entry(nf, next(iter(nf)), packing, p) for nf in forms
                     if nf] + _entries(ring.relations, packing, p)
-            self._frobenius = _widened(
+            self._frobenius = _interned(_widened(
                 DEGREVLEX, ring.nvars, _max_exponent((packing, gens)),
                 lambda wide, budget: _buchberger(_moved((packing, gens), wide),
-                                                 DEGREVLEX, ring, wide, budget))
+                                                 DEGREVLEX, ring, wide, budget)))
         return self._frobenius
 
     def reduce(self, f: Polynomial) -> Polynomial:
@@ -281,12 +303,11 @@ class GroebnerBasis:
     def _normal_forms(self, items, e, stop=False):
         """One kernel call: (packing, the normal forms of the term maps
         items(packing), exponents up to e), each on a budget of its own;
-        with `stop`, none after the first nonzero one."""
+        with `stop`, none after the first nonzero one; self keeps its packing."""
         p = self.ring.characteristic
 
         def run(packing, budget):
             reducers, forms = _moved(self._packed, packing), []
-            self._packed = (packing, reducers)
             for terms in items(packing):
                 if forms:   # each form is reduced on a budget of its own
                     budget.steps = 0
@@ -307,12 +328,10 @@ class GroebnerBasis:
             self.polys == other.polys if a is not b else
             [(e[0], dict(e[2])) for e in x] == [(e[0], dict(e[2])) for e in y])
 
-    def __hash__(self):   # memoised: a chain walk interns every level again
-        if self._hash is None:
-            packing, entries = self._packed
-            self._hash = hash((self.order, tuple(
-                (packing.monomial(e[0]), len(e[2])) for e in entries)))
-        return self._hash
+    def __hash__(self):
+        packing, entries = self._packed
+        return hash((self.order, tuple(
+            (packing.monomial(e[0]), len(e[2])) for e in entries)))
 
     def __repr__(self):
         return "GroebnerBasis{" + ", ".join(str(f) for f in self.polys) + "}"

@@ -4,12 +4,9 @@ to its reduced basis (`Ideal.groebner_basis`), sums, products, Frobenius
 
 An ideal's basis comes from Buchberger on the generators plus the
 relations (`groebner.buchberger_raw`) or, for a bracket power, from a
-Frobenius chain, and it is kept on the ideal.  Inside a session
-(`basis_memo`, set by `run_script`) every basis and chain level is
-interned by value and order, with no lookup by generator set: equal
-ideals built by different commands each run Buchberger once, then share
-one basis and through it one numerator and one chain.  The memo is a
-ContextVar, like the guard: nothing is shared across sessions or threads.
+Frobenius chain, and it is kept on the ideal.  In a session
+(`groebner.basis_memo`) equal ideals built by different commands each run
+Buchberger once, then share one basis, numerator and chain.
 
 Bracket powers are Frobenius chains that live on the bases: I^[q] keeps
 the generators g^q but records only (GB of I, q), and its DEGREVLEX GB is
@@ -29,8 +26,6 @@ elimination per further generator, and interreduces the last result once
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from contextvars import ContextVar
 from functools import partial, reduce
 
 from .errors import (
@@ -42,6 +37,7 @@ from .errors import (
 )
 from .groebner import (
     GroebnerBasis,
+    _interned,
     active_guard,
     buchberger_raw,
     exact_quotient,
@@ -50,26 +46,6 @@ from .groebner import (
 )
 from .orders import DEGREVLEX, AuxBlockOrder
 from .poly import Polynomial, RingSpec, as_q
-
-
-# Each basis -> the session's one basis of its value and order; None
-# outside `basis_memo`.
-_BASES = ContextVar("hkspread_bases", default=None)
-
-
-@contextmanager
-def basis_memo():
-    """Share bases between the ideals of one session."""
-    token = _BASES.set({})
-    try:
-        yield
-    finally:
-        _BASES.reset(token)
-
-
-def _interned(gb: GroebnerBasis) -> GroebnerBasis:
-    memo = _BASES.get()
-    return gb if memo is None else memo.setdefault(gb, gb)
 
 
 class Ideal:
@@ -107,12 +83,8 @@ class Ideal:
         if gb is None:
             if self._base and order == DEGREVLEX:
                 gb, q = self._base
-                p = self.ring.characteristic
                 while q > 1:
-                    # the level's memo keeps the session's one basis of its
-                    # value, not the equal copy that frobenius() built
-                    level = gb._frobenius = _interned(gb.frobenius())
-                    gb, q = level, q // p
+                    gb, q = gb.frobenius(), q // self.ring.characteristic
             else:
                 gb = _interned(buchberger_raw(self.gens + self.ring.relations,
                                               order, ring=self.ring))

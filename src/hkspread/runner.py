@@ -15,8 +15,8 @@ from typing import NamedTuple
 
 from . import __version__
 from .errors import AlgebraError
-from .groebner import GuardConfig, active_guard, use_guard
-from .ideals import basis_memo, ideal_colon
+from .groebner import GuardConfig, active_guard, basis_memo, use_guard
+from .ideals import ideal_colon
 from .lengths import ehk_estimate, length_quotient
 from .orders import order_by_name
 from .script import SessionScript, format_command

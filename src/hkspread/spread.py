@@ -108,6 +108,21 @@ def _require_finite_colength(I: Ideal, what: str):
         raise PreconditionError(f"{what} must have finite colength")
 
 
+def _q_values(ring: RingSpec, q) -> list:
+    """The list q of powers of p, refused empty: it would pass on no rows."""
+    qs = [as_q(ring, v) for v in q]
+    if not qs:
+        raise PreconditionError("the identity needs at least one q")
+    return qs
+
+
+def _levels(ring: RingSpec, e_max: int) -> list:
+    """q = p^e for e = 0..e_max, refused empty: it would pass on no rows."""
+    if e_max < 0:
+        raise PreconditionError("sampling the levels needs e_max >= 0")
+    return [ring.characteristic ** e for e in range(e_max + 1)]
+
+
 def _normalizer(ring: RingSpec, a: Ideal | None, e_max: int):
     """(a, e_HK(a)) for the normalizing ideal a, the maximal ideal when
     None, after checking that a is proper (the unit ideal has e_HK = 0,
@@ -138,12 +153,11 @@ def _stabilize(ratios):
 def _spread_lengths(K: Ideal, a: Ideal, q0: int, e_max: int) -> dict:
     """{q: λ(K^[q·q0] / a^[q]·K^[q·q0])} for q = p^e, e = 0..e_max, with
     the denominator built as (a·K^[q0])^[q]."""
-    p = K.ring.characteristic
     Kq0 = K.bracket_power(q0)
     aKq0 = a * Kq0
     return {q: int(length_subquotient(Kq0.bracket_power(q),
                                       aKq0.bracket_power(q)))
-            for q in (p ** e for e in range(e_max + 1))}
+            for q in _levels(K.ring, e_max)}
 
 
 def star_spread_estimate(J: Ideal, a: Ideal | None = None, q0: int = 1,
@@ -299,7 +313,7 @@ def check_product_identity(I: Ideal, J: Ideal, ell: int, q,
     (q'^d − q^d)·ℓ·e_HK(I) = q'^d·e_HK(IJ^[q]) − q^d·e_HK(IJ^[q']).
     """
     ring = I.ring
-    qs = [as_q(ring, v) for v in q]
+    qs = _q_values(ring, q)
     _require_finite_colength(I, "I")
     _require_finite_colength(J, "J")
     _require_proper(J, "product identity")
@@ -308,10 +322,8 @@ def check_product_identity(I: Ideal, J: Ideal, ell: int, q,
     e_j = ehk_estimate(J, e_max=e_max).value
     prod = {q: ehk_estimate(I * J.bracket_power(q), e_max=e_max).value
             for q in qs}
-    pairs = []
-    for q in qs:
-        pairs.append((f"product[q={q}]",
-                      ell * e_i + Fraction(q) ** d * e_j, prod[q]))
+    pairs = [(f"product[q={q}]", ell * e_i + Fraction(q) ** d * e_j, prod[q])
+             for q in qs]
     for q, qp in zip(qs, qs[1:]):
         qd, qpd = Fraction(q) ** d, Fraction(qp) ** d
         pairs.append((f"difference[q={q},q'={qp}]",
@@ -326,7 +338,7 @@ def check_self_product(J: Ideal, q, q0: int = 1,
     """e_HK(J·J^[q]) = (ℓ*(J) + q^d)·e_HK(J) for each value in the list q,
     with ℓ* from the estimator."""
     ring = J.ring
-    qs = [as_q(ring, v) for v in q]
+    qs = _q_values(ring, q)
     _require_finite_colength(J, "J")
     spread = star_spread_estimate(J, None, q0, e_max)
     if spread.estimate is None:
@@ -334,11 +346,9 @@ def check_self_product(J: Ideal, q, q0: int = 1,
     ell = spread.estimate
     d = ring.dimension
     e_j = ehk_estimate(J, e_max=e_max).value
-    pairs = []
-    for q in qs:
-        lhs = ehk_estimate(J * J.bracket_power(q), e_max=e_max).value
-        rhs = (ell + Fraction(q) ** d) * e_j
-        pairs.append((f"self-product[q={q}]", lhs, rhs))
+    pairs = [(f"self-product[q={q}]",
+              ehk_estimate(J * J.bracket_power(q), e_max=e_max).value,
+              (ell + Fraction(q) ** d) * e_j) for q in qs]
     return _finish("self-product", not ring.relations, pairs,
                    notes=(f"spread estimate {ell}",))
 
@@ -386,7 +396,7 @@ def check_base_change(R: RingSpec, a: Ideal, s: int, q,
     """Extending to S = R[z_1..z_s]: (a) λ_S(S/(a^[q]S, z^[q])) factors as
     λ_S(S/(mS, z^[q]))·λ_R(R/a^[q]) for each value in the list q;
     (b) e_HK(aS + (z)) = e_HK(a)."""
-    qs = [as_q(R, v) for v in q]
+    qs = _q_values(R, q)
     if s < 1:
         raise PreconditionError("need at least one new variable")
     _require_finite_colength(a, "a")
@@ -426,18 +436,15 @@ def check_corollary_vanishing(R: RingSpec, I: Ideal, q0: int = 1,
     z = S.gen(R.nvars)
     mS = maximal_ideal(R).extended_to(S)
     mz = Ideal(S, mS.gens + (z,))
-    p = R.characteristic
     # mS^[q]·I^[q·q0]S = (mS·I^[q0]S)^[q], and the same for (mS, z)
     Iq0S = I.bracket_power(q0).extended_to(S)
     m_i = mS * Iq0S
     mz_i = mz * Iq0S
     pairs = []
-    for e in range(e_max + 1):
-        q = p ** e
+    for q in _levels(R, e_max):
         IqS = I.bracket_power(q * q0).extended_to(S)
         zq = Ideal(S, (z.qth_power(q),))
         numerator = m_i.bracket_power(q) + ideal_intersection(zq, IqS)
-        denominator = mz_i.bracket_power(q)
-        lam = length_subquotient(numerator, denominator)
+        lam = length_subquotient(numerator, mz_i.bracket_power(q))
         pairs.append((f"vanishing[q={q}]", Fraction(int(lam)), Fraction(0)))
     return _finish("corollary-vanishing", True, pairs)

@@ -26,9 +26,8 @@ from hkspread import (
     run_script,
     use_guard,
 )
-from hkspread import groebner, ideals
-from hkspread.groebner import GroebnerBasis
-from hkspread.ideals import basis_memo
+from hkspread import groebner
+from hkspread.groebner import GroebnerBasis, basis_memo
 from hkspread.cli import main
 from hkspread.runner import error_document
 from hkspread.script import COMMANDS
@@ -660,7 +659,7 @@ def test_session_builds_each_level_of_m_once(monkeypatch):
     # ehk takes m^[3] and m^[9], and so does the spread's normalizer, which
     # builds its own maximal ideal: it finds m's basis in the session's memo
     assert sum(lv in m_powers for lv in levels) == 2
-    assert ideals._BASES.get() is None
+    assert groebner._BASES.get() is None
 
 
 def test_basis_memo_is_per_session_and_per_thread(monkeypatch):
@@ -676,10 +675,11 @@ def test_basis_memo_is_per_session_and_per_thread(monkeypatch):
 
     made = _record_new_levels(monkeypatch, meet_once)
     reports, memo_after = [], []
+    relations = _QUADRIC_SESSION.ring.relation_basis()._packed
 
     def session():
         reports.append(run_script(_QUADRIC_SESSION))
-        memo_after.append(ideals._BASES.get())
+        memo_after.append(groebner._BASES.get())
 
     workers = [threading.Thread(target=session) for _ in range(2)]
     for w in workers:
@@ -693,7 +693,19 @@ def test_basis_memo_is_per_session_and_per_thread(monkeypatch):
     # both sessions build the same levels, and none is shared
     assert len(first) == len(second) > 0
     assert not {id(lv) for lv in first} & {id(lv) for lv in second}
-    assert ideals._BASES.get() is None
+    assert groebner._BASES.get() is None
+    # the ring both sessions parse into keeps its relation basis as built
+    assert _QUADRIC_SESSION.ring.relation_basis()._packed is relations
+
+
+def test_a_deep_chain_leaves_the_relation_basis_as_built():
+    """Every level of a chain reduces against the ring's one relation
+    basis, in packings that widen with q; the basis keeps its own."""
+    script = parse_script("char 2; vars x y z; quotient x^3 + y^3 + z^3; "
+                          "ideal m = x, y, z; ehk m e_max=8")
+    relations = script.ring.relation_basis()._packed
+    assert run_script(script)["ok"]
+    assert script.ring.relation_basis()._packed is relations
 
 
 def test_session_memo_shares_the_basis_of_equal_generator_sets():

@@ -317,6 +317,22 @@ def test_product_identity_precondition():
         check_product_identity(R.ideal("x"), maximal_ideal(R), 1, [2])
 
 
+@pytest.mark.parametrize("check, match", [
+    (lambda R, m: check_product_identity(m, m, 2, []), "at least one q"),
+    (lambda R, m: check_self_product(m, []), "at least one q"),
+    (lambda R, m: check_base_change(R, m, 1, []), "at least one q"),
+    (lambda R, m: check_lemma33_additivity(R.ideal("x"), R.gens()[1], e_max=-1),
+     "e_max >= 0"),
+    (lambda R, m: check_corollary_vanishing(R, m, e_max=-1), "e_max >= 0"),
+], ids=["product", "self-product", "base-change", "lemma33", "vanishing"])
+def test_identity_checkers_refuse_to_sample_nothing(check, match):
+    """An identity checked at no q, or at no level, would pass on no rows
+    (base change on part (b) alone): each refuses instead."""
+    R = _r2()
+    with pytest.raises(PreconditionError, match=match):
+        check(R, maximal_ideal(R))
+
+
 def test_self_product_values():
     R = _r2()
     rep = check_self_product(maximal_ideal(R), [2, 4])

@@ -20,9 +20,10 @@ each exponent vector is one int, W bits per variable under guard bits,
 with minus the order's rank on top, all linear in the exponents.  A
 product is one addition, a larger monomial a smaller int, divisibility
 one subtraction tested on the guard bits.  A product that would reach a
-guard bit raises `Overflow`; the run is redone twice as wide.  A basis
-is its packed entries, in the packing it was built in, and no call
-rewrites them: a call that needs a wider packing moves a copy.
+guard bit raises `Overflow`; the run is redone twice as wide, but not
+past the width the step budget can fill.  A basis is its packed entries,
+in the packing it was built in, and no call rewrites them: a call that
+needs a wider packing moves a copy.
 
 Each kernel call starts in `_widened`, with one budget for all its
 attempts.  The guard is spent once per reduction step, so a step budget
@@ -114,13 +115,25 @@ def _widened(order, n, e, run, layer="reduction", width=0):
     headroom for exponents up to e, at least `width` wide; on overflow, run
     again twice as wide.  The call has one budget of the active guard,
     named `layer`, and every attempt spends from it, so the guard's
-    max_steps bounds the steps of all attempts together."""
-    budget = _Budget(active_guard(), layer)
+    max_steps bounds the steps of all attempts together.
+
+    Every exponent that enters the call is below 2^width or the guard's
+    max_exponent, and a reduction step adds at most one such exponent to a
+    term, so a field of `limit` bits holds every term the step budget lets
+    the call build: an overflow at that width raises ResourceLimitError."""
+    guard = active_guard()
+    budget = _Budget(guard, layer)
     width = max(width, (2 * n * e).bit_length() + 1)
+    limit = ((guard.max_steps + 2)
+             * max(1 << width, guard.max_exponent)).bit_length()
     while True:
         try:
             return run(packing_for(order, n, width), budget)
         except Overflow:
+            if width >= limit:
+                raise ResourceLimitError(
+                    f"{layer} overflowed a {width}-bit packing, wider than "
+                    f"the step budget ({guard.max_steps}) can fill") from None
             width *= 2
 
 

@@ -173,18 +173,12 @@ def maximal_ideal(ring: RingSpec) -> Ideal:
 # -- intersection and colon via one-variable elimination ----------------------
 
 
-def _aux_ring(ring: RingSpec):
-    name = "t"
-    while name in ring.variables:
-        name += "_"
-    return RingSpec(ring.characteristic, (name,) + ring.variables)
-
-
 def _intersect_ambient(ring: RingSpec, gens_a, gens_b):
     """The reduced DEGREVLEX GB of (gens_a) ∩ (gens_b) in the ambient
     polynomial ring, sorted by lead: the t-free part of the reduced GB of
     t·A + (1−t)·B under the order eliminating t (elimination theorem)."""
-    ext = _aux_ring(ring)
+    ext = RingSpec(ring.characteristic,
+                   ring.unused_names(["t"]) + ring.variables)
     t = ext.gen(0)
     one_minus_t = ext.one - t
     lifted = [t * ext.adopt(f) for f in gens_a]

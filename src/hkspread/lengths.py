@@ -107,16 +107,20 @@ class HKEstimate(NamedTuple):
     ratio_trend: str | None = None
 
 
+def _levels(ring, e_max: int) -> list:
+    """q = p^e for e = 0..e_max, the levels every sampler reads, refused
+    empty: a check would pass on no rows, an estimate have no sample."""
+    if e_max < 0:
+        raise PreconditionError("sampling the levels needs e_max >= 0")
+    return [ring.characteristic ** e for e in range(e_max + 1)]
+
+
 def hk_function(a: Ideal, e_max: int) -> list:
     """Samples of λ(R/a^[p^e]) for e = 0..e_max with normalized ratios."""
-    if e_max < 0:
-        raise PreconditionError("e_max must be nonnegative")
-    ring = a.ring
-    p = ring.characteristic
-    d = ring.dimension
+    levels = _levels(a.ring, e_max)
+    d = a.ring.dimension
     samples = []
-    for e in range(e_max + 1):
-        q = p ** e
+    for e, q in enumerate(levels):
         lam = length_quotient(a.bracket_power(q))
         if not lam.is_finite:
             raise InfiniteLengthError(

@@ -71,7 +71,7 @@ class RingSpec:
     """
 
     __slots__ = ("characteristic", "variables", "relations", "_dimension",
-                 "_hash", "_relation_basis")
+                 "_relation_basis")
 
     def __init__(self, characteristic, variables, relations=()):
         if not is_prime(characteristic):
@@ -88,7 +88,6 @@ class RingSpec:
             raise AlgebraError("duplicate variable names")
         self.variables = variables
         self._dimension = None
-        self._hash = None
         self._relation_basis = None
         adopted = []
         for rel in relations:
@@ -128,21 +127,20 @@ class RingSpec:
             self._relation_basis = buchberger_raw(self.relations, ring=self)
         return self._relation_basis
 
+    def _key(self):
+        """The ring's identity: equal rings have equal keys, and hash alike."""
+        return (self.characteristic, self.variables,
+                tuple(r.terms_key() for r in self.relations))
+
     def __eq__(self, other):
         if self is other:
             return True
         if not isinstance(other, RingSpec):
             return NotImplemented
-        return (self.characteristic == other.characteristic
-                and self.variables == other.variables
-                and tuple(r.terms_key() for r in self.relations)
-                == tuple(r.terms_key() for r in other.relations))
+        return self._key() == other._key()
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.characteristic, self.variables,
-                               tuple(r.terms_key() for r in self.relations)))
-        return self._hash
+        return hash(self._key())
 
     def __repr__(self):
         base = f"F_{self.characteristic}[{','.join(self.variables)}]"
@@ -195,6 +193,16 @@ class RingSpec:
         for r in relations:
             rels.append(self.poly(r) if isinstance(r, str) else r)
         return RingSpec(self.characteristic, self.variables, rels)
+
+    def unused_names(self, stems) -> tuple:
+        """Each stem with `_` appended until it names no variable of the
+        ring and no name before it: the names of adjoined variables."""
+        names = []
+        for name in stems:
+            while name in self.variables or name in names:
+                name += "_"
+            names.append(name)
+        return tuple(names)
 
     def adjoin_variables(self, names) -> "RingSpec":
         """Polynomial extension by new variables."""

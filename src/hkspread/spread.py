@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from .errors import PreconditionError
 from .ideals import Ideal, ideal_colon, ideal_intersection, maximal_ideal
-from .lengths import (_fit_leading, ehk_estimate, length_quotient,
+from .lengths import (_fit_leading, _levels, ehk_estimate, length_quotient,
                       length_subquotient)
 from .poly import Polynomial, RingSpec, as_q
 
@@ -33,8 +33,12 @@ DEFAULT_TOLERANCE = Fraction(1, 20)
 Q0_CAP_EXPONENT = 3
 
 
-def _nearest_int(r: Fraction) -> int:
-    return int((r + Fraction(1, 2)).__floor__())
+def _rounded(r: Fraction):
+    """(n, |r − n|) for the integer n nearest r, or None when that distance
+    is 1/4 or more: the one rounding rule of both estimators."""
+    n = (r + Fraction(1, 2)).__floor__()
+    distance = abs(r - n)
+    return (n, distance) if distance < Fraction(1, 4) else None
 
 
 class SpreadCell(NamedTuple):
@@ -116,13 +120,6 @@ def _q_values(ring: RingSpec, q) -> list:
     return qs
 
 
-def _levels(ring: RingSpec, e_max: int) -> list:
-    """q = p^e for e = 0..e_max, refused empty: it would pass on no rows."""
-    if e_max < 0:
-        raise PreconditionError("sampling the levels needs e_max >= 0")
-    return [ring.characteristic ** e for e in range(e_max + 1)]
-
-
 def _normalizer(ring: RingSpec, a: Ideal | None, e_max: int):
     """(a, e_HK(a)) for the normalizing ideal a, the maximal ideal when
     None, after checking that a is proper (the unit ideal has e_HK = 0,
@@ -140,13 +137,10 @@ def _normalizer(ring: RingSpec, a: Ideal | None, e_max: int):
 
 def _stabilize(ratios):
     """First consecutive pair rounding to one integer, both within 1/4."""
-    for i in range(len(ratios) - 1):
-        n1 = _nearest_int(ratios[i])
-        n2 = _nearest_int(ratios[i + 1])
-        d1 = abs(ratios[i] - n1)
-        d2 = abs(ratios[i + 1] - n2)
-        if n1 == n2 and d1 < Fraction(1, 4) and d2 < Fraction(1, 4):
-            return n1, True, max(d1, d2)
+    for r1, r2 in zip(ratios, ratios[1:]):
+        a, b = _rounded(r1), _rounded(r2)
+        if a and b and a[0] == b[0]:
+            return a[0], True, max(a[1], b[1])
     return None, False, None
 
 
@@ -164,9 +158,9 @@ def star_spread_estimate(J: Ideal, a: Ideal | None = None, q0: int = 1,
                          e_max: int = 3) -> SpreadReport:
     """Estimate ℓ*(J) from subquotient lengths at q = p^e, e = 0..e_max.
 
-    When the rounded ratio fails to stabilize, q0 moves to its next level
-    (p after 1, otherwise q0² capped at p^Q0_CAP_EXPONENT) and the table
-    is recomputed there.
+    When the rounded ratio fails to stabilize, q0 moves one level up, to
+    min(q0·p, p^Q0_CAP_EXPONENT), and the table is recomputed there; a
+    level at or past the cap is the last.
     """
     ring = J.ring
     q0 = as_q(ring, q0)
@@ -192,7 +186,7 @@ def star_spread_estimate(J: Ideal, a: Ideal | None = None, q0: int = 1,
         estimate, stabilized, distance = _stabilize(round_ratios)
         if stabilized or q0 >= cap:
             break
-        q0 = p if q0 == 1 else min(q0 * q0, cap)
+        q0 = min(q0 * p, cap)
     return SpreadReport(method="subquotient", J=J, a=a, dimension=d,
                         ehk_a=ehk_a, cells=tuple(cells),
                         q0_schedule=tuple(schedule), estimate=estimate,
@@ -214,15 +208,13 @@ def star_spread_hk_difference(J: Ideal, a: Ideal | None = None,
     cells = _spread_lengths(J, a, q0, 0 if flat else e_max)
     lead = cells[1] if flat else _fit_leading(cells, ring.dimension)[0]
     value = lead / e_a
-    nearest = _nearest_int(value)
-    dist = abs(value - nearest)
-    good = dist < Fraction(1, 4)
+    rounded = _rounded(value)
+    estimate, distance = rounded or (None, None)
     return SpreadReport(method="hk-difference", J=J, a=a,
                         dimension=ring.dimension, ehk_a=e_a, cells=(),
                         q0_schedule=(q0,),
-                        estimate=nearest if good else None, stabilized=good,
-                        rounding_distance=dist if good else None,
-                        value=value)
+                        estimate=estimate, stabilized=rounded is not None,
+                        rounding_distance=distance, value=value)
 
 
 # -- colon-criterion diagnostics ---------------------------------------------
@@ -250,19 +242,15 @@ def colon_criterion_diagnostic(I: Ideal, x: Polynomial, q0: int | None = None,
     if e_max < 1:
         raise PreconditionError("the colon survey needs e_max >= 1")
     m = maximal_ideal(ring)
+    levels = _levels(ring, e_max)
     rows = []
-    for e in range(1, e_max + 1):
-        q = p ** e
+    for e, q in enumerate(levels[1:], 1):
         col = ideal_colon(I.bracket_power(q), Ideal(ring, (x.qth_power(q),)))
         if col.is_unit():
             rows.append(ColonRow(e, q, True, None, False))
             continue
-        least = None
-        step = 1
-        while least is None and step <= min(q0, q):
-            if m.bracket_power(q // step).contains_ideal(col):
-                least = step
-            step *= p
+        least = next((s for s in levels[:e + 1] if s <= q0
+                      and m.bracket_power(q // s).contains_ideal(col)), None)
         rows.append(ColonRow(e, q, False, least, least is not None))
     verdict = _verdict(any(r.unit_colon for r in rows),
                        all(r.contained for r in rows))
@@ -379,18 +367,6 @@ def check_lemma33_additivity(I: Ideal, z: Polynomial, a: Ideal | None = None,
     return _finish("lemma33-additivity", not ring.relations, pairs)
 
 
-def _fresh_names(ring: RingSpec, s: int):
-    names = []
-    used = set(ring.variables)
-    for i in range(1, s + 1):
-        name = "z" if s == 1 else f"z{i}"
-        while name in used:
-            name += "_"
-        used.add(name)
-        names.append(name)
-    return tuple(names)
-
-
 def check_base_change(R: RingSpec, a: Ideal, s: int, q,
                       e_max: int = 3) -> IdentityReport:
     """Extending to S = R[z_1..z_s]: (a) λ_S(S/(a^[q]S, z^[q])) factors as
@@ -400,9 +376,9 @@ def check_base_change(R: RingSpec, a: Ideal, s: int, q,
     if s < 1:
         raise PreconditionError("need at least one new variable")
     _require_finite_colength(a, "a")
-    S = R.adjoin_variables(_fresh_names(R, s))
-    n0 = R.nvars
-    zs = tuple(S.gen(n0 + i) for i in range(s))
+    S = R.adjoin_variables(R.unused_names(
+        ["z"] if s == 1 else [f"z{i}" for i in range(1, s + 1)]))
+    zs = S.gens()[R.nvars:]
     # (aS, z)^[q] = (a^[q]S, z^[q]): one Frobenius chain serves (a) and (b)
     az = Ideal(S, a.extended_to(S).gens + zs)
     mS = maximal_ideal(R).extended_to(S)
@@ -432,7 +408,7 @@ def check_corollary_vanishing(R: RingSpec, I: Ideal, q0: int = 1,
     has length exactly 0 at every sampled q."""
     q0 = as_q(R, q0)
     _require_proper(I, "vanishing check")
-    S = R.adjoin_variables(_fresh_names(R, 1))
+    S = R.adjoin_variables(R.unused_names(["z"]))
     z = S.gen(R.nvars)
     mS = maximal_ideal(R).extended_to(S)
     mz = Ideal(S, mS.gens + (z,))

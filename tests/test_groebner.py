@@ -1124,6 +1124,28 @@ def test_step_budget_spans_the_widened_reruns(name, monkeypatch):
         call()
 
 
+def test_widening_stops_at_the_width_the_step_budget_can_fill():
+    """A run that overflows at every width is not widened forever: past
+    ((max_steps + 2)·max(2^w0, max_exponent)).bit_length() bits, 36 under
+    the default guard, the call raises with its layer and step budget."""
+    widths = []
+
+    def run(packing, budget):
+        widths.append(packing.width)
+        raise Overflow
+
+    with pytest.raises(ResourceLimitError,
+                       match=r"^colon overflowed a 48-bit packing, wider than "
+                             r"the step budget \(500000\) can fill$"):
+        groebner._widened(DEGREVLEX, 1, 8, run, "colon")
+    assert widths == [6, 12, 24, 48]
+    widths.clear()
+    with use_guard(GuardConfig(max_steps=10**9, max_exponent=10**9)), \
+            pytest.raises(ResourceLimitError):
+        groebner._widened(DEGREVLEX, 3, 8, run)
+    assert widths == [7, 14, 28, 56, 112]   # limit 60 bits
+
+
 # The textbook sort keys, which the orders' matrices replaced: the oracle
 # for `order.key`, which (like `Packing` and `weight_vector`) reads rows.
 

@@ -16,6 +16,7 @@ from hkspread import (
 )
 from hkspread import groebner
 from hkspread.poly import PRIME_LIMIT, Polynomial, as_q, is_prime
+from hkspread.script import parse_script
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_field_axioms_exhaustive(p):
@@ -105,6 +106,22 @@ def test_quotient_relation_must_not_be_a_nonzero_constant():
         RingSpec(3, ("x", "y"), (R.constant(2),))
     # 3 is zero in F_3, and a zero relation is dropped
     assert R.quotient("3").relations == ()
+
+
+def test_rings_are_equal_by_value_and_hash_alike():
+    rings = [parse_script("char 3; vars x y z; quotient x^2 + y*z").ring
+             for _ in range(2)]
+    R, S = rings
+    assert R is not S and R == S and hash(R) == hash(S)
+    assert {R: "quadric"}[S] == "quadric" and len(set(rings)) == 1
+    free = RingSpec(3, ("x", "y", "z"))
+    assert free != R and R != free and free not in {R: "quadric"}
+
+
+def test_adjoined_variables_get_unused_names():
+    R = RingSpec(2, ("t", "t_", "z1"))
+    assert R.unused_names(["t", "z1", "z2"]) == ("t__", "z1_", "z2")
+    assert R.unused_names(["z", "z"]) == ("z", "z_")
 
 
 def _random_poly(rng, ring, nterms=4, max_exp=3):

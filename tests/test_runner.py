@@ -293,6 +293,15 @@ def test_csv_infinite_length():
     assert "length P,length,,,,,inf,,," in report_csv(rep).splitlines()
 
 
+def test_csv_flattens_a_failed_command_to_one_error_row():
+    rep = run_script(parse_script(
+        "char 2; vars x y; ideal O = 1; length O; spread O"))
+    lines = report_csv(rep).splitlines()
+    assert lines[1:] == [
+        "length O,length,,,,,0,,,",
+        "spread O,error,PreconditionError,,,,spread needs a proper ideal,,,"]
+
+
 def test_run_config_guard_applies():
     """run_script sets no budget of its own: it runs under the caller's
     guard, and the report's config states that guard."""

@@ -1,7 +1,8 @@
 """Command-line entry point: parse a session script, run it, print a report.
 
 Exit codes: 0 all commands succeeded and every identity check passed,
-1 a command failed or an identity check did not pass, 2 an unreadable
+1 a command failed, an identity check did not pass or the guard could not
+afford the ring's dimension (reported as null), 2 an unreadable
 script file, a parse error or a bad option (a budget flag or environment
 variable below 1, say), 141 (128 + SIGPIPE) the reader closed stdout
 before the report was written, as with `hkspread run s.hks | head`.

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from . import __version__
 from .errors import AlgebraError
-from .groebner import GuardConfig, active_guard, basis_memo, use_guard
+from .groebner import active_guard, basis_memo
 from .ideals import ideal_colon
 from .lengths import ehk_estimate, length_quotient
 from .orders import order_by_name
@@ -76,7 +76,7 @@ def _estimate_dict(name, est, dimension):
 def _spread_dict(rep, cmd):
     data = {
         "ideal": cmd.names[0],
-        "a": dict(cmd.options).get("a", "m"),
+        "a": dict(cmd.options).get("a"),
         "method": rep.method,
         "dimension": rep.dimension,
         "ehk_a": _frac(rep.ehk_a),
@@ -126,61 +126,48 @@ def _basis(gb):
     return [str(f) for f in gb.polys]
 
 
-class _Session:
-    def __init__(self, script: SessionScript, config: RunConfig):
-        self.ring = script.ring
-        self.order = order_by_name(config.order)
-        self.ideals = script.ideals()
-
-    def options(self, cmd) -> dict:
-        """The options the command sets, as keyword arguments of its layer
-        function (an option left out takes that function's default), with
-        `a` bound to its ideal."""
-        opts = dict(cmd.options)
-        if "a" in opts:
-            opts["a"] = self.ideals[opts["a"]]
-        return opts
-
-
-# verb -> f(session, command, *its leading ideals) giving the report data.
-# The entries look the layer functions up as module globals when they run,
-# so a layer rebound on this module after import is the one that gets called.
+# verb -> f(command, order, *its leading ideals, **its options) giving the
+# report data; an option left out takes the layer function's default.  The
+# entries look the layer functions up as module globals when they run, so a
+# layer rebound on this module after import is the one that gets called.
 _DATA = {
-    "gb": lambda s, c, J: {
-        "ideal": c.names[0], "order": s.order.name,
-        "basis": _basis(J.groebner_basis(s.order))},
-    "length": lambda s, c, J: {
+    "gb": lambda c, order, J: {
+        "ideal": c.names[0], "order": order.name,
+        "basis": _basis(J.groebner_basis(order))},
+    "length": lambda c, order, J: {
         "ideal": c.names[0], **_length_dict(length_quotient(J))},
-    "colon": lambda s, c, I, J: {
+    "colon": lambda c, order, I, J: {
         "left": c.names[0], "right": c.names[1],
-        "basis": _basis(ideal_colon(I, J).groebner_basis(s.order))},
-    "ehk": lambda s, c, J: _estimate_dict(
-        c.names[0], ehk_estimate(J, **s.options(c)), s.ring.dimension),
-    "spread": lambda s, c, J: _spread_dict(
-        star_spread_estimate(J, **s.options(c)), c),
-    "spread_hk": lambda s, c, J: _spread_dict(
-        star_spread_hk_difference(J, **s.options(c)), c),
-    "identity product": lambda s, c, I, J: _identity_dict(
-        check_product_identity(I, J, **s.options(c))),
-    "identity self": lambda s, c, J: _identity_dict(
-        check_self_product(J, **s.options(c))),
-    "identity lemma33": lambda s, c, J: _identity_dict(
-        check_lemma33_additivity(J, **s.options(c))),
-    "identity basechange": lambda s, c, J: _identity_dict(
-        check_base_change(s.ring, J, **s.options(c))),
-    "identity corollary": lambda s, c, J: _identity_dict(
-        check_corollary_vanishing(s.ring, J, **s.options(c))),
-    "independent": lambda s, c, J: _independence_dict(
-        star_independence_diagnostic(J.gens, **s.options(c)), c.names[0]),
+        "basis": _basis(ideal_colon(I, J).groebner_basis(order))},
+    "ehk": lambda c, order, J, **o: _estimate_dict(
+        c.names[0], ehk_estimate(J, **o), J.ring.dimension),
+    "spread": lambda c, order, J, **o: _spread_dict(
+        star_spread_estimate(J, **o), c),
+    "spread_hk": lambda c, order, J, **o: _spread_dict(
+        star_spread_hk_difference(J, **o), c),
+    "identity product": lambda c, order, I, J, **o: _identity_dict(
+        check_product_identity(I, J, **o)),
+    "identity self": lambda c, order, J, **o: _identity_dict(
+        check_self_product(J, **o)),
+    "identity lemma33": lambda c, order, J, **o: _identity_dict(
+        check_lemma33_additivity(J, **o)),
+    "identity basechange": lambda c, order, J, **o: _identity_dict(
+        check_base_change(J, **o)),
+    "identity corollary": lambda c, order, J, **o: _identity_dict(
+        check_corollary_vanishing(J, **o)),
+    "independent": lambda c, order, J, **o: _independence_dict(
+        star_independence_diagnostic(J.gens, **o), c.names[0]),
 }
 
 
 def run_script(script: SessionScript, config: RunConfig | None = None) -> dict:
     """Run every command, under the active guard, into the report document:
     each result is appended as its command finishes, and one failure does
-    not abort later commands.  The ring's dimension and the timing are
-    filled in after the timed loop, the dimension under the default guard,
-    as its relation basis is the ring's and not the run's."""
+    not abort later commands.  A command's ideals and its `a=` option are
+    bound from the script's bindings, and its ring is theirs.  The ring's
+    dimension and the timing are filled in after the timed loop, the
+    dimension under the same guard: when that guard cannot afford the
+    relation basis, the dimension is null and the run is not ok."""
     config = config or RunConfig()
     guard = active_guard()
     ring = script.ring
@@ -201,17 +188,21 @@ def run_script(script: SessionScript, config: RunConfig | None = None) -> dict:
         "ok": True,
         "results": [],
     }
+    order = order_by_name(config.order)
+    ideals = script.ideals()
     seconds = []
     start = time.perf_counter()
     with basis_memo():
-        session = _Session(script, config)
         for cmd in script.commands:
             result = {"command": format_command(cmd)}
             t0 = time.perf_counter()
             try:
                 kind = cmd.verb.split()[0]
-                data = _DATA[cmd.verb](session, cmd, *(
-                    session.ideals[name] for name in cmd.names))
+                opts = dict(cmd.options)
+                if "a" in opts:
+                    opts["a"] = ideals[opts["a"]]
+                data = _DATA[cmd.verb](
+                    cmd, order, *(ideals[name] for name in cmd.names), **opts)
                 result.update(kind=kind, status="ok", data=data)
                 if kind == "identity" and not data["pass"]:
                     doc["ok"] = False
@@ -222,8 +213,11 @@ def run_script(script: SessionScript, config: RunConfig | None = None) -> dict:
             seconds.append(time.perf_counter() - t0)
             doc["results"].append(result)
     total = time.perf_counter() - start
-    with use_guard(GuardConfig()):
+    try:
         doc["ring"]["dimension"] = ring.dimension
+    except AlgebraError:
+        doc["ring"]["dimension"] = None
+        doc["ok"] = False
     doc["timing"] = {"total_seconds": total, "per_command_seconds": seconds}
     return doc
 

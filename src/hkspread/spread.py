@@ -367,11 +367,11 @@ def check_lemma33_additivity(I: Ideal, z: Polynomial, a: Ideal | None = None,
     return _finish("lemma33-additivity", not ring.relations, pairs)
 
 
-def check_base_change(R: RingSpec, a: Ideal, s: int, q,
-                      e_max: int = 3) -> IdentityReport:
-    """Extending to S = R[z_1..z_s]: (a) λ_S(S/(a^[q]S, z^[q])) factors as
-    λ_S(S/(mS, z^[q]))·λ_R(R/a^[q]) for each value in the list q;
+def check_base_change(a: Ideal, s: int, q, e_max: int = 3) -> IdentityReport:
+    """Extending the ring R of a to S = R[z_1..z_s]: (a) λ_S(S/(a^[q]S, z^[q]))
+    factors as λ_S(S/(mS, z^[q]))·λ_R(R/a^[q]) for each value in the list q;
     (b) e_HK(aS + (z)) = e_HK(a)."""
+    R = a.ring
     qs = _q_values(R, q)
     if s < 1:
         raise PreconditionError("need at least one new variable")
@@ -399,13 +399,15 @@ def check_base_change(R: RingSpec, a: Ideal, s: int, q,
                    exact_pairs=pairs)
 
 
-def check_corollary_vanishing(R: RingSpec, I: Ideal, q0: int = 1,
+def check_corollary_vanishing(I: Ideal, q0: int = 1,
                               e_max: int = 3) -> IdentityReport:
-    """With S = R[z] and z regular on S/I^[qq0]S, the quotient
+    """With R the ring of I, S = R[z] and z regular on S/I^[qq0]S, the
+    quotient
 
         (m^[q] I^[qq0] S + (z^q) ∩ I^[qq0] S) / (mS, z)^[q] I^[qq0] S
 
     has length exactly 0 at every sampled q."""
+    R = I.ring
     q0 = as_q(R, q0)
     _require_proper(I, "vanishing check")
     S = R.adjoin_variables(R.unused_names(["z"]))

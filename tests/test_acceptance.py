@@ -185,7 +185,7 @@ def test_criterion_05_additivity(capsys):
 def _c6():
     R = _r2()
     for a in (maximal_ideal(R), R.ideal("x^2", "y^3")):
-        rep = check_base_change(R, a, 1, [2, 4])
+        rep = check_base_change(a, 1, [2, 4])
         assert rep.exact and rep.passed, a
         rows = {r.label: r for r in rep.rows}
         for q in (2, 4):
@@ -206,7 +206,7 @@ def _c7():
     R = _r2()
     for gens in (("x",), ("x", "y"), ()):
         I = Ideal(R, tuple(R.poly(g) for g in gens))
-        rep = check_corollary_vanishing(R, I, e_max=2)
+        rep = check_corollary_vanishing(I, e_max=2)
         assert rep.exact and rep.passed, gens
         labels = [r.label for r in rep.rows]
         assert "vanishing[q=2]" in labels and "vanishing[q=4]" in labels

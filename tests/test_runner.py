@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from hkspread import (
     RingSpec,
     RunConfig,
     ScriptError,
+    ehk_estimate,
     maximal_ideal,
     parse_script,
     report_csv,
@@ -201,6 +203,21 @@ def test_spread_e_max_zero_on_a_polynomial_ring_names_the_two_cells():
 
 _F2 = "char 2; vars x y; ideal m = x, y; ideal J = x^2, y^3; "
 _CUBIC = "char 2; vars x y z; quotient x^3 + y^3 + z^3; ideal m = x, y, z; "
+
+
+def test_spread_reports_the_a_its_command_named():
+    """`a` echoes the option the command gave, or null without one: the
+    default normalizer is the maximal ideal, not the binding named m."""
+    script = parse_script(
+        "char 3; vars x y z; quotient x^2 + y*z; ideal m = x^2, y, z; "
+        "ideal J = x, y; spread J e_max=2; spread J a=m e_max=2")
+    default, named = (r["data"] for r in run_script(script)["results"])
+    assert default["a"] is None
+    assert default["ehk_a"] == {"num": 1999, "den": 1311}
+    assert ehk_estimate(maximal_ideal(script.ring), e_max=2).value == (
+        Fraction(1999, 1311))
+    assert named["a"] == "m"
+    assert named["ehk_a"] == {"num": 2, "den": 1}
 
 
 @pytest.mark.parametrize("header,bare,explicit", [
@@ -846,16 +863,41 @@ def test_cli_budget_of_one_is_accepted(scripts, capsys, monkeypatch):
     assert (config["max_gb_steps"], config["max_exponent"]) == (1, 1)
 
 
-def test_cli_ring_dimension_is_outside_the_run_budgets(tmp_path, capsys):
-    """The ring's dimension runs the relation basis under the default
-    guard: a budget too small for it fails the command, not the report."""
+def test_cli_ring_dimension_runs_under_the_one_guard(tmp_path, capsys):
+    """The ring's dimension runs the relation basis under the run's guard:
+    a budget too small for it fails the command and leaves the dimension
+    null, and the report is still written."""
     path = tmp_path / "quadric.hks"
     path.write_text("char 3; vars x y z; quotient x^2 + y*z; "
                     "ideal m = x, y, z; ehk m e_max=1")
     assert main(["run", str(path), "--max-exponent", "1"]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["results"][0]["error"]["type"] == "ResourceLimitError"
-    assert doc["ring"]["dimension"] == 2
+    assert doc["ring"]["dimension"] is None
+
+
+_HIGH_RELATION = ("char 2; vars x y; quotient x^200000 + y^200000; "
+                  "ideal J = x, y; length J")
+
+
+def test_cli_relation_past_the_default_cap_is_a_report(capsys, monkeypatch):
+    """A relation past the default exponent cap fails its command and the
+    dimension, not the run; the --max-exponent that admits it admits both."""
+    import io
+    monkeypatch.setattr("sys.stdin", io.StringIO(_HIGH_RELATION))
+    assert main(["run", "-"]) == 1
+    out, err = capsys.readouterr()
+    doc = json.loads(out)
+    assert err == ""
+    assert doc["ok"] is False and doc["ring"]["dimension"] is None
+    assert doc["results"][0]["error"]["type"] == "ResourceLimitError"
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(_HIGH_RELATION))
+    assert main(["run", "-", "--max-exponent", "1000000"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["ring"]["dimension"] == 1
+    assert doc["results"][0]["data"] == {"ideal": "J", "finite": True,
+                                         "value": 1}
 
 
 def test_readme_large_q_example_is_exact():

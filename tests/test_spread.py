@@ -320,10 +320,10 @@ def test_product_identity_precondition():
 @pytest.mark.parametrize("check, match", [
     (lambda R, m: check_product_identity(m, m, 2, []), "at least one q"),
     (lambda R, m: check_self_product(m, []), "at least one q"),
-    (lambda R, m: check_base_change(R, m, 1, []), "at least one q"),
+    (lambda R, m: check_base_change(m, 1, []), "at least one q"),
     (lambda R, m: check_lemma33_additivity(R.ideal("x"), R.gens()[1], e_max=-1),
      "e_max >= 0"),
-    (lambda R, m: check_corollary_vanishing(R, m, e_max=-1), "e_max >= 0"),
+    (lambda R, m: check_corollary_vanishing(m, e_max=-1), "e_max >= 0"),
 ], ids=["product", "self-product", "base-change", "lemma33", "vanishing"])
 def test_identity_checkers_refuse_to_sample_nothing(check, match):
     """An identity checked at no q, or at no level, would pass on no rows
@@ -375,27 +375,27 @@ def test_lemma33_rejects_bad_z():
 
 def test_base_change_part_a_and_b():
     R = _r2()
-    rep = check_base_change(R, R.ideal("x^2", "y^3"), 1, [2, 4])
+    rep = check_base_change(R.ideal("x^2", "y^3"), 1, [2, 4])
     assert rep.exact and rep.passed
     by_label = {r.label: r for r in rep.rows}
     assert by_label["factorization[q=2]"].lhs == 48
     assert by_label["factorization[q=4]"].lhs == 384
     assert by_label["extension-multiplicity"].lhs == 6
-    rep = check_base_change(R, maximal_ideal(R), 1, [1])
+    rep = check_base_change(maximal_ideal(R), 1, [1])
     # q=1 row degenerates to λ(S/(aS, z)) = λ(R/a)
     assert rep.rows[0].lhs == rep.rows[0].rhs == 1
 
 
 def test_base_change_two_new_variables():
     R = _r2()
-    rep = check_base_change(R, maximal_ideal(R), 2, [2, 4])
+    rep = check_base_change(maximal_ideal(R), 2, [2, 4])
     assert rep.passed
     assert [r.lhs for r in rep.rows[:-1]] == [16, 256]  # (q^2)·λ(R/m^[q])
 
 
 def test_base_change_factorization_exact_on_quadric():
     Q = _a1()
-    rep = check_base_change(Q, maximal_ideal(Q), 1, [3])
+    rep = check_base_change(maximal_ideal(Q), 1, [3])
     fact = [r for r in rep.rows if r.label.startswith("factorization")][0]
     assert fact.lhs == fact.rhs == 39  # 3·13, exact; the extension is free
     assert not rep.exact  # part (b) compares estimates with tolerance
@@ -405,7 +405,7 @@ def test_base_change_factorization_exact_on_quadric():
 @pytest.mark.parametrize("igens", [("x",), ("x", "y"), ()])
 def test_corollary_vanishing(igens):
     R = _r2()
-    rep = check_corollary_vanishing(R, Ideal(R, tuple(R.poly(g) for g in igens)))
+    rep = check_corollary_vanishing(Ideal(R, tuple(R.poly(g) for g in igens)))
     assert rep.exact and rep.passed
     assert all(r.lhs == 0 and r.rhs == 0 for r in rep.rows)
     assert [r.label for r in rep.rows] == [
@@ -414,8 +414,7 @@ def test_corollary_vanishing(igens):
 
 def test_corollary_vanishing_with_q0():
     R = _r2()
-    rep = check_corollary_vanishing(R, R.ideal("x", "y"), q0=2,
-                                    e_max=2)
+    rep = check_corollary_vanishing(R.ideal("x", "y"), q0=2, e_max=2)
     assert rep.passed
     assert len(rep.rows) == 3
 
@@ -432,8 +431,7 @@ _Q0_CALLS = {
     "self": lambda R, q0: check_self_product(maximal_ideal(R), [2], q0=q0),
     "lemma33": lambda R, q0: check_lemma33_additivity(R.ideal("x"),
                                                       R.gen(1), q0=q0),
-    "corollary": lambda R, q0: check_corollary_vanishing(R, R.ideal("x"),
-                                                         q0=q0),
+    "corollary": lambda R, q0: check_corollary_vanishing(R.ideal("x"), q0=q0),
     "independent": lambda R, q0: star_independence_diagnostic(R.gens(),
                                                               q0=q0),
     "colon": lambda R, q0: colon_criterion_diagnostic(R.ideal("y"), R.gen(0),
@@ -445,7 +443,7 @@ _Q_CALLS = {
     "product": lambda R, q: check_product_identity(
         maximal_ideal(R), R.ideal("x^2", "y^3"), 2, q),
     "self": lambda R, q: check_self_product(maximal_ideal(R), q),
-    "basechange": lambda R, q: check_base_change(R, maximal_ideal(R), 1, q),
+    "basechange": lambda R, q: check_base_change(maximal_ideal(R), 1, q),
 }
 
 

@@ -42,7 +42,7 @@ from .lengths import (
 )
 from .orders import DEGLEX, DEGREVLEX, LEX, AuxBlockOrder, MonomialOrder, order_by_name
 from .poly import Polynomial, RingSpec
-from .runner import RunConfig, report_csv, report_json, run_script
+from .runner import report_csv, report_json, run_script
 from .script import SessionScript, parse_polynomial, parse_script, print_script
 from .spread import (
     ColonCriterionReport,

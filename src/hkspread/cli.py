@@ -3,9 +3,10 @@
 Exit codes: 0 all commands succeeded and every identity check passed,
 1 a command failed, an identity check did not pass or the guard could not
 afford the ring's dimension (reported as null), 2 an unreadable
-script file, a parse error or a bad option (a budget flag or environment
-variable below 1, say), 141 (128 + SIGPIPE) the reader closed stdout
-before the report was written, as with `hkspread run s.hks | head`.
+script file, a parse error or a bad option (a budget flag below 1, say),
+141 (128 + SIGPIPE) the reader closed stdout before the report was
+written, as with `hkspread run s.hks | head`.  Each budget of the run's
+guard comes from its flag alone, or else from GuardConfig's default.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from pathlib import Path
 from .errors import ScriptError
 from .groebner import GuardConfig, use_guard
 from .orders import ORDERS
-from .runner import RunConfig, error_document, report_csv, report_json, run_script
+from .runner import error_document, report_csv, report_json, run_script
 from .script import parse_script
 
 
@@ -36,16 +37,6 @@ def _budget(text: str) -> int:
     return value
 
 
-def _env_budget(parser, name: str, fallback: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    try:
-        return _budget(raw)
-    except argparse.ArgumentTypeError as exc:
-        parser.error(f"{name} {exc}")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hkspread",
@@ -59,14 +50,14 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--order", choices=ORDERS,
                      default="degrevlex",
                      help="monomial order for printed bases (default degrevlex)")
-    run.add_argument("--max-gb-steps", type=_budget, default=None, metavar="N",
+    run.add_argument("--max-gb-steps", type=_budget,
+                     default=GuardConfig().max_steps, metavar="N",
                      help="reduction-step budget per basis computation, "
-                          "and for the script's polynomial products "
-                          "(env HKSPREAD_MAX_GB_STEPS)")
-    run.add_argument("--max-exponent", type=_budget, default=None, metavar="N",
+                          "and for the script's polynomial products")
+    run.add_argument("--max-exponent", type=_budget,
+                     default=GuardConfig().max_exponent, metavar="N",
                      help="largest exponent allowed in any Frobenius power, "
-                          "Buchberger input or new basis element "
-                          "(env HKSPREAD_MAX_EXPONENT)")
+                          "Buchberger input or new basis element")
     return parser
 
 
@@ -98,18 +89,7 @@ def main(argv=None) -> int:
     """
     if argv is None:
         gc.freeze()
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
-    fallback = GuardConfig()
-    max_steps = args.max_gb_steps
-    if max_steps is None:
-        max_steps = _env_budget(parser, "HKSPREAD_MAX_GB_STEPS",
-                                fallback.max_steps)
-    max_exponent = args.max_exponent
-    if max_exponent is None:
-        max_exponent = _env_budget(parser, "HKSPREAD_MAX_EXPONENT",
-                                   fallback.max_exponent)
+    args = build_parser().parse_args(argv)
 
     try:
         if args.script == "-":
@@ -126,13 +106,12 @@ def main(argv=None) -> int:
         return 2
 
     # one guard for the whole run: the script's products spend its steps
-    with use_guard(GuardConfig(max_steps=max_steps, max_exponent=max_exponent)):
+    with use_guard(GuardConfig(args.max_gb_steps, args.max_exponent)):
         try:
             script = parse_script(text)
         except ScriptError as exc:
             return _emit(json.dumps(error_document(exc), indent=2) + "\n") or 2
-        doc = run_script(script, RunConfig(order=args.order,
-                                           format=args.format))
+        doc = run_script(script, order=args.order)
     if args.format == "csv":
         text = report_csv(doc)
     else:

@@ -374,10 +374,15 @@ class Polynomial:
         = (f^m)^[p]·f^d is exact in characteristic p, so f^(Σ d_i·p^i) =
         Π (f^[p^i])^(d_i), and each f^d (d < p) is taken by squaring: O(log n)
         products in all.  `check(a, b)`, if given, is called before each
-        product a·b."""
+        product a·b.  A power of one term is one exponent multiplication."""
         if n < 0:
             raise AlgebraError("negative polynomial power")
-        p, digits = self.ring.characteristic, []
+        p = self.ring.characteristic
+        if len(self.terms) == 1:
+            (m, c), = self.terms.items()
+            return Polynomial._trusted(
+                self.ring, {tuple(n * e for e in m): pow(c, n, p)})
+        digits = []
         while n:
             n, d = divmod(n, p)
             digits.append(d)

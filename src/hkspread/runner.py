@@ -11,10 +11,9 @@ import io
 import json
 import time
 from fractions import Fraction
-from typing import NamedTuple
 
 from . import __version__
-from .errors import AlgebraError
+from .errors import AlgebraError, ScriptError
 from .groebner import active_guard, basis_memo
 from .ideals import ideal_colon
 from .lengths import ehk_estimate, length_quotient
@@ -32,13 +31,6 @@ from .spread import (
 )
 
 SCHEMA_VERSION = 1
-
-
-class RunConfig(NamedTuple):
-    """How a run prints; its budgets are the caller's guard (`use_guard`)."""
-
-    order: str = "degrevlex"
-    format: str = "json"
 
 
 def _frac(x: Fraction | None):
@@ -160,24 +152,25 @@ _DATA = {
 }
 
 
-def run_script(script: SessionScript, config: RunConfig | None = None) -> dict:
+def run_script(script: SessionScript, order: str = "degrevlex") -> dict:
     """Run every command, under the active guard, into the report document:
     each result is appended as its command finishes, and one failure does
-    not abort later commands.  A command's ideals and its `a=` option are
-    bound from the script's bindings, and its ring is theirs.  The ring's
-    dimension and the timing are filled in after the timed loop, the
-    dimension under the same guard: when that guard cannot afford the
-    relation basis, the dimension is null and the run is not ok."""
-    config = config or RunConfig()
+    not abort later commands.  `order` names the monomial order of the
+    printed bases.  A command's ideals and its `a=` option are bound from
+    the script's bindings, and its ring is theirs.  The ring's dimension
+    and the timing are filled in after the timed loop, the dimension under
+    the same guard: when that guard cannot afford the relation basis, the
+    dimension is null and the run is not ok.  The config's `format` is
+    always "json": only `report_json` prints the config, as `report_csv`
+    prints the results alone."""
     guard = active_guard()
     ring = script.ring
     doc = {
         "tool": "hkspread",
         "version": __version__,
         "schema": SCHEMA_VERSION,
-        "config": {"order": config.order, "max_gb_steps": guard.max_steps,
-                   "max_exponent": guard.max_exponent,
-                   "format": config.format},
+        "config": {"order": order, "max_gb_steps": guard.max_steps,
+                   "max_exponent": guard.max_exponent, "format": "json"},
         "ring": {
             "characteristic": ring.characteristic,
             "variables": list(ring.variables),
@@ -188,7 +181,7 @@ def run_script(script: SessionScript, config: RunConfig | None = None) -> dict:
         "ok": True,
         "results": [],
     }
-    order = order_by_name(config.order)
+    monomial_order = order_by_name(order)
     ideals = script.ideals()
     seconds = []
     start = time.perf_counter()
@@ -202,7 +195,8 @@ def run_script(script: SessionScript, config: RunConfig | None = None) -> dict:
                 if "a" in opts:
                     opts["a"] = ideals[opts["a"]]
                 data = _DATA[cmd.verb](
-                    cmd, order, *(ideals[name] for name in cmd.names), **opts)
+                    cmd, monomial_order, *(ideals[name] for name in cmd.names),
+                    **opts)
                 result.update(kind=kind, status="ok", data=data)
                 if kind == "identity" and not data["pass"]:
                     doc["ok"] = False
@@ -222,18 +216,15 @@ def run_script(script: SessionScript, config: RunConfig | None = None) -> dict:
     return doc
 
 
-def error_document(exc) -> dict:
-    err = {"type": type(exc).__name__, "message": str(exc)}
-    if hasattr(exc, "line"):
-        err.update({"message": exc.message, "line": exc.line,
-                    "column": exc.column})
+def error_document(exc: ScriptError) -> dict:
+    """The document a parse error prints in place of a report."""
     return {"tool": "hkspread", "version": __version__,
-            "schema": SCHEMA_VERSION, "ok": False, "error": err}
+            "schema": SCHEMA_VERSION, "ok": False,
+            "error": {"type": type(exc).__name__, "message": exc.message,
+                      "line": exc.line, "column": exc.column}}
 
 
-def report_json(doc: dict, include_timing: bool = True) -> str:
-    if not include_timing:
-        doc = {key: value for key, value in doc.items() if key != "timing"}
+def report_json(doc: dict) -> str:
     return json.dumps(doc, indent=2)
 
 

@@ -203,6 +203,30 @@ def test_power_by_base_p_digits_matches_squaring(p, monkeypatch):
         R.gen(0) ** -1
 
 
+def test_power_of_one_term_is_one_exponent_multiplication(monkeypatch):
+    """A one-term base skips the base-p digits: no Frobenius power and no
+    product, however long the exponent."""
+    from hkspread import poly
+
+    R = RingSpec(5, ("x", "y"))
+    f = R.poly("2*x^3*y")
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(Polynomial, "qth_power",
+                        counted("qth_power", Polynomial.qth_power))
+    monkeypatch.setattr(poly, "_product", counted("_product", poly._product))
+    n = 10**50 + 7
+    assert f.power(n).terms == {(3 * n, n): pow(2, n, 5)}
+    assert f.power(0) == R.one
+    assert calls == []
+
+
 def test_freshman_dream_examples():
     R = RingSpec(2, ("x", "y"))
     x, y = R.gens()

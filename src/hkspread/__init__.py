@@ -32,6 +32,7 @@ from .ideals import (
 )
 from .lengths import (
     INFINITE,
+    Evidence,
     HKEstimate,
     HKSample,
     LengthValue,

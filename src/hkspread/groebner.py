@@ -107,7 +107,8 @@ class _Budget:
     def check_exponent(self, e: int):
         if e > self.guard.max_exponent:
             raise ResourceLimitError(
-                f"monomial exponent exceeds cap ({self.guard.max_exponent})")
+                f"{self.layer} exponent exceeds cap "
+                f"({self.guard.max_exponent})")
 
 
 def _widened(order, n, e, run, layer="reduction", width=0):
@@ -502,7 +503,8 @@ def _buchberger(entries, order, ring, packing, budget) -> GroebnerBasis:
                 budget.check_exponent(max(packing.monomial(entry[1])))
             if len(lead) + 1 > _MAX_BASIS:
                 raise ResourceLimitError(
-                    f"basis size budget exceeded ({_MAX_BASIS})")
+                    f"{budget.layer} basis size budget exceeded "
+                    f"({_MAX_BASIS})")
             append(entry)
 
     return GroebnerBasis(ring, order, (packing, _interreduce(

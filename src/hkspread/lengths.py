@@ -97,14 +97,26 @@ class HKSample(NamedTuple):
     normalized: Fraction
 
 
+class Evidence(NamedTuple):
+    """How a value is known: `kind` is "exact" (computed), "proven" (by a
+    theorem from computed values) or "sampled" (read off finite q); `by`
+    names the rule, and `checks` are the rationals that rule read."""
+
+    kind: str
+    by: str
+    checks: tuple = ()
+
+
+# the rules an e_HK estimate rests on, each written once
+_BY_FLAT = "flat Frobenius (Kunz): e_HK(a) = λ(R/a)"
+_BY_FIT = "least-squares lead of λ(R/a^[q]) ≈ A·q^d + B·q^(d−1)"
+_BY_LAST = "last normalized sample"
+
+
 class HKEstimate(NamedTuple):
     value: Fraction
-    method: str
     samples: tuple
-    residuals: tuple | None = None
-    error_bound: Fraction | None = None
-    secondary: Fraction | None = None
-    ratio_trend: str | None = None
+    evidence: Evidence
 
 
 def _levels(ring, e_max: int) -> list:
@@ -129,25 +141,12 @@ def hk_function(a: Ideal, e_max: int) -> list:
     return samples
 
 
-def _ratio_trend(samples) -> str | None:
-    if len(samples) < 2:
-        return None
-    diffs = [b.normalized - a.normalized for a, b in zip(samples, samples[1:])]
-    if all(df == 0 for df in diffs):
-        return "constant"
-    if all(df >= 0 for df in diffs):
-        return "non-decreasing"
-    if all(df <= 0 for df in diffs):
-        return "non-increasing"
-    return "mixed"
-
-
 def _fit_leading(lengths: dict, d):
     """Exact least squares of length ~ A·q^d + B·q^(d-1) over the samples
-    {q: length}; the lead A is linear in the lengths.  The normal equations
-    are formed in integers, with the column q^(d-1) scaled by the lcm of
-    the q so that it is integral on d = 0 too: that leaves A and the
-    residuals alone and divides B by the scale."""
+    {q: length}: (A, residuals), A linear in the lengths.  The normal
+    equations are formed in integers, with the column q^(d-1) scaled by the
+    lcm of the q so that it is integral on d = 0 too: that leaves A and the
+    residuals alone."""
     scale = math.lcm(*lengths)
     cols = [(q ** d, q ** d * scale // q) for q in lengths]
     ys = list(lengths.values())
@@ -163,20 +162,17 @@ def _fit_leading(lengths: dict, d):
     second = Fraction(a11 * b2 - a12 * b1, det)
     residuals = tuple(lead * c1 + second * c2 - y
                       for (c1, c2), y in zip(cols, ys))
-    return lead, second * scale, residuals
+    return lead, residuals
 
 
 def ehk_estimate(a: Ideal, e_max: int = 3, method: str = "auto") -> HKEstimate:
     """Hilbert-Kunz multiplicity of a finite-colength ideal.
 
-    Exact shortcuts: a monomial ideal in a relation-free ring has
-    e_HK = λ(R/a) (staircases dilate exactly), and in fact any
-    finite-colength ideal of a relation-free ring does (the Frobenius is
-    flat, so λ(R/a^[q]) = q^d λ(R/a)).  `method` is auto, fit or last:
-    auto takes that exact value on a relation-free ring and fits
-    elsewhere; fit and last sample e = 0..e_max and extrapolate.  The
-    estimate names the rule it used (monomial-exact, regular-exact,
-    linear-fit or last-sample).
+    On a relation-free ring the Frobenius is flat (Kunz), so
+    λ(R/a^[q]) = q^d λ(R/a) and e_HK = λ(R/a) is proven.  `method` is
+    auto, fit or last: auto takes that proven value on a relation-free ring
+    and fits elsewhere; fit and last sample e = 0..e_max and extrapolate,
+    and their evidence is sampled.
     """
     if method not in ("auto", "fit", "last"):
         raise PreconditionError(f"unknown estimation method {method!r}")
@@ -185,26 +181,17 @@ def ehk_estimate(a: Ideal, e_max: int = 3, method: str = "auto") -> HKEstimate:
         lam = length_quotient(a)
         if not lam.is_finite:
             raise InfiniteLengthError("multiplicity needs finite colength")
-        monomial = all(g.is_monomial() for g in a.gens)
         sample = HKSample(0, 1, lam.value, Fraction(lam.value))
-        return HKEstimate(value=Fraction(lam.value),
-                          method="monomial-exact" if monomial else "regular-exact",
-                          samples=(sample,),
-                          error_bound=Fraction(0))
+        return HKEstimate(Fraction(lam.value), (sample,),
+                          Evidence("proven", _BY_FLAT))
     if method != "last" and e_max < 1:
         raise PreconditionError("fit methods need e_max >= 1" if method == "fit"
                                 else "e_HK on a quotient ring needs e_max >= 1")
-    if method == "auto":
-        method = "fit"
     samples = tuple(hk_function(a, e_max))
-    trend = _ratio_trend(samples)
     if method == "last":
-        bound = None
-        if len(samples) >= 2:
-            bound = abs(samples[-1].normalized - samples[-2].normalized)
-        return HKEstimate(value=samples[-1].normalized, method="last-sample",
-                          samples=samples, error_bound=bound, ratio_trend=trend)
-    lead, second, residuals = _fit_leading(
+        last = samples[-1].normalized
+        checks = tuple(abs(last - s.normalized) for s in samples[-2:-1])
+        return HKEstimate(last, samples, Evidence("sampled", _BY_LAST, checks))
+    lead, residuals = _fit_leading(
         {s.q: s.colength for s in samples}, ring.dimension)
-    return HKEstimate(value=lead, method="linear-fit", samples=samples,
-                      residuals=residuals, secondary=second, ratio_trend=trend)
+    return HKEstimate(lead, samples, Evidence("sampled", _BY_FIT, residuals))

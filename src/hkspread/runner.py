@@ -2,7 +2,8 @@
 
 Reports are deterministic for fixed input and config: timing lives in a
 separate top-level field so byte comparisons can exclude it.  Exact
-rationals serialize as {"num": .., "den": ..}.
+rationals serialize as {"num": .., "den": ..}.  An estimate, identity or
+independence result says how it is known in "evidence".
 """
 
 from __future__ import annotations
@@ -49,19 +50,19 @@ def _sample_dict(s):
             "normalized": _frac(s.normalized)}
 
 
+def _evidence(ev):
+    return {"kind": ev.kind, "by": ev.by,
+            "checks": [_frac(c) for c in ev.checks]}
+
+
 def _estimate_dict(name, est, dimension):
     return {
         "ideal": name,
-        "method": est.method,
         "value": _frac(est.value),
         "value_float": float(est.value),
         "dimension": dimension,
         "samples": [_sample_dict(s) for s in est.samples],
-        "residuals": None if est.residuals is None
-        else [_frac(r) for r in est.residuals],
-        "error_bound": _frac(est.error_bound),
-        "secondary": _frac(est.secondary),
-        "ratio_trend": est.ratio_trend,
+        "evidence": _evidence(est.evidence),
     }
 
 
@@ -69,31 +70,28 @@ def _spread_dict(rep, cmd):
     data = {
         "ideal": cmd.names[0],
         "a": dict(cmd.options).get("a"),
-        "method": rep.method,
         "dimension": rep.dimension,
         "ehk_a": _frac(rep.ehk_a),
         "q0_schedule": list(rep.q0_schedule),
         "cells": [{"q0": c.q0, "e": c.e, "q": c.q, "length": c.length,
                    "ratio": _frac(c.ratio)} for c in rep.cells],
         "estimate": rep.estimate,
-        "stabilized": rep.stabilized,
-        "rounding_distance": _frac(rep.rounding_distance),
     }
-    if rep.method == "hk-difference":
+    if rep.value is not None:
         data["value"] = _frac(rep.value)
+    data["evidence"] = _evidence(rep.evidence)
     return data
 
 
 def _identity_dict(rep):
     return {
         "name": rep.name,
-        "exact": rep.exact,
-        "tolerance": _frac(rep.tolerance),
         "pass": rep.passed,
         "rows": [{"label": r.label, "lhs": _frac(r.lhs), "rhs": _frac(r.rhs),
                   "residual": _frac(r.residual), "pass": r.passed}
                  for r in rep.rows],
         "notes": list(rep.notes),
+        "evidence": _evidence(rep.evidence),
     }
 
 
@@ -107,10 +105,10 @@ def _independence_dict(rep, name):
     return {
         "ideal": name,
         "verdict": rep.verdict,
-        "caveat": rep.caveat,
         "generators": [{"generator": str(g), "verdict": sub.verdict,
                         "rows": _colon_rows(sub)}
                        for g, sub in zip(rep.generators, rep.reports)],
+        "evidence": _evidence(rep.evidence),
     }
 
 
@@ -240,8 +238,8 @@ def _csv_length(data):
 
 def _csv_ehk(data):
     v = data["value"]
-    yield ["estimate", data["method"], "", "", "", data["value_float"],
-           v["num"], v["den"], ""]
+    yield ["estimate", data["evidence"]["kind"], "", "", "",
+           data["value_float"], v["num"], v["den"], ""]
     for s in data["samples"]:
         nm = s["normalized"]
         yield ["sample", "", "", s["e"], s["q"], s["colength"],
@@ -249,9 +247,8 @@ def _csv_ehk(data):
 
 
 def _csv_spread(data):
-    yield ["estimate", "", "", "", "",
-           "" if data["estimate"] is None else data["estimate"],
-           "", "", data["stabilized"]]
+    yield ["estimate", data["evidence"]["kind"], "", "", "",
+           "" if data["estimate"] is None else data["estimate"], "", "", ""]
     for c in data["cells"]:
         r = c["ratio"]
         yield ["cell", "", c["q0"], c["e"], c["q"], c["length"],

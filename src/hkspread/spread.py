@@ -2,16 +2,18 @@
 
 Both estimators of ℓ*(J) read one subquotient level, the lengths
     λ(J^[q·q0] / a^[q] J^[q·q0])   at q = p^e, e = 0..e_max,
-normalized by q^d · e_HK(a).  `spread` rounds the ratios, escalating q0
-through the values 1, p, p², p³ until they settle; `spread_hk` takes the
-limit of the level at one q0.  The identity checkers verify the product,
-self-product, additivity, base-change, and vanishing relations that the
-estimators' convergence depends on.  Every function here takes Frobenius
-powers as the values q and q0 themselves, never as exponents.
+normalized by q^d · e_HK(a).  `spread` accepts the first q0 of 1, p, p², p³
+with two consecutive ratios that round to one integer; it never compares
+levels, so its estimate is sampled (on the char-2 Fermat cubic it is 2,
+where ℓ*(m) = 3).  `spread_hk` takes the limit of the level at one q0.
+The identity checkers verify the product, self-product, additivity,
+base-change, and vanishing relations that the estimators' convergence
+depends on.  Every function here takes Frobenius powers as the values q
+and q0 themselves, never as exponents.
 
 Tight closure itself is never computed: the independence diagnostics are
-necessary-condition checks built on colon containments, and every report
-carries that caveat.
+necessary-condition checks built on colon containments, and only a
+dependent verdict is proven.
 """
 
 from __future__ import annotations
@@ -21,24 +23,31 @@ from typing import NamedTuple
 
 from .errors import PreconditionError
 from .ideals import Ideal, ideal_colon, ideal_intersection, maximal_ideal
-from .lengths import (_fit_leading, _levels, ehk_estimate, length_quotient,
-                      length_subquotient)
+from .lengths import (Evidence, _fit_leading, _levels, ehk_estimate,
+                      length_quotient, length_subquotient)
 from .poly import Polynomial, RingSpec, as_q
 
-CAVEAT = ("finite-q evidence only: a pass is consistent with "
-          "star-independence but proves nothing; a unit colon proves "
-          "dependence")
+# the rules a report here rests on, each written once
+_BY_ROUNDED_PAIR = ("two consecutive ratios at one q0 level round to the "
+                    "estimate within 1/4")
+_BY_FLAT_CELL = "flat Frobenius: the q = 1 cell"
+_BY_FIT_CELLS = "least-squares lead of the cells"
+_BY_EXACT_SIDES = "both sides are exact rationals"
+_BY_TOLERANCE = "fitted e_HK within the tolerance"
+_BY_UNIT_COLON = ("a generator is 0 or has a unit colon: x^q ∈ I^[q] puts x "
+                  "in I^F ⊆ I*")
+_BY_COLON_SURVEY = ("colon survey: consistent with *-independence, proves "
+                    "nothing")
 
 DEFAULT_TOLERANCE = Fraction(1, 20)
 Q0_CAP_EXPONENT = 3
 
 
-def _rounded(r: Fraction):
-    """(n, |r − n|) for the integer n nearest r, or None when that distance
-    is 1/4 or more: the one rounding rule of both estimators."""
+def _rounded(r: Fraction) -> int | None:
+    """The integer n nearest r, or None when |r − n| is 1/4 or more: the
+    one rounding rule of both estimators."""
     n = (r + Fraction(1, 2)).__floor__()
-    distance = abs(r - n)
-    return (n, distance) if distance < Fraction(1, 4) else None
+    return n if abs(r - n) < Fraction(1, 4) else None
 
 
 class SpreadCell(NamedTuple):
@@ -50,7 +59,6 @@ class SpreadCell(NamedTuple):
 
 
 class SpreadReport(NamedTuple):
-    method: str
     J: Ideal
     a: Ideal
     dimension: int
@@ -58,8 +66,7 @@ class SpreadReport(NamedTuple):
     cells: tuple
     q0_schedule: tuple
     estimate: int | None
-    stabilized: bool
-    rounding_distance: Fraction | None
+    evidence: Evidence
     value: Fraction | None = None
 
 
@@ -73,8 +80,7 @@ class IdentityRow(NamedTuple):
 
 class IdentityReport(NamedTuple):
     name: str
-    exact: bool
-    tolerance: Fraction | None
+    evidence: Evidence
     rows: tuple
     passed: bool
     notes: tuple = ()
@@ -92,14 +98,13 @@ class ColonCriterionReport(NamedTuple):
     candidate: Polynomial
     rows: tuple
     verdict: str
-    caveat: str = CAVEAT
 
 
 class IndependenceReport(NamedTuple):
     generators: tuple
     reports: tuple
     verdict: str
-    caveat: str = CAVEAT
+    evidence: Evidence
 
 
 def _require_proper(I: Ideal, what: str):
@@ -136,12 +141,13 @@ def _normalizer(ring: RingSpec, a: Ideal | None, e_max: int):
 
 
 def _stabilize(ratios):
-    """First consecutive pair rounding to one integer, both within 1/4."""
+    """(n, pair) for the first consecutive pair of ratios both within 1/4
+    of one integer n, or (None, ())."""
     for r1, r2 in zip(ratios, ratios[1:]):
-        a, b = _rounded(r1), _rounded(r2)
-        if a and b and a[0] == b[0]:
-            return a[0], True, max(a[1], b[1])
-    return None, False, None
+        n = _rounded(r1)
+        if n is not None and n == _rounded(r2):
+            return n, (r1, r2)
+    return None, ()
 
 
 def _spread_lengths(K: Ideal, a: Ideal, q0: int, e_max: int) -> dict:
@@ -158,9 +164,12 @@ def star_spread_estimate(J: Ideal, a: Ideal | None = None, q0: int = 1,
                          e_max: int = 3) -> SpreadReport:
     """Estimate ℓ*(J) from subquotient lengths at q = p^e, e = 0..e_max.
 
-    When the rounded ratio fails to stabilize, q0 moves one level up, to
-    min(q0·p, p^Q0_CAP_EXPONENT), and the table is recomputed there; a
-    level at or past the cap is the last.
+    A q0 level is accepted on two consecutive ratios within it that round
+    to one integer, the estimate; that pair is the evidence's checks.  When
+    none do, q0 moves up to min(q0·p, p^Q0_CAP_EXPONENT) and the table is
+    recomputed there; a level at or past the cap is the last.  Levels are
+    never compared, so the estimate is sampled: 2 on the char-2 Fermat
+    cubic, where ℓ*(m) = 3.
     """
     ring = J.ring
     q0 = as_q(ring, q0)
@@ -183,14 +192,14 @@ def star_spread_estimate(J: Ideal, a: Ideal | None = None, q0: int = 1,
             ratio = Fraction(lam) / (Fraction(q) ** d * ehk_a)
             cells.append(SpreadCell(q0, e, q, lam, ratio))
             round_ratios.append(ratio)
-        estimate, stabilized, distance = _stabilize(round_ratios)
-        if stabilized or q0 >= cap:
+        estimate, pair = _stabilize(round_ratios)
+        if pair or q0 >= cap:
             break
         q0 = min(q0 * p, cap)
-    return SpreadReport(method="subquotient", J=J, a=a, dimension=d,
-                        ehk_a=ehk_a, cells=tuple(cells),
-                        q0_schedule=tuple(schedule), estimate=estimate,
-                        stabilized=stabilized, rounding_distance=distance)
+    return SpreadReport(J=J, a=a, dimension=d, ehk_a=ehk_a,
+                        cells=tuple(cells), q0_schedule=tuple(schedule),
+                        estimate=estimate,
+                        evidence=Evidence("sampled", _BY_ROUNDED_PAIR, pair))
 
 
 def star_spread_hk_difference(J: Ideal, a: Ideal | None = None,
@@ -206,15 +215,15 @@ def star_spread_hk_difference(J: Ideal, a: Ideal | None = None,
     a, e_a = _normalizer(ring, a, e_max)
     flat = not ring.relations  # the Frobenius is flat: cell(q) = q^d·cell(1)
     cells = _spread_lengths(J, a, q0, 0 if flat else e_max)
-    lead = cells[1] if flat else _fit_leading(cells, ring.dimension)[0]
+    if flat:
+        lead, evidence = cells[1], Evidence("proven", _BY_FLAT_CELL)
+    else:
+        lead, residuals = _fit_leading(cells, ring.dimension)
+        evidence = Evidence("sampled", _BY_FIT_CELLS, residuals)
     value = lead / e_a
-    rounded = _rounded(value)
-    estimate, distance = rounded or (None, None)
-    return SpreadReport(method="hk-difference", J=J, a=a,
-                        dimension=ring.dimension, ehk_a=e_a, cells=(),
-                        q0_schedule=(q0,),
-                        estimate=estimate, stabilized=rounded is not None,
-                        rounding_distance=distance, value=value)
+    return SpreadReport(J=J, a=a, dimension=ring.dimension, ehk_a=e_a,
+                        cells=(), q0_schedule=(q0,), estimate=_rounded(value),
+                        evidence=evidence, value=value)
 
 
 # -- colon-criterion diagnostics ---------------------------------------------
@@ -270,24 +279,25 @@ def star_independence_diagnostic(gens, q0: int | None = None,
         reports.append(colon_criterion_diagnostic(others, f, q0, e_max))
     verdict = _verdict(any(r.verdict == "dependent" for r in reports),
                        all(r.verdict == "consistent" for r in reports))
+    evidence = (Evidence("proven", _BY_UNIT_COLON) if verdict == "dependent"
+                else Evidence("sampled", _BY_COLON_SURVEY))
     return IndependenceReport(generators=gens, reports=tuple(reports),
-                              verdict=verdict)
+                              verdict=verdict, evidence=evidence)
 
 
 # -- identity checkers --------------------------------------------------------
 
 
-def _identity_rows(pairs, bound):
-    return tuple(IdentityRow(label, lhs, rhs, rhs - lhs, abs(rhs - lhs) <= bound)
-                 for label, lhs, rhs in pairs)
-
-
 def _finish(name, exact, pairs, exact_pairs=(), notes=()):
     """The report on `exact_pairs`, whose sides must be equal, then on
     `pairs`, equal too when `exact` and within DEFAULT_TOLERANCE if not."""
-    tol = None if exact else DEFAULT_TOLERANCE
-    rows = _identity_rows(exact_pairs, 0) + _identity_rows(pairs, tol or 0)
-    return IdentityReport(name=name, exact=exact, tolerance=tol, rows=rows,
+    tol = 0 if exact else DEFAULT_TOLERANCE
+    evidence = (Evidence("exact", _BY_EXACT_SIDES) if exact
+                else Evidence("sampled", _BY_TOLERANCE, (tol,)))
+    rows = tuple(IdentityRow(label, lhs, rhs, rhs - lhs, abs(rhs - lhs) <= bound)
+                 for bound, group in ((0, exact_pairs), (tol, pairs))
+                 for label, lhs, rhs in group)
+    return IdentityReport(name=name, evidence=evidence, rows=rows,
                           passed=all(r.passed for r in rows), notes=tuple(notes))
 
 

@@ -68,8 +68,7 @@ def _c1():
         assert rep.q0_schedule == (1,)
         assert [c.e for c in rep.cells] == [0, 1, 2, 3]
         assert all(c.ratio == mu for c in rep.cells), (J, mu)
-        assert rep.estimate == mu and rep.stabilized
-        assert rep.rounding_distance == 0
+        assert rep.estimate == mu and rep.evidence.checks == (mu, mu)
 
 
 def test_criterion_01_regular_spread(capsys):
@@ -121,7 +120,7 @@ def _c3():
         est = ehk_estimate(m * m.bracket_power(q))
         assert est.value == oracle
     rep = check_self_product(m, [2, 4, 8])
-    assert rep.exact and rep.passed
+    assert rep.evidence.kind == "exact" and rep.passed
     rows = {r.label: r for r in rep.rows}
     for e in (1, 2, 3):
         q = 2 ** e
@@ -146,7 +145,7 @@ def _c4():
     ]
     for J, ehk_j in cases:
         rep = check_product_identity(m, J, 2, [2, 4, 8])
-        assert rep.exact and rep.passed, J
+        assert rep.evidence.kind == "exact" and rep.passed, J
         assert all(r.residual == 0 for r in rep.rows)
         rows = {r.label: r for r in rep.rows}
         for label in ("difference[q=2,q'=4]", "difference[q=4,q'=8]",
@@ -169,7 +168,7 @@ def _c5():
     y = R.gen(1)
     for gens in (("x",), ("x^2",)):
         rep = check_lemma33_additivity(R.ideal(*gens), y)
-        assert rep.exact and rep.passed, gens
+        assert rep.evidence.kind == "exact" and rep.passed, gens
         rows = {r.label: r for r in rep.rows}
         for q in (2, 4, 8):
             row = rows[f"additivity[q={q}]"]
@@ -186,7 +185,7 @@ def _c6():
     R = _r2()
     for a in (maximal_ideal(R), R.ideal("x^2", "y^3")):
         rep = check_base_change(a, 1, [2, 4])
-        assert rep.exact and rep.passed, a
+        assert rep.evidence.kind == "exact" and rep.passed, a
         rows = {r.label: r for r in rep.rows}
         for q in (2, 4):
             row = rows[f"factorization[q={q}]"]
@@ -207,7 +206,7 @@ def _c7():
     for gens in (("x",), ("x", "y"), ()):
         I = Ideal(R, tuple(R.poly(g) for g in gens))
         rep = check_corollary_vanishing(I, e_max=2)
-        assert rep.exact and rep.passed, gens
+        assert rep.evidence.kind == "exact" and rep.passed, gens
         labels = [r.label for r in rep.rows]
         assert "vanishing[q=2]" in labels and "vanishing[q=4]" in labels
         assert all(r.lhs == 0 and r.rhs == 0 for r in rep.rows)

@@ -951,8 +951,20 @@ def test_intermediate_exponents_past_the_packed_width(order, gens, monkeypatch):
         assert str(gb.polys[0]) == "x^256 + y"
         with use_guard(GuardConfig(max_exponent=255)), pytest.raises(
                 ResourceLimitError,
-                match=r"^monomial exponent exceeds cap \(255\)$"):
+                match=r"^reduction exponent exceeds cap \(255\)$"):
             groebner.buchberger_raw(gens, order, ring=R)
+
+
+def test_basis_size_cap_names_its_layer(monkeypatch):
+    """The basis of (x^2 + y, xy) has a third element, y^2, which passes a
+    cap of two: the error names the layer, as the step budget's does."""
+    R = RingSpec(3, ("x", "y"))
+    gens = R.ideal("x^2 + y", "x*y").gens
+    assert len(groebner.buchberger_raw(gens, ring=R).polys) == 3
+    monkeypatch.setattr(groebner, "_MAX_BASIS", 2)
+    with pytest.raises(ResourceLimitError,
+                       match=r"^reduction basis size budget exceeded \(2\)$"):
+        groebner.buchberger_raw(gens, ring=R)
 
 
 def test_kernel_started_without_headroom_matches_the_oracles(monkeypatch):

@@ -407,7 +407,7 @@ def test_level_basis_past_the_cap_raises():
             for gb in (lambda: power.groebner_basis(),
                        lambda: _direct(I, q).groebner_basis()):
                 with pytest.raises(ResourceLimitError,
-                                   match=rf"monomial exponent exceeds cap \({cap}\)"):
+                                   match=rf"reduction exponent exceeds cap \({cap}\)"):
                     gb()
 
 

@@ -25,7 +25,7 @@ from hkspread import (
     min_gens,
     use_guard,
 )
-from hkspread import groebner
+from hkspread import Evidence, groebner, lengths
 from hkspread.lengths import _fit_leading
 from tests.test_ideals import _random_gens
 from tests.test_poly import _random_poly
@@ -342,12 +342,12 @@ def test_hk_function_rejects_infinite():
 def test_ehk_exact_paths():
     R = _r2()
     est = ehk_estimate(maximal_ideal(R))
-    assert est.value == 1 and est.method == "monomial-exact"
+    assert est.value == 1 and est.evidence.kind == "proven"
     est = ehk_estimate(R.ideal("x^2", "x*y", "y^2"))
-    assert est.value == 3 and est.method == "monomial-exact"
+    assert est.value == 3 and est.evidence.kind == "proven"
     est = ehk_estimate(R.ideal("x^2 + y", "y^3"))
-    assert est.value == 6 and est.method == "regular-exact"
-    assert est.error_bound == 0
+    assert est.value == 6 and est.evidence.kind == "proven"
+    assert est.evidence.checks == ()
 
 
 def test_ehk_exact_agrees_with_fit_on_regular_rings():
@@ -355,7 +355,8 @@ def test_ehk_exact_agrees_with_fit_on_regular_rings():
     I = R.ideal("x^2 + y", "y^3")
     fit = ehk_estimate(I, e_max=2, method="fit")
     assert fit.value == 6
-    assert all(r == 0 for r in fit.residuals)
+    assert fit.evidence.kind == "sampled"
+    assert all(r == 0 for r in fit.evidence.checks)
     assert [s.colength for s in fit.samples] == [6, 24, 96]
 
 
@@ -364,10 +365,37 @@ def test_ehk_quadric_fit_and_last():
     fit = ehk_estimate(m, e_max=3, method="fit")
     assert fit.value == Fraction(1213, 807)
     assert abs(fit.value - Fraction(3, 2)) < Fraction(1, 10)
-    assert fit.ratio_trend == "non-decreasing"
     last = ehk_estimate(m, e_max=3, method="last")
     assert last.value == Fraction(1093, 729)
-    assert last.error_bound == Fraction(1093, 729) - Fraction(121, 81)
+    assert last.evidence.checks == (Fraction(1093, 729) - Fraction(121, 81),)
+
+
+def test_ehk_on_a_relation_free_ring_is_proven():
+    """The Frobenius of F_2[x,y] is flat (Kunz), so λ(R/a^[q]) = q²·λ(R/a)
+    and e_HK(a) = λ(R/a) with nothing sampled."""
+    est = ehk_estimate(_r2().ideal("x^2 + y", "y^3"))
+    assert est.evidence == Evidence("proven", lengths._BY_FLAT, ())
+
+
+def test_ehk_fit_evidence_is_its_residuals():
+    """The quadric's estimate, by default or by method=fit, is sampled, and
+    its checks are the residuals of the fit it took its lead from."""
+    m = maximal_ideal(_a1())
+    for method in ("auto", "fit"):
+        est = ehk_estimate(m, e_max=3, method=method)
+        lead, residuals = _fit_leading(
+            {s.q: s.colength for s in est.samples}, 2)
+        assert est.value == lead
+        assert est.evidence == Evidence("sampled", lengths._BY_FIT, residuals)
+        assert any(residuals)
+
+
+def test_ehk_last_evidence_is_the_last_difference():
+    m = maximal_ideal(_a1())
+    est = ehk_estimate(m, e_max=3, method="last")
+    r = [s.normalized for s in est.samples]
+    assert est.evidence == Evidence("sampled", lengths._BY_LAST,
+                                    (abs(r[3] - r[2]),))
 
 
 def _fraction_fit(lengths, d):
@@ -384,7 +412,7 @@ def _fraction_fit(lengths, d):
     lead = (b1 * a22 - b2 * a12) / det
     second = (a11 * b2 - a12 * b1) / det
     residuals = tuple(lead * c[0] + second * c[1] - y for c, y in zip(cols, ys))
-    return lead, second, residuals
+    return lead, residuals
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -399,7 +427,7 @@ def test_integer_fit_matches_the_fraction_fit(p):
                    for e in range(n)}
         fit = _fit_leading(lengths, d)
         assert fit == _fraction_fit(lengths, d), (lengths, d)
-        assert all(type(v) is Fraction for v in (fit[0], fit[1], *fit[2]))
+        assert all(type(v) is Fraction for v in (fit[0], *fit[1]))
 
 
 def test_ehk_method_validation():
@@ -408,14 +436,14 @@ def test_ehk_method_validation():
         ehk_estimate(m, method="exact")
     with pytest.raises(PreconditionError):
         ehk_estimate(m, method="bogus")
-    # the reported method names are not inputs
+    # the name of a rule is not an input
     with pytest.raises(PreconditionError, match="unknown estimation method"):
         ehk_estimate(m, method="linear-fit")
     with pytest.raises(PreconditionError):
         ehk_estimate(m, e_max=0, method="fit")
-    # last-sample with e_max=0 degenerates to the single sample, no bound
+    # last-sample with e_max=0 degenerates to the single sample, no check
     est = ehk_estimate(m, e_max=0, method="last")
-    assert est.value == 1 and est.error_bound is None
+    assert est.value == 1 and est.evidence.checks == ()
 
 
 @pytest.mark.parametrize("p", [2, 3])

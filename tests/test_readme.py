@@ -22,6 +22,7 @@ def test_readme_python_examples():
 
     assert int(ns["length_quotient"](ns["J"])) == 6
     assert ns["ehk_estimate"](ns["J"]).value == Fraction(6, 1)
+    assert ns["ehk_estimate"](ns["J"]).evidence.kind == "proven"
 
     rep = ns["rep"]
     assert rep.estimate == 2
@@ -32,6 +33,7 @@ def test_readme_python_examples():
     assert all(r.residual == 0 for r in chk.rows)
 
     assert round(float(ns["est"].value), 3) == 1.503
+    assert ns["est"].evidence.kind == "sampled"
 
     doc = ns["doc"]
     assert doc["ok"] is True

@@ -27,7 +27,7 @@ from hkspread import (
     run_script,
     use_guard,
 )
-from hkspread import groebner
+from hkspread import groebner, lengths, spread
 from hkspread.groebner import GroebnerBasis, basis_memo
 from hkspread.cli import main
 from hkspread.runner import error_document
@@ -108,8 +108,41 @@ def test_identity_and_independent_payloads():
     assert row["residual"] == {"num": 0, "den": 1}
     indep = next(r for r in doc["results"] if r["kind"] == "independent")["data"]
     assert indep["verdict"] == "consistent"
-    assert "finite-q evidence only" in indep["caveat"]
+    assert indep["evidence"]["kind"] == "sampled"
+    assert "proves nothing" in indep["evidence"]["by"]
     assert [g["generator"] for g in indep["generators"]] == ["x", "y"]
+
+
+# the trust keys that `evidence` replaced
+_REMOVED_KEYS = {"method", "residuals", "error_bound", "secondary",
+                 "ratio_trend", "stabilized", "rounding_distance", "exact",
+                 "tolerance", "caveat"}
+
+
+def test_golden_results_state_their_evidence():
+    """Every estimate, identity and independence result of the JSON goldens
+    has one `evidence`: a kind of the three, a rule named by a module
+    constant, and rational checks; none has a trust key of its own."""
+    rules = {v for mod in (lengths, spread) for k, v in vars(mod).items()
+             if k.startswith("_BY_")}
+    seen = set()
+    for name in ("session", "minimal", "quadric"):
+        for result in json.loads((GOLDEN / f"{name}.json").read_text())["results"]:
+            data = result["data"]
+            assert not _REMOVED_KEYS & set(data), result["command"]
+            if result["kind"] not in ("ehk", "spread", "spread_hk",
+                                      "identity", "independent"):
+                assert "evidence" not in data
+                continue
+            seen.add(result["kind"])
+            ev = data["evidence"]
+            assert list(ev) == ["kind", "by", "checks"]
+            assert ev["kind"] in ("exact", "proven", "sampled")
+            assert ev["by"] in rules
+            assert all(list(c) == ["num", "den"] and type(c["num"]) is int
+                       and type(c["den"]) is int and c["den"] > 0
+                       for c in ev["checks"])
+    assert seen == {"ehk", "spread", "spread_hk", "identity", "independent"}
 
 
 def test_determinism():
@@ -290,7 +323,7 @@ def test_csv_layout():
     assert lines[0] == "command,section,label,q0,e,q,value,num,den,pass"
     assert "gb J,basis,0,,,,x^2,,," in lines
     assert "length J,length,,,,,6,,," in lines
-    assert "ehk J e_max=2,estimate,monomial-exact,,,,6.0,6,1," in lines
+    assert "ehk J e_max=2,estimate,proven,,,,6.0,6,1," in lines
     assert "ehk J e_max=2,sample,,,0,1,6,6,1," in lines
     assert "identity self m q=2,row,self-product[q=2],,,,,0,1,True" in lines
     spread_cells = [l for l in lines if l.startswith("spread J") and ",cell," in l]

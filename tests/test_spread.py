@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from hkspread import (
+    Evidence,
     FrobeniusPowerError,
     GuardConfig,
     Ideal,
@@ -23,6 +24,7 @@ from hkspread import (
     star_spread_hk_difference,
     use_guard,
 )
+from hkspread import spread
 from hkspread.lengths import _fit_leading, ehk_estimate
 
 
@@ -55,8 +57,7 @@ def test_spread_regular_ratios_are_the_generator_count(gens, mu):
     R = _r2()
     rep = star_spread_estimate(R.ideal(*gens), maximal_ideal(R))
     assert rep.estimate == mu
-    assert rep.stabilized
-    assert rep.rounding_distance == 0
+    assert rep.evidence.checks == (mu, mu)
     assert rep.q0_schedule == (1,)
     assert [c.ratio for c in rep.cells] == [Fraction(mu)] * 4
     assert [c.q for c in rep.cells] == [1, 2, 4, 8]
@@ -84,7 +85,7 @@ def test_spread_three_variables():
 def test_spread_cell_bookkeeping():
     R = _r2()
     rep = star_spread_estimate(R.ideal("x^2", "y^3"))
-    assert rep.method == "subquotient"
+    assert rep.evidence.kind == "sampled" and rep.value is None
     assert rep.dimension == 2
     assert rep.ehk_a == 1
     assert [c.length for c in rep.cells] == [2, 8, 32, 128]
@@ -103,10 +104,9 @@ def test_spread_rejects_unit_ideal():
 def test_spread_hk_difference_values():
     R = _r2()
     rep = star_spread_hk_difference(R.ideal("x^2", "y^3"))
-    assert rep.method == "hk-difference"
+    assert rep.evidence.kind == "proven"
     assert rep.value == 2
     assert rep.estimate == 2
-    assert rep.stabilized
     assert rep.ehk_a == 1
     assert rep.cells == () and rep.q0_schedule == (1,)
     with pytest.raises(PreconditionError):
@@ -139,7 +139,7 @@ def test_spread_hk_is_the_ehk_difference(ring, gens, a_gens, opts):
     nearest = (expected + Fraction(1, 2)).__floor__()
     close = abs(expected - nearest) < Fraction(1, 4)
     assert rep.estimate == (nearest if close else None)
-    assert rep.stabilized == close
+    assert rep.evidence.kind == ("sampled" if R.relations else "proven")
 
 
 @pytest.mark.parametrize("ring,gens,q0", [
@@ -181,7 +181,8 @@ def test_spread_quadric_escalates_q0_and_finds_three():
     rep = star_spread_estimate(maximal_ideal(_a1()), e_max=2)
     assert rep.q0_schedule == (1, 3)  # q0 = 1 failed to stabilize, 3 worked
     assert rep.estimate == 3
-    assert rep.stabilized
+    level = [c.ratio for c in rep.cells if c.q0 == 3]
+    assert rep.evidence.checks in list(zip(level, level[1:]))
     assert len(rep.cells) == 6
 
 
@@ -204,7 +205,7 @@ def test_spread_q0_levels_escalate_by_value(ring, gens, q0, schedule):
     R = (RingSpec(2, ("x", "y", "z")).quotient("x^3 + y^3 + z^3")
          if ring == "cubic" else _a1())
     rep = star_spread_estimate(R.ideal(*gens), q0=q0, e_max=1)
-    assert not rep.stabilized
+    assert rep.estimate is None and rep.evidence.checks == ()
     assert rep.q0_schedule == schedule
     assert [c.q0 for c in rep.cells] == [v for v in schedule for _ in (0, 1)]
 
@@ -219,7 +220,6 @@ def test_colon_criterion_consistent_case():
     assert rep.verdict == "consistent"
     assert [r.q for r in rep.rows] == [2, 4, 8]
     assert all(r.least_q0 == 1 and not r.unit_colon for r in rep.rows)
-    assert "proves nothing" in rep.caveat
 
 
 def test_colon_criterion_detects_membership():
@@ -282,7 +282,7 @@ def test_product_identity_regular_pairs_exact():
     m = maximal_ideal(R)
     for gens, ell in ((("x", "y"), 2), (("x^2", "y^2"), 2), (("x^2", "y^3"), 2)):
         rep = check_product_identity(m, R.ideal(*gens), ell, [2, 4, 8])
-        assert rep.exact and rep.passed
+        assert rep.evidence.kind == "exact" and rep.passed
         assert all(r.residual == 0 for r in rep.rows)
         labels = [r.label for r in rep.rows]
         assert "product[q=2]" in labels
@@ -336,7 +336,7 @@ def test_identity_checkers_refuse_to_sample_nothing(check, match):
 def test_self_product_values():
     R = _r2()
     rep = check_self_product(maximal_ideal(R), [2, 4])
-    assert rep.passed and rep.exact
+    assert rep.passed and rep.evidence.kind == "exact"
     assert [(r.lhs, r.rhs) for r in rep.rows] == [(6, 6), (18, 18)]
     assert rep.notes == ("spread estimate 2",)
 
@@ -356,7 +356,7 @@ def test_lemma33_additivity_exact(igens):
     R = _r2()
     y = R.gens()[1]
     rep = check_lemma33_additivity(R.ideal(*igens), y)
-    assert rep.exact and rep.passed
+    assert rep.evidence.kind == "exact" and rep.passed
     assert [r.label for r in rep.rows] == [
         "additivity[q=1]", "additivity[q=2]", "additivity[q=4]",
         "additivity[q=8]"]
@@ -376,7 +376,7 @@ def test_lemma33_rejects_bad_z():
 def test_base_change_part_a_and_b():
     R = _r2()
     rep = check_base_change(R.ideal("x^2", "y^3"), 1, [2, 4])
-    assert rep.exact and rep.passed
+    assert rep.evidence.kind == "exact" and rep.passed
     by_label = {r.label: r for r in rep.rows}
     assert by_label["factorization[q=2]"].lhs == 48
     assert by_label["factorization[q=4]"].lhs == 384
@@ -398,7 +398,7 @@ def test_base_change_factorization_exact_on_quadric():
     rep = check_base_change(maximal_ideal(Q), 1, [3])
     fact = [r for r in rep.rows if r.label.startswith("factorization")][0]
     assert fact.lhs == fact.rhs == 39  # 3·13, exact; the extension is free
-    assert not rep.exact  # part (b) compares estimates with tolerance
+    assert rep.evidence.kind == "sampled"  # part (b) compares estimates
     assert rep.passed
 
 
@@ -406,7 +406,7 @@ def test_base_change_factorization_exact_on_quadric():
 def test_corollary_vanishing(igens):
     R = _r2()
     rep = check_corollary_vanishing(Ideal(R, tuple(R.poly(g) for g in igens)))
-    assert rep.exact and rep.passed
+    assert rep.evidence.kind == "exact" and rep.passed
     assert all(r.lhs == 0 and r.rhs == 0 for r in rep.rows)
     assert [r.label for r in rep.rows] == [
         "vanishing[q=1]", "vanishing[q=2]", "vanishing[q=4]", "vanishing[q=8]"]
@@ -459,3 +459,52 @@ def test_spread_functions_reject_a_q0_not_a_power_of_p(name, q0):
 def test_spread_functions_reject_a_q_entry_not_a_power_of_p(name):
     with pytest.raises(FrobeniusPowerError, match="^6 is not a power of 2$"):
         _Q_CALLS[name](_r2(), [2, 6])
+
+
+# -- evidence -----------------------------------------------------------------
+
+
+def test_spread_on_the_char2_cubic_is_sampled():
+    """A level is accepted on two consecutive ratios within it, and levels
+    are never compared, so the estimate is sampled: on the char-2 Fermat
+    cubic it is 2, while ℓ*(m) = 3."""
+    rep = star_spread_estimate(maximal_ideal(_cubic(2)), e_max=4)
+    assert rep.estimate == 2
+    pair = (Fraction(264027, 140212), Fraction(295089, 140212))
+    assert rep.evidence == Evidence("sampled", spread._BY_ROUNDED_PAIR, pair)
+    level = [c.ratio for c in rep.cells if c.q0 == rep.q0_schedule[-1]]
+    assert pair in zip(level, level[1:])
+
+
+def test_spread_hk_evidence_is_proven_only_on_a_flat_ring():
+    J = maximal_ideal(_r2())
+    assert (star_spread_hk_difference(J).evidence
+            == Evidence("proven", spread._BY_FLAT_CELL))
+    Q = _a1()
+    J = maximal_ideal(Q)
+    sub = star_spread_estimate(J, e_max=3)
+    _, residuals = _fit_leading(
+        {c.q: c.length for c in sub.cells if c.q0 == 1}, Q.dimension)
+    assert (star_spread_hk_difference(J, e_max=3).evidence
+            == Evidence("sampled", spread._BY_FIT_CELLS, residuals))
+
+
+def test_identity_evidence_is_exact_or_within_the_tolerance():
+    R = _r2()
+    rep = check_product_identity(maximal_ideal(R), R.ideal("x^2", "y^3"),
+                                 ell=2, q=[2, 4])
+    assert rep.evidence == Evidence("exact", spread._BY_EXACT_SIDES)
+    rep = check_base_change(maximal_ideal(_a1()), 1, [3])
+    assert rep.evidence == Evidence("sampled", spread._BY_TOLERANCE,
+                                    (Fraction(1, 20),))
+
+
+def test_independence_evidence_is_proven_only_for_dependence():
+    R = _r2()
+    x = R.gens()[0]
+    rep = star_independence_diagnostic((x, x ** 2))
+    assert rep.verdict == "dependent"
+    assert rep.evidence == Evidence("proven", spread._BY_UNIT_COLON)
+    rep = star_independence_diagnostic(maximal_ideal(R).gens)
+    assert rep.verdict == "consistent"
+    assert rep.evidence == Evidence("sampled", spread._BY_COLON_SURVEY)

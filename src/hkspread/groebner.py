@@ -47,23 +47,23 @@ basis is interned by value and order once, when it is built.
 from __future__ import annotations
 
 import heapq
+from collections import namedtuple
 from contextlib import contextmanager
 from contextvars import ContextVar
 from itertools import product
 from math import comb
 from operator import le, mul
-from typing import NamedTuple
 
 from .errors import AlgebraError, InfiniteLengthError, ResourceLimitError, RingMismatchError
 from .orders import DEGREVLEX, Overflow, packing_for
 from .poly import Polynomial
 
 
-class GuardConfig(NamedTuple):
+class GuardConfig(namedtuple("GuardConfig", "max_steps max_exponent",
+                             defaults=(500_000, 100_000))):
     """Resource budget: exceeding it raises, never returns a wrong answer."""
 
-    max_steps: int = 500_000
-    max_exponent: int = 100_000
+    __slots__ = ()
 
 
 # The largest basis Buchberger may build, whatever the guard.

@@ -9,19 +9,18 @@ inhomogeneous ideals too."""
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .errors import ContainmentError, InfiniteLengthError, PreconditionError
 from .groebner import taylor_at_one
 from .ideals import Ideal
 
 
-class LengthValue(NamedTuple):
+class LengthValue(namedtuple("LengthValue", "value")):
     """A module length: a nonnegative integer or the typed infinite value."""
 
-    value: int | None
+    __slots__ = ()
 
     @property
     def is_finite(self) -> bool:
@@ -90,21 +89,15 @@ def length_subquotient(M: Ideal, N: Ideal) -> LengthValue:
     return _length(diff, M.ring.nvars)
 
 
-class HKSample(NamedTuple):
-    e: int
-    q: int
-    colength: int
-    normalized: Fraction
+HKSample = namedtuple("HKSample", "e q colength normalized")
 
 
-class Evidence(NamedTuple):
+class Evidence(namedtuple("Evidence", "kind by checks", defaults=((),))):
     """How a value is known: `kind` is "exact" (computed), "proven" (by a
     theorem from computed values) or "sampled" (read off finite q); `by`
     names the rule, and `checks` are the rationals that rule read."""
 
-    kind: str
-    by: str
-    checks: tuple = ()
+    __slots__ = ()
 
 
 # the rules an e_HK estimate rests on, each written once
@@ -113,10 +106,7 @@ _BY_FIT = "least-squares lead of λ(R/a^[q]) ≈ A·q^d + B·q^(d−1)"
 _BY_LAST = "last normalized sample"
 
 
-class HKEstimate(NamedTuple):
-    value: Fraction
-    samples: tuple
-    evidence: Evidence
+HKEstimate = namedtuple("HKEstimate", "value samples evidence")
 
 
 def _levels(ring, e_max: int) -> list:

@@ -289,9 +289,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
-
     def is_homogeneous(self) -> bool:
         return len(set(map(sum, self.terms))) <= 1
 

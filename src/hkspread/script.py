@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import re
 import sys
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import (FrobeniusPowerError, HomogeneityError, NotPrimeError,
                      ResourceLimitError, ScriptError, UnitRelationError)
@@ -50,11 +50,7 @@ from .groebner import _Budget, active_guard
 from .poly import PRIME_LIMIT, Polynomial, RingSpec, as_q, valid_var_name
 
 
-class Token(NamedTuple):
-    kind: str
-    value: str
-    line: int
-    col: int
+Token = namedtuple("Token", "kind value line col")
 
 
 # one named group per token kind, tried in this order; SKIP (blanks and
@@ -88,13 +84,11 @@ def tokenize(text: str):
 # -- command AST --------------------------------------------------------------
 
 
-class Command(NamedTuple):
+class Command(namedtuple("Command", "verb names options", defaults=((),))):
     """One parsed command: its verb, its leading ideal names and the options
     it sets, as (name, value) pairs in the order of its COMMANDS row."""
 
-    verb: str
-    names: tuple
-    options: tuple = ()
+    __slots__ = ()
 
 
 # verb -> (number of leading ideal names, required options, other options).
@@ -124,10 +118,11 @@ _METHODS = ("fit", "last")
 _MAX_NESTING = 100
 
 
-class SessionScript(NamedTuple):
-    ring: RingSpec
-    bindings: tuple  # ((name, (Polynomial, ...)), ...) in declaration order
-    commands: tuple
+class SessionScript(namedtuple("SessionScript", "ring bindings commands")):
+    """SessionScript(ring, bindings, commands): the bindings are
+    ((name, (Polynomial, ...)), ...) in declaration order."""
+
+    __slots__ = ()
 
     def ideals(self):
         from .ideals import Ideal
@@ -142,7 +137,7 @@ def _same_class_ne(self, other):
     return not _same_class_eq(self, other)
 
 
-# A NamedTuple equals every tuple with equal items; a command or script
+# A named tuple equals every tuple with equal items; a command or script
 # equals only one of its own class.
 for _cls in (Command, SessionScript):
     _cls.__eq__, _cls.__ne__ = _same_class_eq, _same_class_ne

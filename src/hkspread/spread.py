@@ -18,8 +18,8 @@ dependent verdict is proven.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .errors import PreconditionError
 from .ideals import Ideal, ideal_colon, ideal_intersection, maximal_ideal
@@ -33,6 +33,7 @@ _BY_ROUNDED_PAIR = ("two consecutive ratios at one q0 level round to the "
 _BY_FLAT_CELL = "flat Frobenius: the q = 1 cell"
 _BY_FIT_CELLS = "least-squares lead of the cells"
 _BY_EXACT_SIDES = "both sides are exact rationals"
+_BY_SAMPLED_SPREAD = "rows exact given the sampled spread estimate ℓ"
 _BY_TOLERANCE = "fitted e_HK within the tolerance"
 _BY_UNIT_COLON = ("a generator is 0 or has a unit colon: x^q ∈ I^[q] puts x "
                   "in I^F ⊆ I*")
@@ -50,61 +51,24 @@ def _rounded(r: Fraction) -> int | None:
     return n if abs(r - n) < Fraction(1, 4) else None
 
 
-class SpreadCell(NamedTuple):
-    q0: int
-    e: int
-    q: int
-    length: int
-    ratio: Fraction
+SpreadCell = namedtuple("SpreadCell", "q0 e q length ratio")
 
+SpreadReport = namedtuple(
+    "SpreadReport", "J a dimension ehk_a cells q0_schedule estimate evidence "
+    "value", defaults=(None,))
 
-class SpreadReport(NamedTuple):
-    J: Ideal
-    a: Ideal
-    dimension: int
-    ehk_a: Fraction
-    cells: tuple
-    q0_schedule: tuple
-    estimate: int | None
-    evidence: Evidence
-    value: Fraction | None = None
+IdentityRow = namedtuple("IdentityRow", "label lhs rhs residual passed")
 
+IdentityReport = namedtuple("IdentityReport", "name evidence rows passed notes",
+                            defaults=((),))
 
-class IdentityRow(NamedTuple):
-    label: str
-    lhs: Fraction
-    rhs: Fraction
-    residual: Fraction
-    passed: bool
+ColonRow = namedtuple("ColonRow", "e q unit_colon least_q0 contained")
 
+ColonCriterionReport = namedtuple("ColonCriterionReport",
+                                  "candidate rows verdict")
 
-class IdentityReport(NamedTuple):
-    name: str
-    evidence: Evidence
-    rows: tuple
-    passed: bool
-    notes: tuple = ()
-
-
-class ColonRow(NamedTuple):
-    e: int
-    q: int
-    unit_colon: bool
-    least_q0: int | None
-    contained: bool
-
-
-class ColonCriterionReport(NamedTuple):
-    candidate: Polynomial
-    rows: tuple
-    verdict: str
-
-
-class IndependenceReport(NamedTuple):
-    generators: tuple
-    reports: tuple
-    verdict: str
-    evidence: Evidence
+IndependenceReport = namedtuple("IndependenceReport",
+                                "generators reports verdict evidence")
 
 
 def _require_proper(I: Ideal, what: str):
@@ -334,7 +298,9 @@ def check_product_identity(I: Ideal, J: Ideal, ell: int, q,
 def check_self_product(J: Ideal, q, q0: int = 1,
                        e_max: int = 3) -> IdentityReport:
     """e_HK(J·J^[q]) = (ℓ*(J) + q^d)·e_HK(J) for each value in the list q,
-    with ℓ* from the estimator."""
+    with ℓ* from the estimator.  That ℓ is sampled, so exact rows prove no
+    more than it: on a relation-free ring the evidence is sampled, and its
+    checks are the pair the spread accepted."""
     ring = J.ring
     qs = _q_values(ring, q)
     _require_finite_colength(J, "J")
@@ -347,8 +313,12 @@ def check_self_product(J: Ideal, q, q0: int = 1,
     pairs = [(f"self-product[q={q}]",
               ehk_estimate(J * J.bracket_power(q), e_max=e_max).value,
               (ell + Fraction(q) ** d) * e_j) for q in qs]
-    return _finish("self-product", not ring.relations, pairs,
-                   notes=(f"spread estimate {ell}",))
+    report = _finish("self-product", not ring.relations, pairs,
+                     notes=(f"spread estimate {ell}",))
+    if not ring.relations:
+        report = report._replace(evidence=Evidence(
+            "sampled", _BY_SAMPLED_SPREAD, spread.evidence.checks))
+    return report
 
 
 def check_lemma33_additivity(I: Ideal, z: Polynomial, a: Ideal | None = None,

@@ -29,7 +29,7 @@ from hkspread import (
 )
 from hkspread import groebner, lengths, spread
 from hkspread.groebner import GroebnerBasis, basis_memo
-from hkspread.cli import main
+from hkspread.cli import OPTIONS, USAGE, main
 from hkspread.runner import error_document
 from hkspread.script import COMMANDS
 
@@ -523,9 +523,10 @@ def test_cli_unreadable_script_exits_2(tmp_path, capsys, monkeypatch, kind):
     else:
         path.write_text("char 2\nvars x\n")
 
-        def refuse(self, *args, **kwargs):
-            raise PermissionError(13, "Permission denied", str(self))
-        monkeypatch.setattr(Path, "read_text", refuse)
+        def refuse(file, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(file))
+        # the CLI's own `open`: a module global shadows the builtin
+        monkeypatch.setattr("hkspread.cli.open", refuse, raising=False)
     assert main(["run", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -547,14 +548,27 @@ def _fresh_env():
     return env
 
 
-def test_importing_the_cli_skips_dataclasses_and_inspect():
-    # a fresh interpreter: this test process has imported both already
-    env = _fresh_env()
-    code = ("import sys, hkspread.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+# modules a run of the CLI must not load: argparse with the gettext and
+# locale it reads, pathlib and typing, and dataclasses and inspect
+_UNLOADED = ("argparse", "gettext", "locale", "pathlib", "typing",
+             "dataclasses", "inspect")
+
+
+def test_a_header_run_loads_no_parser_or_typing_modules(tmp_path):
+    """A fresh interpreter, this test process having imported them all,
+    under -S: the modules `site` imports (a `.pth` file may load pathlib
+    and typing) cannot hide a regression."""
+    path = tmp_path / "header.hks"
+    path.write_text("char 2\nvars x\n")
+    code = ("import sys; from hkspread.cli import main; "
+            "sys.argv[1:] = ['run', sys.argv[1]]; status = main(); "
+            f"print(status, sorted(set({_UNLOADED!r}) & set(sys.modules)), "
+            "file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-S", "-c", code, str(path)],
+                          env=_fresh_env(), check=True, capture_output=True,
+                          text=True)
+    assert proc.stderr.strip() == "0 []"
+    assert json.loads(proc.stdout)["ok"] is True
 
 
 def test_only_the_process_entry_freezes_the_heap(capsys, monkeypatch):
@@ -653,6 +667,101 @@ def test_cli_rejects_unknown_order(capsys):
         main(["run", str(GOLDEN / "orders.hks"), "--order", "grlex"])
     assert exc.value.code == 2
     assert "invalid choice: 'grlex'" in capsys.readouterr().err
+
+
+# a value other than the default for each row of the option table
+_FLAG_VALUES = {"--format": "csv", "--order": "lex",
+                  "--max-gb-steps": "100000", "--max-exponent": "512"}
+
+
+def _cli_output(argv, capsys):
+    """(exit code, stdout) of an in-process run, a JSON report untimed."""
+    code = main(argv)
+    out = capsys.readouterr().out
+    if out.startswith("{"):
+        out = _untimed(json.loads(out))
+    return code, out
+
+
+def _shortest_prefix(name):
+    """The shortest prefix of `name` that names no other option."""
+    return next(name[:k] for k in range(3, len(name) + 1)
+                if [n for n in OPTIONS if n.startswith(name[:k])] == [name])
+
+
+def test_every_option_has_a_test_value():
+    assert set(_FLAG_VALUES) == set(OPTIONS)
+
+
+@pytest.mark.parametrize("name", list(_FLAG_VALUES))
+def test_cli_option_spellings_give_one_document(name, capsys):
+    """`--name value`, `--name=value`, a unique prefix and the option before
+    the script each give the same report."""
+    path, value = str(GOLDEN / "orders.hks"), _FLAG_VALUES[name]
+    spaced = _cli_output(["run", path, name, value], capsys)
+    assert spaced[0] == 0
+    assert spaced != _cli_output(["run", path], capsys)
+    prefix = _shortest_prefix(name)
+    assert prefix != name
+    for argv in (["run", path, f"{name}={value}"],
+                 ["run", path, prefix, value],
+                 ["run", f"{prefix}={value}", path],
+                 ["run", name, value, "--", path]):
+        assert _cli_output(argv, capsys) == spaced, argv
+
+
+def test_cli_double_dash_ends_the_options(tmp_path, capsys, monkeypatch):
+    """After `--`, a script whose name starts with '-' is a path."""
+    monkeypatch.chdir(tmp_path)
+    Path("-s.hks").write_text("char 2; vars x y; ideal J = x, y; length J")
+    assert main(["run", "--format", "csv", "--", "-s.hks"]) == 0
+    assert "length J,length,,,,,1,,," in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "s.hks", "--max", "5"],
+     "ambiguous option: --max could match --max-gb-steps, --max-exponent"),
+    (["run", "s.hks", "--bogus", "1"], "unrecognized arguments: --bogus"),
+    (["run", "s.hks", "-x"], "unrecognized arguments: -x"),
+    (["run", "s.hks", "--max-gb-steps=0"],
+     "argument --max-gb-steps: must be a positive integer, got 0"),
+    (["run", "s.hks", "--format=xml"],
+     "argument --format: invalid choice: 'xml' (choose from 'json', 'csv')"),
+    (["run"], "the following arguments are required: script"),
+    (["run", "--format", "csv"],
+     "the following arguments are required: script"),
+    (["run", "s.hks", "t.hks"], "unrecognized arguments: t.hks"),
+    ([], "the first argument must be the subcommand 'run'"),
+    (["s.hks"], "the first argument must be the subcommand 'run'"),
+] + [(["run", "s.hks", name], f"argument {name}: expected one argument")
+     for name in _FLAG_VALUES],
+    ids=["ambiguous", "unknown", "short", "budget", "choice", "no-script",
+         "options-only", "two-scripts", "no-subcommand", "no-run"]
+    + [f"no-value{name}" for name in _FLAG_VALUES])
+def test_cli_bad_command_lines_exit_2(argv, message, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{USAGE}\nhkspread run: error: {message}\n"
+    assert captured.err.startswith("usage: hkspread run [-h] [--format ")
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["run", "-h"],
+                                  ["run", "s.hks", "--format", "csv", "-h"]])
+def test_cli_help_names_every_option(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    lines = out.splitlines()
+    assert lines[0] == USAGE
+    for name, (_, default, _) in OPTIONS.items():
+        assert sum(line.startswith(f"  {name} ") for line in lines) == 1
+        assert f"{name} " in lines[0]
+        assert f"(default {default})" in out
 
 
 def test_ehk_past_the_exponent_cap_fails_at_the_default_guard():

@@ -336,7 +336,7 @@ def test_identity_checkers_refuse_to_sample_nothing(check, match):
 def test_self_product_values():
     R = _r2()
     rep = check_self_product(maximal_ideal(R), [2, 4])
-    assert rep.passed and rep.evidence.kind == "exact"
+    assert rep.passed and rep.evidence.kind == "sampled"
     assert [(r.lhs, r.rhs) for r in rep.rows] == [(6, 6), (18, 18)]
     assert rep.notes == ("spread estimate 2",)
 
@@ -497,6 +497,19 @@ def test_identity_evidence_is_exact_or_within_the_tolerance():
     rep = check_base_change(maximal_ideal(_a1()), 1, [3])
     assert rep.evidence == Evidence("sampled", spread._BY_TOLERANCE,
                                     (Fraction(1, 20),))
+
+
+def test_self_product_evidence_is_the_sampled_spread():
+    """The self-product's ℓ is the spread estimate, which is sampled: its
+    exact rows prove no more, and the checks are the spread's accepted
+    pair.  The product identity takes the caller's ℓ and stays exact."""
+    m = maximal_ideal(_r2())
+    pair = star_spread_estimate(m).evidence.checks
+    assert pair
+    assert check_self_product(m, [2]).evidence == Evidence(
+        "sampled", spread._BY_SAMPLED_SPREAD, pair)
+    assert check_product_identity(m, m, 2, [2]).evidence == Evidence(
+        "exact", spread._BY_EXACT_SIDES)
 
 
 def test_independence_evidence_is_proven_only_for_dependence():

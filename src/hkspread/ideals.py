@@ -15,13 +15,28 @@ built once from the one before.  A level costs about one basis raised to
 the p-th power, not reductions that grow with q, and is built on packed
 monomials, as `contains_ideal` is: neither turns a basis into polynomials.
 
-Intersections and colons by one generator run one elimination each, and
-their results keep the basis it yields as their DEGREVLEX GB: the t-free
-part of the reduced elimination basis is the intersection's reduced GB,
-and its quotients by g are a GB of the colon by g.  A colon by several
-generators intersects their quotient lists in the ambient ring, one
-elimination per further generator, and interreduces the last result once
-(`reduced_basis`).
+A colon by a power x_i^a of one variable, of an ideal with homogeneous
+generators, is read off one basis (Bayer-Stillman, Invent. Math. 87,
+1987; Eisenbud, GTM 150, Prop. 15.12): in a degree reverse-lex order with
+x_i last, x_i^k divides a homogeneous element iff it divides its leading
+term, so the elements of the reduced GB of I + relations, each divided by
+the largest x_i^k with k <= a that divides it, are a GB of the colon in
+that order.  For the ring's last variable the order is DEGREVLEX, the
+basis is I's own (a bracket power's comes off its chain), and the
+quotients give the colon's reduced GB with no pair phase; for another
+variable one Buchberger run in `RevlexLastOrder(i)` gives the basis, and
+the colon's DEGREVLEX GB comes from `Ideal.groebner_basis`.  The
+intersection with (x_i^a) is x_i^a·(I : x_i^a).
+
+Every other colon and intersection (several generators, a generator that
+is not a power of one variable, or an inhomogeneous other side) runs one
+elimination, in `AuxBlockOrder(DEGREVLEX)` with one more variable, per
+generator: the t-free part of the reduced elimination basis is the
+intersection's reduced GB, and its quotients by g are a GB of the colon
+by g.  A colon by several generators intersects their quotient lists in
+the ambient ring, one elimination per further generator, and
+interreduces the last result once (`reduced_basis`).  Every result keeps
+its DEGREVLEX GB.
 """
 
 from __future__ import annotations
@@ -37,6 +52,7 @@ from .errors import (
 )
 from .groebner import (
     GroebnerBasis,
+    _Budget,
     _interned,
     active_guard,
     buchberger_raw,
@@ -44,7 +60,7 @@ from .groebner import (
     krull_dimension,
     reduced_basis,
 )
-from .orders import DEGREVLEX, AuxBlockOrder
+from .orders import DEGREVLEX, AuxBlockOrder, RevlexLastOrder
 from .poly import Polynomial, RingSpec, as_q
 
 
@@ -158,7 +174,13 @@ class Ideal:
         return other
 
     def extended_to(self, ring: RingSpec) -> "Ideal":
-        """Image in a ring with more variables (same characteristic)."""
+        """Image in a polynomial extension: a ring with the same
+        characteristic, more variables and this ring's relations adopted
+        into it, as `RingSpec.adjoin_variables` makes it.  A ring with
+        other relations is not an extension of this one."""
+        if ring.relations != tuple(ring.adopt(r) for r in self.ring.relations):
+            raise RingMismatchError(
+                "extension ring must keep exactly this ring's relations")
         return Ideal(ring, tuple(ring.adopt(g) for g in self.gens))
 
     def __repr__(self):
@@ -170,7 +192,33 @@ def maximal_ideal(ring: RingSpec) -> Ideal:
     return Ideal(ring, ring.gens())
 
 
-# -- intersection and colon via one-variable elimination ----------------------
+# -- intersection and colon ----------------------------------------------------
+
+
+def _variable_power(I: Ideal, J: Ideal):
+    """(i, a) when J is generated by one term c·x_i^a, a >= 1, and I by
+    homogeneous polynomials; otherwise None."""
+    if len(J.gens) != 1 or len(J.gens[0].terms) != 1:
+        return None
+    [exps] = J.gens[0].terms
+    support = [i for i, e in enumerate(exps) if e]
+    if len(support) != 1 or not all(g.is_homogeneous() for g in I.gens):
+        return None
+    return support[0], exps[support[0]]
+
+
+def _colon_by_power(I: Ideal, i: int, a: int) -> Ideal:
+    """(I : x_i^a) read off one basis, as the module docstring says.  The
+    guard caps a as it caps the generators of an elimination."""
+    _Budget(active_guard()).check_exponent(a)
+    ring = I.ring
+    last = i == ring.nvars - 1
+    quotients = []
+    for h in I.groebner_basis(DEGREVLEX if last else RevlexLastOrder(i)).polys:
+        k = min(a, min(m[i] for m in h.terms))
+        quotients.append(h if not k else Polynomial._trusted(
+            ring, {m[:i] + (m[i] - k,) + m[i + 1:]: c for m, c in h.terms.items()}))
+    return _with_basis(ring, quotients) if last else _with_own_basis(ring, quotients)
 
 
 def _intersect_ambient(ring: RingSpec, gens_a, gens_b):
@@ -197,8 +245,33 @@ def _with_basis(ring: RingSpec, gens) -> Ideal:
     return ideal
 
 
+def _with_own_basis(ring: RingSpec, gens) -> Ideal:
+    """Ideal(ring, gens) with its DEGREVLEX GB computed now, by Buchberger."""
+    ideal = Ideal(ring, tuple(gens))
+    ideal.groebner_basis()
+    return ideal
+
+
 def ideal_colon(I: Ideal, J: Ideal) -> Ideal:
-    """(I : J) = {r : rJ ⊆ I} = ∩_g (I : g), g over J's generators.
+    """(I : J) = {r : rJ ⊆ I}, with its DEGREVLEX GB.  When J is generated
+    by one term c·x_i^a and I's generators are homogeneous, it is read
+    off one basis of I + relations (`_colon_by_power`); otherwise it runs
+    the elimination (`_colon_by_elimination`).  Both give the reduced GB
+    of the preimage of I : J in the ambient ring, which contains the
+    relations."""
+    if I.ring != J.ring:
+        raise RingMismatchError("ideals in different rings")
+    if not J.gens:
+        return Ideal(I.ring, (I.ring.one,))
+    power = _variable_power(I, J)
+    if power:
+        return _colon_by_power(I, *power)
+    return _colon_by_elimination(I, J)
+
+
+def _colon_by_elimination(I: Ideal, J: Ideal) -> Ideal:
+    """(I : J) = ∩_g (I : g), g over J's generators (at least one), one
+    elimination per generator.
 
     In a quotient ring the computation runs on ambient preimages: the
     relations are appended to I (they vanish in R) before dividing by the
@@ -209,11 +282,7 @@ def ideal_colon(I: Ideal, J: Ideal) -> Ideal:
     generator, is a GB of the preimage of I : J, and interreducing it
     gives its reduced GB in R.
     """
-    if I.ring != J.ring:
-        raise RingMismatchError("ideals in different rings")
     ring = I.ring
-    if not J.gens:
-        return Ideal(ring, (ring.one,))
     ambient_i = list(I.gens) + list(ring.relations)
     quotients = [[exact_quotient(h, g) for h in _intersect_ambient(ring, ambient_i, [g])]
                  for g in J.gens]
@@ -221,10 +290,30 @@ def ideal_colon(I: Ideal, J: Ideal) -> Ideal:
 
 
 def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
-    """I ∩ J, with the relations appended to both sides: the ambient
-    intersection then contains them, so its reduced GB is the result's."""
+    """I ∩ J, with its DEGREVLEX GB.  When one side is generated by one
+    term g = c·x_i^a and the other's generators are homogeneous, it is
+    g·(other : g), whose GB is g times the colon's, as LT(g·f) =
+    LT(g)·LT(f).  In a quotient ring the relations join it by Buchberger:
+    they lie in other + relations, so the preimage (other + relations) ∩
+    ((g) + relations) is (other + relations) ∩ (g) + relations.
+    Otherwise it runs the elimination (`_intersection_by_elimination`)."""
     if I.ring != J.ring:
         raise RingMismatchError("ideals in different rings")
+    ring = I.ring
+    for other, side in ((I, J), (J, I)):
+        power = _variable_power(other, side)
+        if power:
+            g = side.gens[0]
+            gens = [g * f for f in _colon_by_power(other, *power).groebner_basis().polys]
+            if ring.relations:
+                return _with_own_basis(ring, gens)
+            return _with_basis(ring, gens)
+    return _intersection_by_elimination(I, J)
+
+
+def _intersection_by_elimination(I: Ideal, J: Ideal) -> Ideal:
+    """I ∩ J, with the relations appended to both sides: the ambient
+    intersection then contains them, so its reduced GB is the result's."""
     ring = I.ring
     gens = _intersect_ambient(ring,
                               list(I.gens) + list(ring.relations),

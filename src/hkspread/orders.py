@@ -3,9 +3,11 @@ Groebner kernel computes with.
 
 An order is its matrix (Robbiano, EUROCAL 1985): a < b iff the first row
 whose value tells them apart is smaller on a.  Sort keys, the packing's
-weights (`weight_vector`) and the block order that eliminates one
-variable (`AuxBlockOrder`) all read the same rows.  The orders are
-degrevlex (default), lex and deglex."""
+weights (`weight_vector`), the block order that eliminates one variable
+(`AuxBlockOrder`) and the degrevlex orders with one chosen variable last
+(`RevlexLastOrder`) all read the same rows.  The orders a script can
+choose are degrevlex (default), lex and deglex; the other two serve the
+colon and intersection constructions of ideals.py."""
 
 from __future__ import annotations
 
@@ -73,10 +75,25 @@ def order_by_name(name: str) -> MonomialOrder:
 @lru_cache(maxsize=None)
 def AuxBlockOrder(inner: MonomialOrder) -> MonomialOrder:
     """Eliminates variable 0: its exponent is the first row, the rows of
-    `inner` on the other variables follow.  Used only for the
-    intersection construction."""
+    `inner` on the other variables follow.  Used only by the elimination
+    behind colons and intersections that no power of one variable
+    settles (ideals.py)."""
     return MonomialOrder(f"eliminate-first+{inner.name}", lambda n: [
         [1] + [0] * (n - 1)] + [[0] + row for row in inner.rows(n - 1)])
+
+
+@lru_cache(maxsize=None)
+def RevlexLastOrder(i: int) -> MonomialOrder:
+    """Degree reverse lex with variable i last: the degree row, then minus
+    the exponent of variable i, then minus those of the others from the
+    last one back.  On a homogeneous polynomial, x_i^k divides the leading
+    term iff it divides every term.  Variable n - 1 gives the rows of
+    DEGREVLEX.  Used by colons by a power of x_i (ideals.py)."""
+    def rows(n):
+        ranked = [i] + [k for k in range(n - 1, -1, -1) if k != i]
+        return [[1] * n] + [[-int(k == j) for j in range(n)]
+                            for k in ranked[:n - 1]]
+    return MonomialOrder(f"degrevlex-last-{i}", rows)
 
 
 class Overflow(Exception):

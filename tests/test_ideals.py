@@ -32,6 +32,7 @@ from hkspread.groebner import (
     exact_quotient,
     reduced_basis,
 )
+from hkspread.orders import AuxBlockOrder
 from hkspread.poly import Polynomial
 from tests.test_groebner import _divides, _quotient
 from tests.test_poly import _random_poly
@@ -276,6 +277,24 @@ def test_extended_to_polynomial_extension():
     assert aS.ring is S
     assert S.poly("x^2") in aS
     assert S.poly("z") not in aS
+
+
+def test_extended_to_keeps_the_relations():
+    """An extension keeps this ring's relations, adopted by name: a ring
+    that drops them, adds one or has another is refused."""
+    R = RingSpec(2, ("x", "y", "z")).quotient("x^3 + y^3 + z^3")
+    I = R.ideal("y^2", "z")
+    S = R.adjoin_variables(("w",))
+    IS = I.extended_to(S)
+    assert IS.ring is S and S.poly("x^3 + y^3") in IS
+    assert I.extended_to(R) == I
+    bare = RingSpec(2, ("x", "y", "z", "w"))
+    for ring in (bare, S.quotient("w^2"), bare.quotient("x^3 + y^3 + w^3"),
+                 RingSpec(2, ("w", "x", "y", "z")).quotient("x^2 + y*z")):
+        with pytest.raises(RingMismatchError):
+            I.extended_to(ring)
+    with pytest.raises(RingMismatchError):
+        _r2().ideal("x").extended_to(RingSpec(3, ("x", "y", "z")))
 
 
 # -- Frobenius chains against the direct path ----------------------------------
@@ -575,6 +594,101 @@ def test_colon_builds_one_basis_whatever_the_generators(count, monkeypatch):
     assert len(calls) == 1
     monkeypatch.undo()
     assert colon.groebner_basis() == _colon_by_intersecting(I, J).groebner_basis()
+
+
+# -- colons and intersections by a power of one variable ----------------------
+
+
+_POWER_RINGS = _SEEDED_RINGS + [
+    RingSpec(2, ("x", "y", "z")).quotient("x^3 + y^3 + z^3"),
+    RingSpec(3, ("x", "y", "z", "w")).quotient("x*z - y^2", "y*w - z^2"),
+]
+
+
+def _elimination_orders(monkeypatch):
+    """The orders of the Buchberger runs the ideals layer starts from now
+    on, one per run."""
+    import hkspread.ideals as ideals
+    orders = []
+
+    def spy(gens, order=None, *, ring):
+        orders.append(order)
+        return buchberger_raw(gens, order, ring=ring)
+
+    monkeypatch.setattr(ideals, "buchberger_raw", spy)
+    return orders
+
+
+@pytest.mark.parametrize("ring", _POWER_RINGS, ids=str)
+def test_colon_and_intersection_by_a_variable_power_match_elimination(ring, monkeypatch):
+    """(I : c·x_i^a) and I ∩ (c·x_i^a) for every variable and a = 1..4, on
+    seeded random homogeneous I: read off one basis, with no elimination,
+    they have the reduced DEGREVLEX bases and leads of the elimination
+    path, the power on either side of the intersection."""
+    from hkspread.ideals import _colon_by_elimination, _intersection_by_elimination
+    rng = random.Random(3300 + 10 * ring.characteristic + len(ring.relations))
+    orders = _elimination_orders(monkeypatch)
+    cases = 0
+    for i in range(ring.nvars):
+        for a in range(1, 5):
+            I = Ideal(ring, tuple(_random_gens(rng, ring, rng.randrange(1, 4), True)))
+            g = ring.gen(i) ** a * rng.randrange(1, ring.characteristic)
+            J = Ideal(ring, (g,))
+            try:
+                with use_guard(GuardConfig(max_steps=3000)):
+                    del orders[:]
+                    fast = [ideal_colon(I, J),
+                            ideal_intersection(*((I, J) if a % 2 else (J, I)))]
+                    assert AuxBlockOrder(DEGREVLEX) not in orders
+                    slow = [_colon_by_elimination(I, J),
+                            _intersection_by_elimination(I, J)]
+            except ResourceLimitError:
+                continue
+            cases += 1
+            for got, want in zip(fast, slow):
+                got, want = got._gb[DEGREVLEX], want._gb[DEGREVLEX]
+                assert got == want, (I, g)
+                assert got.leading == want.leading
+    assert cases >= 3 * ring.nvars
+
+
+def test_colons_off_the_fast_path_still_eliminate(monkeypatch):
+    """An inhomogeneous I, a generator that is not a power of one variable,
+    two generators and a power of 1 each run the elimination in
+    `AuxBlockOrder(DEGREVLEX)`: a colon one run per generator and one per
+    intersection of their quotient lists, an intersection one run."""
+    R = _POWER_RINGS[-2]
+    x, y, z = R.gens()
+    homogeneous, inhomogeneous = R.ideal(x**2 + y * z, y**2), R.ideal(x**2 + y, z**3)
+    orders = _elimination_orders(monkeypatch)
+    for I, gens in ((inhomogeneous, [z**2]), (homogeneous, [x * y]),
+                    (homogeneous, [x + y]), (homogeneous, [x, y**2]),
+                    (homogeneous, [R.one])):
+        J = Ideal(R, tuple(gens))
+        for run, count in ((ideal_colon, 2 * len(gens) - 1),
+                           (ideal_intersection, 1)):
+            del orders[:]
+            run(I, J)
+            assert orders.count(AuxBlockOrder(DEGREVLEX)) == count, (I, J, run)
+    del orders[:]
+    ideal_colon(homogeneous, R.ideal(z**2))
+    ideal_intersection(R.ideal(y**3), homogeneous)
+    assert AuxBlockOrder(DEGREVLEX) not in orders
+
+
+def test_colon_by_a_power_past_the_exponent_cap_raises():
+    """The guard caps the power in the colon and the intersection, as it
+    caps the generators of the elimination, whichever variable it is."""
+    R = _POWER_RINGS[-2]
+    I = R.ideal("x^2 + y*z", "y^2")
+    with use_guard(GuardConfig(max_exponent=40)):
+        for v in R.variables:
+            J = R.ideal(f"{v}^41")
+            for run in (ideal_colon, ideal_intersection):
+                with pytest.raises(ResourceLimitError,
+                                   match=r"exponent exceeds cap \(40\)"):
+                    run(I, J)
+            ideal_colon(I, R.ideal(f"{v}^40"))
 
 
 @pytest.mark.parametrize("ring", _CHAIN_RINGS[:3], ids=_CHAIN_IDS[:3])
